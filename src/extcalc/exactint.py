@@ -608,13 +608,10 @@ class ModSolver:
         return x.take_rows(range(self.ncols))
 
     def solve_matrix(self, b: IntMatrix) -> Optional[IntMatrix]:
-        xs = []
-        for j in range(b.cols):
-            x = self.solve(b.column_matrix(j))
-            if x is None:
-                return None
-            xs.append(x.col(0))
-        return IntMatrix.from_cols(xs, rows=self.ncols)
+        x = self.inner.solve_matrix(b)
+        if x is None:
+            return None
+        return x.take_rows(range(self.ncols))
 
 
 def solve_mod(a: IntMatrix, b: IntMatrix, rel: IntMatrix) -> Optional[IntMatrix]:

@@ -480,15 +480,6 @@ def cokernel(f: FpAbHom) -> Tuple[FpAbGroup, FpAbHom]:
     return coker, proj
 
 
-def image_contains(f: FpAbHom, target_coords: IntMatrix) -> bool:
-    """Does the coset of target_coords meet the image of f?"""
-    return solve_into_image(f, target_coords) is not None
-
-
-def solve_into_image(f: FpAbHom, target_coords: IntMatrix) -> Optional[IntMatrix]:
-    return ModSolver(f.matrix, f.tgt.relations).solve(target_coords)
-
-
 def is_epi(f: FpAbHom) -> bool:
     return cokernel(f)[0].is_trivial()
 
@@ -593,8 +584,9 @@ def minimized(group: FpAbGroup) -> Tuple[FpAbGroup, FpAbHom, FpAbHom]:
 
     Returns (small, to_small, from_small) with to_small ∘ from_small the
     identity on the small group and from_small ∘ to_small equal to the
-    identity of the original group.  Used to stop presentations from
-    accumulating redundant generators across iterated constructions.
+    identity of the original group.  Nothing in the engine calls it: it
+    is a tested public helper for shrinking a presentation by hand, and
+    the benchmark's tracer wraps it.
     """
     dec = snf(group.relations)
     diag = dec.diagonal()

@@ -21,12 +21,10 @@ from .exactint import (
     block_diag,
     constrained_kernel,
     hstack,
-    kron,
     vstack,
 )
 from . import fpab
 from .fpab import (
-    Element,
     FpAbGroup,
     FpAbHom,
     IllDefined,
@@ -35,7 +33,7 @@ from .fpab import (
     free_abelian,
 )
 from . import resolution
-from .resolution import FreeResolution, ModuleContext
+from .resolution import FreeHomGroup, FreeResolution, ModuleContext
 from .ses import ext1_group, ext1_pullback, ext1_pushforward
 
 
@@ -386,38 +384,6 @@ def sign_module(G: FiniteGroup) -> GModule:
                    else [-ident, ident], check=True)
 
 
-class ZGHomGroup:
-    """Hom_ZG(ZG^r, A) presented as A^r by evaluation at the block units."""
-
-    __slots__ = ("G", "free", "rank", "module", "group")
-
-    def __init__(self, G: FiniteGroup, free: FreeGModule, module: GModule):
-        self.G = G
-        self.free = free
-        self.rank = free.rank
-        self.module = module
-        rel = (block_diag(*([module.M.relations] * free.rank)) if free.rank
-               else IntMatrix.zero(0, 0))
-        self.group = fpab.make_group(free.rank * module.M.gens, rel)
-
-    def hom_of(self, coords) -> GModuleHom:
-        """Expand stacked unit images into the equivariant map itself."""
-        if isinstance(coords, Element):
-            coords = coords.coords
-        n, a = self.G.order, self.module.M.gens
-        src = self.free.dense()
-        cols = []
-        for j in range(self.rank):
-            x = IntMatrix.column([coords.entry(j * a + i, 0)
-                                  for i in range(a)])
-            for h in range(n):
-                cols.append((self.module.action[h].matrix * x).col(0))
-        mat = IntMatrix.from_cols(cols, rows=a)
-        return GModuleHom(src, self.module,
-                          FpAbHom(src.M, self.module.M, mat, check=False),
-                          check=False)
-
-
 def _zg_columns(d) -> tuple:
     """Sparse group-ring columns of a map between free modules."""
     if isinstance(d, ZGFreeHom):
@@ -481,18 +447,12 @@ class GModuleContext(ModuleContext):
         raise NotFree("object is not a free module")
 
     def epi_cover(self, b) -> Tuple[FreeGModule, GModuleHom]:
+        # one block per generator of B, its unit sent to that generator
         b = self._obj(b)
-        n = self.G.order
         f = FreeGModule(self.G, b.M.gens)
-        cols = []
-        for j in range(b.M.gens):
-            for h in range(n):
-                cols.append(b.action[h].matrix.col(j))
-        mat = IntMatrix.from_cols(cols, rows=b.M.gens)
-        cover = GModuleHom(f.dense(), b,
-                           FpAbHom(f.dense().M, b.M, mat, check=False),
-                           check=False)
-        return f, cover
+        ident = IntMatrix.identity(b.M.gens)
+        units = [ident.column_matrix(j) for j in range(b.M.gens)]
+        return f, self.extend_units(f, b, units)
 
     def kernel(self, f) -> Tuple[GModule, GModuleHom]:
         f = self._hom(f)
@@ -554,52 +514,32 @@ class GModuleContext(ModuleContext):
             if x is None:
                 raise NotEpi("map does not reach a unit image")
             units.append(x)
-        cols = []
-        for j in range(r):
-            for h in range(n):
-                cols.append((pd.src.action[h].matrix * units[j]).col(0))
-        mat = IntMatrix.from_cols(cols, rows=pd.src.M.gens)
-        return GModuleHom(gd.src, pd.src,
-                          FpAbHom(gd.src.M, pd.src.M, mat, check=False),
-                          check=False)
+        return self.extend_units(gd.src, pd.src, units)
 
-    def hom_group(self, f, a) -> ZGHomGroup:
+    def hom_group(self, f, a) -> FreeHomGroup:
         if isinstance(f, GModule):
             if f.zg_rank is None:
                 raise NotFree("hom_group source must be free")
             f = FreeGModule(self.G, f.zg_rank)
-        return ZGHomGroup(self.G, f, self._obj(a))
+        a = self._obj(a)
+        return FreeHomGroup(self, f, a, [a.M] * f.rank)
 
-    def induced_precompose(self, hg_src: ZGHomGroup, hg_tgt: ZGHomGroup,
+    def extend_units(self, free, a: GModule, units) -> GModuleHom:
+        """Equivariant extension: the (j, h) basis element goes to h·units[j]."""
+        src = self._obj(free)
+        cols = [(act.matrix * u).col(0) for u in units for act in a.action]
+        mat = IntMatrix.from_cols(cols, rows=a.M.gens)
+        return GModuleHom(src, a, FpAbHom(src.M, a.M, mat, check=False),
+                          check=False)
+
+    def induced_precompose(self, hg_src: FreeHomGroup, hg_tgt: FreeHomGroup,
                            d) -> FpAbHom:
-        a = hg_src.module
-        ag = a.M.gens
-        acts = [h.matrix.data for h in a.action]
-        dcols = _zg_columns(d)
-        width = hg_src.rank * ag
-        data = []
-        # block row t reads off the t-th unit image of a precomposite,
-        # a signed sum of acted unit images of the input cochain
-        for t in range(hg_tgt.rank):
-            block = [[0] * width for _ in range(ag)]
-            for (i, g, c) in dcols[t]:
-                mat = acts[g]
-                base = i * ag
-                for u in range(ag):
-                    row_u = block[u]
-                    mrow = mat[u]
-                    for v in range(ag):
-                        x = mrow[v]
-                        if x:
-                            row_u[base + v] += c * x
-            data.extend(tuple(row) for row in block)
-        m = IntMatrix._wrap(hg_tgt.rank * ag, width, tuple(data))
-        return FpAbHom(hg_src.group, hg_tgt.group, m, check=False)
-
-    def induced_postcompose(self, hg_src: ZGHomGroup, hg_tgt: ZGHomGroup,
-                            f) -> FpAbHom:
-        f = self._hom(f)
-        m = kron(IntMatrix.identity(hg_src.rank), f.ab.matrix)
+        # the t-th unit image of a precomposite is a signed sum of acted
+        # unit images of the input cochain
+        acts = hg_src.module.action
+        terms = ((t, i, c, acts[g].matrix)
+                 for t, col in enumerate(_zg_columns(d)) for (i, g, c) in col)
+        m = resolution.unit_block_matrix(hg_src.stalks, hg_tgt.stalks, terms)
         return FpAbHom(hg_src.group, hg_tgt.group, m, check=False)
 
 

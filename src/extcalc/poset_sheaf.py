@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactint import (
     IntMatrix,
     ModSolver,
-    block_diag,
     hstack,
     vstack,
 )
@@ -39,7 +38,7 @@ from .fpab import (
     zmod,
 )
 from . import resolution
-from .resolution import FreeResolution, ModuleContext
+from .resolution import FreeHomGroup, FreeResolution, ModuleContext
 
 
 class PosetError(ValueError):
@@ -524,38 +523,28 @@ def global_sections(F: AbPresheaf) -> FpAbGroup:
 
 # -------------------------------------------------------------- context
 
-class EvalHomGroup:
-    """Hom(sum of ZY(c_i), A) as the direct sum of the stalks A(c_i)."""
+def _unit_image(h: PresheafHom, free: FreePresheaf, t: int) -> tuple:
+    """Column of h at the t-th Yoneda unit of its free source."""
+    l = free.labels[t]
+    return h.components[l].matrix.col(free.support(l).index(t))
 
-    __slots__ = ("site", "free", "labels", "module", "offsets", "group")
 
-    def __init__(self, free: FreePresheaf, module: AbPresheaf):
-        self.site = free.site
-        self.free = free
-        self.labels = free.labels
-        self.module = module
-        groups = [module.stalk(l) for l in self.labels]
-        self.group, self.offsets = fpab.direct_sum_many(groups)
+def _precompose_terms(a: AbPresheaf, src_labels: Sequence[int],
+                      tgt_labels: Sequence[int], d: PresheafHom,
+                      free: FreePresheaf):
+    """unit_block_matrix terms of precomposition with d : free -> P.
 
-    def hom_of(self, coords) -> PresheafHom:
-        if isinstance(coords, Element):
-            coords = coords.coords
-        a = self.module
-        units = []
-        for i, l in enumerate(self.labels):
-            off = self.offsets[i]
-            units.append(IntMatrix.column(
-                [coords.entry(off + r, 0) for r in range(a.stalk(l).gens)]))
-        src = self.free.realize()
-        comps = []
-        for d in self.site.elements():
-            cols = [(a.res(d, self.labels[i]).matrix * units[i]).col(0)
-                    for i in self.free.support(d)]
-            comps.append(FpAbHom(src.stalk(d), a.stalk(d),
-                                 IntMatrix.from_cols(cols,
-                                                     rows=a.stalk(d).gens),
-                                 check=False))
-        return PresheafHom(src, a, comps, check=False)
+    P and free are sums of representables whose labels, read as elements
+    of A's site, are src_labels and tgt_labels.  The t-th unit of free
+    goes to a combination of the units of P above its label, and A
+    restricts their images down to that label.
+    """
+    leq = a.site.leq
+    for t, ct in enumerate(tgt_labels):
+        sup = [i for i, l in enumerate(src_labels) if leq[ct][l]]
+        for i, c in zip(sup, _unit_image(d, free, t)):
+            if c:
+                yield t, i, c, a.res(ct, src_labels[i]).matrix
 
 
 class PresheafContext(ModuleContext):
@@ -594,24 +583,17 @@ class PresheafContext(ModuleContext):
         raise NotFree("object is not a sum of representables")
 
     def epi_cover(self, b) -> Tuple[FreePresheaf, PresheafHom]:
+        # one representable per generator of each stalk B(c), its Yoneda
+        # unit sent to that generator
         b = self._obj(b)
-        labels = []
-        gen_of = []
+        labels, units = [], []
         for c in self.site.elements():
-            for j in range(b.stalk(c).gens):
+            ident = IntMatrix.identity(b.stalk(c).gens)
+            for j in range(ident.cols):
                 labels.append(c)
-                gen_of.append(j)
+                units.append(ident.column_matrix(j))
         free = FreePresheaf(self.site, tuple(labels))
-        realized = free.realize()
-        comps = []
-        for d in self.site.elements():
-            cols = [b.res(d, labels[i]).matrix.col(gen_of[i])
-                    for i in free.support(d)]
-            comps.append(FpAbHom(realized.stalk(d), b.stalk(d),
-                                 IntMatrix.from_cols(cols,
-                                                     rows=b.stalk(d).gens),
-                                 check=False))
-        return free, PresheafHom(realized, b, comps, check=False)
+        return free, self.extend_units(free, b, units)
 
     def kernel(self, f: PresheafHom) -> Tuple[AbPresheaf, PresheafHom]:
         site = self.site
@@ -661,64 +643,42 @@ class PresheafContext(ModuleContext):
         free = FreePresheaf(self.site, labels)
         units = []
         for i, l in enumerate(labels):
-            pos = free.support(l).index(i)
             solver = ModSolver(p.components[l].matrix,
                                p.tgt.stalk(l).relations)
-            x = solver.solve(g.components[l].matrix.column_matrix(pos))
+            x = solver.solve(IntMatrix.column(_unit_image(g, free, i)))
             if x is None:
                 raise NotEpi("map does not reach a unit image")
             units.append(x)
-        comps = []
-        for d in self.site.elements():
-            cols = [(p.src.res(d, labels[i]).matrix * units[i]).col(0)
-                    for i in free.support(d)]
-            comps.append(FpAbHom(g.src.stalk(d), p.src.stalk(d),
-                                 IntMatrix.from_cols(
-                                     cols, rows=p.src.stalk(d).gens),
-                                 check=False))
-        return PresheafHom(g.src, p.src, comps, check=False)
+        return self.extend_units(g.src, p.src, units)
 
-    def hom_group(self, f, a) -> EvalHomGroup:
+    def hom_group(self, f, a) -> FreeHomGroup:
         if isinstance(f, AbPresheaf):
             if f.free_labels is None:
                 raise NotFree("hom_group source must be a sum of "
                               "representables")
             f = FreePresheaf(self.site, f.free_labels)
-        return EvalHomGroup(f, self._obj(a))
+        a = self._obj(a)
+        return FreeHomGroup(self, f, a, [a.stalk(l) for l in f.labels])
 
-    def induced_precompose(self, hg_src: EvalHomGroup, hg_tgt: EvalHomGroup,
+    def extend_units(self, free, a: AbPresheaf, units) -> PresheafHom:
+        """Yoneda extension: at d, each unit above d restricts to A(d)."""
+        src = self._obj(free)
+        comps = []
+        for d in self.site.elements():
+            cols = [(a.res(d, l).matrix * u).col(0)
+                    for l, u in zip(src.free_labels, units)
+                    if self.site.is_leq(d, l)]
+            comps.append(FpAbHom(src.stalk(d), a.stalk(d),
+                                 IntMatrix.from_cols(cols,
+                                                     rows=a.stalk(d).gens),
+                                 check=False))
+        return PresheafHom(src, a, comps, check=False)
+
+    def induced_precompose(self, hg_src: FreeHomGroup, hg_tgt: FreeHomGroup,
                            d: PresheafHom) -> FpAbHom:
-        a = hg_src.module
-        site = self.site
-        ls, lt = hg_src.labels, hg_tgt.labels
-        height, width = hg_tgt.group.gens, hg_src.group.gens
-        rows = [[0] * width for _ in range(height)]
-        for t, ct in enumerate(lt):
-            sup_t = [k for k, l in enumerate(lt) if site.is_leq(ct, l)]
-            col = d.components[ct].matrix.col(sup_t.index(t))
-            sup_s = [i for i, l in enumerate(ls) if site.is_leq(ct, l)]
-            roff = hg_tgt.offsets[t]
-            for k, i in enumerate(sup_s):
-                alpha = col[k]
-                if not alpha:
-                    continue
-                rmat = a.res(ct, ls[i]).matrix
-                coff = hg_src.offsets[i]
-                for u in range(rmat.rows):
-                    row = rows[roff + u]
-                    mrow = rmat.row(u)
-                    for v in range(rmat.cols):
-                        if mrow[v]:
-                            row[coff + v] += alpha * mrow[v]
-        m = IntMatrix.from_rows(rows, cols=width)
-        return FpAbHom(hg_src.group, hg_tgt.group, m, check=False)
-
-    def induced_postcompose(self, hg_src: EvalHomGroup, hg_tgt: EvalHomGroup,
-                            f: PresheafHom) -> FpAbHom:
-        if hg_src.labels:
-            m = block_diag(*[f.components[l].matrix for l in hg_src.labels])
-        else:
-            m = IntMatrix.zero(0, 0)
+        terms = _precompose_terms(hg_src.module, hg_src.free.labels,
+                                  hg_tgt.free.labels, d, hg_tgt.free)
+        m = resolution.unit_block_matrix(hg_src.stalks, hg_tgt.stalks, terms)
         return FpAbHom(hg_src.group, hg_tgt.group, m, check=False)
 
 
@@ -765,46 +725,6 @@ def principal_intersection_check(site: FinitePoset) -> bool:
     return True
 
 
-def _transport_matrix(a: AbPresheaf, site: FinitePoset,
-                      elems_c: Sequence[int], labels_c: Sequence[int],
-                      elems_d: Sequence[int], labels_d: Sequence[int],
-                      lam: PresheafHom) -> IntMatrix:
-    """Cochain transport along a comparison lift.
-
-    Takes evaluation coordinates of Hom(P^c_n, A) to those of
-    Hom(P^d_n, A): restrict the cochain to the smaller down-set and
-    precompose with the lift lam : P^d_n -> P^c_n restricted.
-    """
-    col_offs, total_w = [], 0
-    for i in labels_c:
-        col_offs.append(total_w)
-        total_w += a.stalk(elems_c[i]).gens
-    row_offs, total_h = [], 0
-    for t in labels_d:
-        row_offs.append(total_h)
-        total_h += a.stalk(elems_d[t]).gens
-    rows = [[0] * total_w for _ in range(total_h)]
-    for t, ld in enumerate(labels_d):
-        e = elems_d[ld]
-        sup_d = [k for k, l in enumerate(labels_d)
-                 if site.is_leq(e, elems_d[l])]
-        col = lam.components[ld].matrix.col(sup_d.index(t))
-        sup_c = [i for i, l in enumerate(labels_c)
-                 if site.is_leq(e, elems_c[l])]
-        for k, i in enumerate(sup_c):
-            alpha = col[k]
-            if not alpha:
-                continue
-            rmat = a.res(e, elems_c[labels_c[i]]).matrix
-            for u in range(rmat.rows):
-                row = rows[row_offs[t] + u]
-                mrow = rmat.row(u)
-                for v in range(rmat.cols):
-                    if mrow[v]:
-                        row[col_offs[i] + v] += alpha * mrow[v]
-    return IntMatrix.from_rows(rows, cols=total_w)
-
-
 def _class_map(src_data, tgt_data, transport: IntMatrix) -> FpAbHom:
     """Map on cohomology induced by a cocycle-level transport matrix."""
     cols = []
@@ -842,9 +762,15 @@ def _sheaf_ext_general(b: AbPresheaf, a: AbPresheaf,
         q = FreeResolution(ctx_d, bd, q_objs, q_diffs, q_aug,
                            dd_verified=True)
         chain_maps = resolution.lift_chain_map(res_d, q, ctx_d.identity(bd))
-        transport = _transport_matrix(
-            a, site, elems_c, res_c.free(n).labels,
-            elems_d, res_d.free(n).labels, chain_maps[n])
+        # cochain transport: restrict a cochain on P^c_n to the smaller
+        # down-set, then precompose with the lift P^d_n -> P^c_n there
+        labels_c = [elems_c[l] for l in res_c.free(n).labels]
+        labels_d = [elems_d[l] for l in res_d.free(n).labels]
+        terms = _precompose_terms(a, labels_c, labels_d, chain_maps[n],
+                                  res_d.free(n))
+        transport = resolution.unit_block_matrix(
+            [a.stalk(l) for l in labels_c], [a.stalk(l) for l in labels_d],
+            terms)
         maps[(d, c)] = _class_map(data_c, data_d, transport)
     stalks = [per[c][5].group for c in site.elements()]
     presheaf = AbPresheaf(site, stalks, maps, check=True)

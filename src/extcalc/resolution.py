@@ -15,13 +15,11 @@ from .exactint import (
     DimensionMismatch,
     IntMatrix,
     ModSolver,
-    block_diag,
     constrained_kernel,
     hstack,
-    kron,
 )
 from . import fpab
-from .fpab import FpAbGroup, FpAbHom, free_abelian, make_group
+from .fpab import Element, FpAbGroup, FpAbHom, NotFree, free_abelian, make_group
 
 
 class ModuleContext:
@@ -30,6 +28,9 @@ class ModuleContext:
     Free objects are the resolution bricks; the one semantic requirement is
     that homs out of a free object can always be lifted through epis built
     inside the context, which is what epi_cover plus lift_through witness.
+    A hom out of a free is fixed by where it sends the basis units, so
+    every context presents Hom(F, A) as one FreeHomGroup over the unit
+    stalks and rebuilds homs from unit images with extend_units.
     Contexts compare equal when they describe the same category; the
     default is type identity, refined by parameterized subclasses.
     """
@@ -81,17 +82,84 @@ class ModuleContext:
         """h with p∘h = g; g must start at a free object, p must be epi."""
         raise NotImplementedError
 
-    def hom_group(self, f, a):
-        """Hom(F, A) for free F, as an object with a .group presentation."""
+    def hom_group(self, f, a) -> "FreeHomGroup":
+        """Hom(F, A) for free F; raises fpab.NotFree for any other source."""
         raise NotImplementedError
 
-    def induced_precompose(self, hg_src, hg_tgt, d) -> FpAbHom:
-        """Hom(F, A) -> Hom(F', A) induced by d : F' -> F."""
+    def extend_units(self, free, a, units: Sequence[IntMatrix]):
+        """The hom F -> A sending the i-th basis unit of F to units[i].
+
+        units[i] is a coordinate column in the i-th unit stalk of
+        hom_group(free, a).
+        """
         raise NotImplementedError
 
-    def induced_postcompose(self, hg_src, hg_tgt, f) -> FpAbHom:
-        """Hom(F, A) -> Hom(F, A') induced by f : A -> A'."""
+    def induced_precompose(self, hg_src: "FreeHomGroup",
+                           hg_tgt: "FreeHomGroup", d) -> FpAbHom:
+        """Hom(F, A) -> Hom(F', A) induced by d : F' -> F.
+
+        Assembled by unit_block_matrix: block (t, i) says how the t-th
+        unit image of a precomposite reads off the i-th unit image of
+        the input.
+        """
         raise NotImplementedError
+
+
+class FreeHomGroup:
+    """Hom(F, A) for a free F, presented by evaluation at the basis units.
+
+    stalks[i] is the group the i-th unit of F may land in: A over Z, the
+    underlying group of A over ZG, A(l_i) for a representable ZY(l_i).
+    The group is their direct sum, and offsets[i] is where the i-th unit
+    image starts in its coordinates.
+    """
+
+    __slots__ = ("ctx", "free", "module", "stalks", "group", "offsets")
+
+    def __init__(self, ctx: ModuleContext, free, module,
+                 stalks: Sequence[FpAbGroup]):
+        self.ctx = ctx
+        self.free = free
+        self.module = module
+        self.stalks = list(stalks)
+        self.group, self.offsets = fpab.direct_sum_many(self.stalks)
+
+    def hom_of(self, coords: Element | IntMatrix):
+        """The actual map F -> A with the given unit images."""
+        if isinstance(coords, Element):
+            coords = coords.coords
+        col = coords.col(0)
+        units = [IntMatrix.column(col[off:off + s.gens])
+                 for s, off in zip(self.stalks, self.offsets)]
+        return self.ctx.extend_units(self.free, self.module, units)
+
+
+def unit_block_matrix(src_stalks: Sequence[FpAbGroup],
+                      tgt_stalks: Sequence[FpAbGroup], terms) -> IntMatrix:
+    """Block matrix summing c * m into block (t, i) over terms (t, i, c, m).
+
+    Rows are blocked by tgt_stalks and columns by src_stalks; m must be
+    tgt_stalks[t].gens x src_stalks[i].gens.  This is the one assembly
+    routine behind every precomposition matrix, and on the group-ring
+    hot path, so it accumulates into plain row lists.
+    """
+    col_offs, width = [], 0
+    for s in src_stalks:
+        col_offs.append(width)
+        width += s.gens
+    row_offs, height = [], 0
+    for s in tgt_stalks:
+        row_offs.append(height)
+        height += s.gens
+    rows = [[0] * width for _ in range(height)]
+    for (t, i, c, m) in terms:
+        roff, coff = row_offs[t], col_offs[i]
+        for u, mrow in enumerate(m.data):
+            row = rows[roff + u]
+            for v, x in enumerate(mrow):
+                if x:
+                    row[coff + v] += c * x
+    return IntMatrix._wrap(height, width, tuple(tuple(r) for r in rows))
 
 
 class FreeResolution:
@@ -343,41 +411,24 @@ class ZContext(ModuleContext):
     def lift_through(self, p: FpAbHom, g: FpAbHom) -> FpAbHom:
         return fpab.lift_through_epi(p, g)
 
-    def hom_group(self, f: FpAbGroup, a: FpAbGroup) -> "ZFreeHomGroup":
+    def hom_group(self, f: FpAbGroup, a: FpAbGroup) -> FreeHomGroup:
         if not f.is_free():
-            raise ValueError("hom_group source must be free")
-        return ZFreeHomGroup(f.gens, a)
+            raise NotFree("hom_group source must be free")
+        return FreeHomGroup(self, f, a, [a] * f.gens)
 
-    def induced_precompose(self, hg_src: "ZFreeHomGroup",
-                           hg_tgt: "ZFreeHomGroup", d: FpAbHom) -> FpAbHom:
-        # Hom(Z^r, A) = A^r stacked columnwise; precomposition with the
-        # matrix of d acts by kron on the stacked coordinates
-        m = kron(d.matrix.transpose(), IntMatrix.identity(hg_src.module.gens))
+    def extend_units(self, free: FpAbGroup, a: FpAbGroup,
+                     units: Sequence[IntMatrix]) -> FpAbHom:
+        return FpAbHom(free, a, IntMatrix.from_cols([u.col(0) for u in units],
+                                                    rows=a.gens), check=False)
+
+    def induced_precompose(self, hg_src: FreeHomGroup, hg_tgt: FreeHomGroup,
+                           d: FpAbHom) -> FpAbHom:
+        # the t-th unit of F' goes to sum_i d[i][t] e_i
+        ident = IntMatrix.identity(hg_src.module.gens)
+        terms = ((t, i, c, ident) for i, row in enumerate(d.matrix.data)
+                 for t, c in enumerate(row) if c)
+        m = unit_block_matrix(hg_src.stalks, hg_tgt.stalks, terms)
         return FpAbHom(hg_src.group, hg_tgt.group, m, check=False)
-
-    def induced_postcompose(self, hg_src: "ZFreeHomGroup",
-                            hg_tgt: "ZFreeHomGroup", f: FpAbHom) -> FpAbHom:
-        m = kron(IntMatrix.identity(hg_src.rank), f.matrix)
-        return FpAbHom(hg_src.group, hg_tgt.group, m, check=False)
-
-
-class ZFreeHomGroup:
-    """Hom(Z^r, A) presented as A^r; coordinates stack the r images."""
-
-    def __init__(self, rank: int, module: FpAbGroup):
-        self.rank = rank
-        self.module = module
-        rel = (block_diag(*([module.relations] * rank)) if rank
-               else IntMatrix.zero(0, 0))
-        self.group = make_group(rank * module.gens, rel)
-
-    def hom_of(self, coords: IntMatrix) -> FpAbHom:
-        """The actual map Z^rank -> A encoded by stacked coordinates."""
-        a = self.module.gens
-        cols = [tuple(coords.entry(j * a + i, 0) for i in range(a))
-                for j in range(self.rank)]
-        return FpAbHom(free_abelian(self.rank), self.module,
-                       IntMatrix.from_cols(cols, rows=a), check=False)
 
 
 def z_context() -> ZContext:

@@ -40,6 +40,7 @@ from .fpab import (
     from_invariants,
     hom_group,
     identity_hom,
+    induced_hom_group_map,
     is_epi,
     is_mono,
     kernel,
@@ -402,16 +403,16 @@ def six_term(e: ShortExactSeq, m: FpAbGroup, variance: str
     if variance == "covariant":
         hg0, hg1, hg2 = hom_group(m, e.A), hom_group(m, e.E), hom_group(m, e.B)
         x0, x1, x2 = ext1_group(m, e.A), ext1_group(m, e.E), ext1_group(m, e.B)
-        m0 = _induced(hg0, hg1, lambda h: compose(e.i, h))
-        m1 = _induced(hg1, hg2, lambda h: compose(e.p, h))
+        m0 = induced_hom_group_map(hg0, hg1, lambda h: compose(e.i, h))
+        m1 = induced_hom_group_map(hg1, hg2, lambda h: compose(e.p, h))
         delta = _connecting(hg2, x0, lambda h: class_of(pullback_ses(h, e), x0))
         e0 = ext1_pushforward(e.i, x0, x1)
         e1 = ext1_pushforward(e.p, x1, x2)
     else:
         hg0, hg1, hg2 = hom_group(e.B, m), hom_group(e.E, m), hom_group(e.A, m)
         x0, x1, x2 = ext1_group(e.B, m), ext1_group(e.E, m), ext1_group(e.A, m)
-        m0 = _induced(hg0, hg1, lambda h: compose(h, e.p))
-        m1 = _induced(hg1, hg2, lambda h: compose(h, e.i))
+        m0 = induced_hom_group_map(hg0, hg1, lambda h: compose(h, e.p))
+        m1 = induced_hom_group_map(hg1, hg2, lambda h: compose(h, e.i))
         delta = _connecting(hg2, x0, lambda h: class_of(pushout_ses(h, e), x0))
         e0 = ext1_pullback(e.p, x0, x1)
         e1 = ext1_pullback(e.i, x1, x2)
@@ -423,12 +424,6 @@ def six_term(e: ShortExactSeq, m: FpAbGroup, variance: str
         right_exact=is_epi(e1),
     )
     return groups, maps, report
-
-
-def _induced(src: HomGroup, tgt: HomGroup, transform) -> FpAbHom:
-    cols = [tgt.coords_of(transform(h)).coords.col(0) for h in src.basis]
-    return FpAbHom(src.group, tgt.group,
-                   IntMatrix.from_cols(cols, rows=tgt.group.gens), check=True)
 
 
 def _connecting(src: HomGroup, tgt: Ext1Group, transform) -> FpAbHom:

@@ -2,16 +2,21 @@
 
 Cross-checks: Ext¹ from resolutions must match the extension-calculus
 group, Hom from resolutions must match the direct hom-group computation,
-and everything vanishes in degrees 2 and up over the integers.
+and everything vanishes in degrees 2 and up over the integers.  The
+shared hom group out of a free is also checked by one property over all
+three contexts: induced precomposition agrees with composing the maps.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from extcalc import fpab
 from extcalc.exactint import IntMatrix
 from extcalc.fpab import (
     FpAbHom,
+    NotFree,
     free_abelian,
     from_invariants,
     hom_group,
@@ -20,6 +25,22 @@ from extcalc.fpab import (
     make_group,
     make_hom,
     zmod,
+)
+from extcalc.groupring import (
+    FreeGModule,
+    GModule,
+    ZGFreeHom,
+    cyclic,
+    gmodule_context,
+    symmetric3,
+    trivial_module,
+)
+from extcalc.poset_sheaf import (
+    AbPresheaf,
+    FreePresheaf,
+    PresheafHom,
+    make_poset,
+    presheaf_context,
 )
 from extcalc.resolution import (
     FpAbComplex,
@@ -34,6 +55,8 @@ from extcalc.resolution import (
     zero_complex,
 )
 from extcalc.ses import ext1_group
+
+from test_poset_sheaf import random_tree_presheaf
 
 
 CTX = z_context()
@@ -266,3 +289,121 @@ def test_lift_functoriality_on_cohomology():
             via_two = induced_on_cohomology(composite, p, r, a, n)
             via_one = induced_on_cohomology(direct, p, r, a, n)
             assert via_two == via_one
+
+
+# ------------------------------------------- hom out of a free, all contexts
+
+def test_hom_group_needs_a_free_source():
+    with pytest.raises(NotFree):
+        CTX.hom_group(zmod(2), Z)
+    c2 = cyclic(2)
+    triv = trivial_module(c2, Z)
+    with pytest.raises(NotFree):
+        gmodule_context(c2).hom_group(triv, triv)
+    site = make_poset(2, [(0, 1)])
+    const = AbPresheaf(site, [Z, Z], {(0, 1): identity_hom(Z)})
+    with pytest.raises(NotFree):
+        presheaf_context(site).hom_group(const, const)
+
+
+def _z_case(rng):
+    """A map of frees d : Z^s -> Z^r and a random small presented A."""
+    r, s = rng.randint(0, 3), rng.randint(0, 3)
+    d = FpAbHom(free_abelian(s), free_abelian(r),
+                IntMatrix(r, s, [[rng.randint(-3, 3) for _ in range(s)]
+                                 for _ in range(r)]), check=False)
+
+    def at_units(h):
+        return [x for j in range(h.matrix.cols) for x in h.matrix.col(j)]
+
+    return CTX, d, random_group(rng, max_gens=3, span=4), at_units
+
+
+# sign characters of C2 and S3, elements in groupring's table order
+_SIGNS = {2: (1, -1), 6: (1, -1, -1, 1, 1, -1)}
+
+
+def _permutation_module(G, a):
+    """A[G]: |G| copies of A, permuted by left translation."""
+    n, k = G.order, a.gens
+    m, _ = fpab.direct_sum_many([a] * n)
+    acts = []
+    for g in range(n):
+        rows = [[0] * (n * k) for _ in range(n * k)]
+        for h in range(n):
+            for u in range(k):
+                rows[G.table[g][h] * k + u][h * k + u] = 1
+        acts.append(FpAbHom(m, m, IntMatrix(n * k, n * k, rows)))
+    return GModule(G, m, acts)
+
+
+def _zg_case(rng):
+    """A random ZG^s -> ZG^r over C2, C3 or S3, with a trivial, sign or
+    permutation coefficient module on a random small group."""
+    G = rng.choice((cyclic(2), cyclic(3), symmetric3()))
+    a = random_group(rng, max_gens=2, span=4)
+    kinds = ["trivial", "permutation"] + (["sign"] if G.order in _SIGNS
+                                          else [])
+    kind = rng.choice(kinds)
+    if kind == "trivial":
+        module = trivial_module(G, a)
+    elif kind == "sign":
+        ident = identity_hom(a)
+        module = GModule(G, a, [ident if s > 0 else -ident
+                                for s in _SIGNS[G.order]])
+    else:
+        module = _permutation_module(G, a)
+    r, s = rng.randint(0, 2), rng.randint(0, 2)
+    raw = [[(rng.randrange(r), rng.randrange(G.order), rng.randint(-2, 2))
+            for _ in range(rng.randint(0, 3) if r else 0)]
+           for _ in range(s)]
+    d = ZGFreeHom.from_terms(G, FreeGModule(G, s), FreeGModule(G, r), raw)
+    if rng.random() < 0.5:
+        d = d.dense()
+    n, e = G.order, G.identity
+
+    def at_units(h):
+        return [x for j in range(r) for x in h.ab.matrix.col(j * n + e)]
+
+    return gmodule_context(G), d, module, at_units
+
+
+def _presheaf_case(rng):
+    """A random map P -> F of sums of representables on a tree of at most
+    five elements, and a random presheaf there."""
+    size = rng.randint(1, 5)
+    parents = [None] + [rng.randrange(i) for i in range(1, size)]
+    a = random_tree_presheaf(rng, parents)
+    ctx = presheaf_context(a.site)
+    f, p = (FreePresheaf(a.site, [rng.randrange(size)
+                                  for _ in range(rng.randint(0, 3))])
+            for _ in range(2))
+    # Yoneda: the unit of P at l may go anywhere in F(l)
+    units = [IntMatrix.column([rng.randint(-2, 2) for _ in f.support(l)])
+             for l in p.labels]
+    d = ctx.extend_units(p, f.realize(), units)
+    d = PresheafHom(d.src, d.tgt, d.components, check=True)
+
+    def at_units(h):
+        return [x for i, l in enumerate(f.labels)
+                for x in h.components[l].matrix.col(f.support(l).index(i))]
+
+    return ctx, d, a, at_units
+
+
+@pytest.mark.parametrize("make_case", [_z_case, _zg_case, _presheaf_case],
+                         ids=["z", "zg", "presheaf"])
+@settings(max_examples=30, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_free_hom_group_matches_composition(make_case, rng):
+    # d : F' -> F; hg_src is Hom(F, A) and hg_tgt is Hom(F', A)
+    ctx, d, a, at_units = make_case(rng)
+    hg_src = ctx.hom_group(d.tgt, a)
+    hg_tgt = ctx.hom_group(d.src, a)
+    x = IntMatrix.column([rng.randint(-3, 3)
+                          for _ in range(hg_src.group.gens)])
+    ind = ctx.induced_precompose(hg_src, hg_tgt, d)
+    assert (hg_tgt.hom_of(ind.matrix * x)
+            == ctx.compose(hg_src.hom_of(x), d))
+    assert (hg_src.group.element(at_units(hg_src.hom_of(x)))
+            == hg_src.group.element(x))
