@@ -245,18 +245,17 @@ class SmithDecomposition:
     """Result of snf: unimodular U, V and diagonal D with U*A*V = D.
 
     D is nonnegative with each diagonal entry dividing the next; trailing
-    ones and zeros are kept so D always has the source's shape.  u_inv and
-    v_inv are the exact integer inverses, tracked during the reduction.
+    ones and zeros are kept so D always has the source's shape.  u_inv is
+    the exact integer inverse of U, tracked during the reduction.
     """
 
-    __slots__ = ("U", "D", "V", "u_inv", "v_inv", "src_rows", "src_cols")
+    __slots__ = ("U", "D", "V", "u_inv", "src_rows", "src_cols")
 
-    def __init__(self, U, D, V, u_inv, v_inv):
+    def __init__(self, U, D, V, u_inv):
         self.U = U
         self.D = D
         self.V = V
         self.u_inv = u_inv
-        self.v_inv = v_inv
         self.src_rows = D.rows
         self.src_cols = D.cols
 
@@ -279,7 +278,6 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vi = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_op(i, t, c):
         # row_i += c * row_t
@@ -308,11 +306,6 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             x = r[t]
             if x:
                 r[j] += c * x
-        vij, vit = vi[j], vi[t]
-        for k in range(n):
-            x = vij[k]
-            if x:
-                vit[k] -= c * x
 
     def swap_rows(i, t):
         d[i], d[t] = d[t], d[i]
@@ -325,7 +318,6 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             r[j], r[t] = r[t], r[j]
         for r in v:
             r[j], r[t] = r[t], r[j]
-        vi[j], vi[t] = vi[t], vi[j]
 
     def negate_row(t):
         d[t] = [-x for x in d[t]]
@@ -406,10 +398,8 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             row_op(t, viol, 1)
         t += 1
 
-    return SmithDecomposition(
-        IntMatrix(m, m, u), IntMatrix(m, n, d), IntMatrix(n, n, v),
-        IntMatrix(m, m, ui), IntMatrix(n, n, vi),
-    )
+    return SmithDecomposition(IntMatrix(m, m, u), IntMatrix(m, n, d),
+                              IntMatrix(n, n, v), IntMatrix(m, m, ui))
 
 
 class _ReducedCol:

@@ -10,8 +10,9 @@ Sheaf Ext is computed stalkwise: the stalk at c is Ext over the down-set
 below c, and the restriction maps come from comparison lifts between the
 down-set resolutions.  On sites where principal down-sets intersect in
 principal down-sets (chains, trees) restricted representables stay free,
-so one full-site resolution pushed through the internal hom computes the
-same presheaf; both paths are exposed and cross-checked.
+so one full-site resolution, restricted to every down-set, computes the
+same presheaf with plain cochain restriction between the stalks; both
+paths are exposed and cross-checked.
 """
 
 from __future__ import annotations
@@ -282,13 +283,9 @@ def _compose(f: PresheafHom, g: PresheafHom) -> PresheafHom:
                         for c in range(f.src.site.size)], check=False)
 
 
-def _restrict_hom(h: PresheafHom, elems: Sequence[int],
-                  src: Optional[AbPresheaf] = None,
-                  tgt: Optional[AbPresheaf] = None) -> PresheafHom:
-    if src is None:
-        src = h.src.restrict(elems)
-    if tgt is None:
-        tgt = h.tgt.restrict(elems)
+def _restrict_hom(h: PresheafHom, elems: Sequence[int], src: AbPresheaf,
+                  tgt: AbPresheaf) -> PresheafHom:
+    """h on the elements elems, between presheaves already restricted there."""
     return PresheafHom(src, tgt, [h.components[e] for e in elems],
                        check=False)
 
@@ -459,42 +456,29 @@ def presheaf_hom_group(F: AbPresheaf, G: AbPresheaf) -> PresheafHomGroup:
     return PresheafHomGroup(F, G)
 
 
-def _ihom_data(F: AbPresheaf, G: AbPresheaf):
-    """Stalks of the internal hom with their hom-group presentations.
+def internal_hom(F: AbPresheaf, G: AbPresheaf) -> AbPresheaf:
+    """Down-set hom presheaf: at c, the natural families below c.
 
-    The stalk at c is the hom group over the down-set below c; the
-    restriction to d forgets the part of a family that lives outside
+    The restriction to d forgets the part of a family that lives outside
     the smaller down-set.
     """
     site = F.site
-    downs = [site.down_poset(c) for c in site.elements()]
-    phgs = []
-    for c in site.elements():
-        _, elems = downs[c]
-        phgs.append(PresheafHomGroup(F.restrict(elems), G.restrict(elems)))
+    downs = [site.down_set(c) for c in site.elements()]
+    phgs = [PresheafHomGroup(F.restrict(elems), G.restrict(elems))
+            for elems in downs]
     stalks = [phg.group for phg in phgs]
     res = {}
     for (d, c) in site.strict_pairs():
-        _, elems_c = downs[c]
-        _, elems_d = downs[d]
-        keep = [elems_c.index(e) for e in elems_d]
+        keep = [downs[c].index(e) for e in downs[d]]
         cols = []
-        for j in range(stalks[c].gens):
-            fam = phgs[c].hom_of(IntMatrix.column(
-                [1 if r == j else 0 for r in range(stalks[c].gens)]))
+        for fam in phgs[c].basis:
             part = PresheafHom(phgs[d].src_presheaf, phgs[d].tgt_presheaf,
                                [fam.components[k] for k in keep], check=False)
             cols.append(phgs[d].coords_of(part).coords.col(0))
         res[(d, c)] = FpAbHom(stalks[c], stalks[d],
                               IntMatrix.from_cols(cols, rows=stalks[d].gens),
                               check=True)
-    presheaf = AbPresheaf(site, stalks, res, check=True)
-    return presheaf, phgs, downs
-
-
-def internal_hom(F: AbPresheaf, G: AbPresheaf) -> AbPresheaf:
-    """Down-set hom presheaf: at c, the natural families below c."""
-    return _ihom_data(F, G)[0]
+    return AbPresheaf(site, stalks, res, check=True)
 
 
 def global_sections(F: AbPresheaf) -> FpAbGroup:
@@ -712,17 +696,28 @@ class SheafExtResult:
         return f"SheafExtResult({self.presheaf!r})"
 
 
+_NOT_PRINCIPAL = "not principal"
+
+
+def _meet(site: FinitePoset, l: int, c: int):
+    """The largest common lower bound of l and c.
+
+    None when their down-sets are disjoint, _NOT_PRINCIPAL when the
+    intersection is nonempty but has no maximum.
+    """
+    common = [x for x in site.elements() if site.leq[x][l] and site.leq[x][c]]
+    if not common:
+        return None
+    for x in common:
+        if all(site.leq[y][x] for y in common):
+            return x
+    return _NOT_PRINCIPAL
+
+
 def principal_intersection_check(site: FinitePoset) -> bool:
     """Do principal down-sets intersect in empty or principal down-sets?"""
-    for c in site.elements():
-        for d in site.elements():
-            inter = [x for x in site.elements()
-                     if site.is_leq(x, c) and site.is_leq(x, d)]
-            if not inter:
-                continue
-            if not any(all(site.is_leq(y, x) for y in inter) for x in inter):
-                return False
-    return True
+    return all(_meet(site, l, c) is not _NOT_PRINCIPAL
+               for l in site.elements() for c in site.elements())
 
 
 def _class_map(src_data, tgt_data, transport: IntMatrix) -> FpAbHom:
@@ -778,59 +773,49 @@ def _sheaf_ext_general(b: AbPresheaf, a: AbPresheaf,
 
 
 def _sheaf_ext_fast(b: AbPresheaf, a: AbPresheaf, n: int) -> SheafExtResult:
-    """One full-site resolution pushed through the internal hom.
+    """One full-site resolution, restricted to every down-set.
 
-    Sound whenever restricted representables stay free, which is what
-    principal_intersection_check certifies.
+    Sound whenever principal_intersection_check holds: ZY(l) restricted
+    below c is then ZY(l∧c), or zero when the down-sets are disjoint, so
+    the restricted resolution is a free resolution of B over the down-set
+    with the same stalk coordinates and component matrices.  Restricting
+    a cochain from c to d < c is a cochain map between the restricted hom
+    complexes, read off A.res(l∧d, l∧c) summand by summand.
     """
     site = b.site
-    ctx = presheaf_context(site)
-    res = resolution.free_resolution(ctx, b, n + 1)
-    levels = [_ihom_data(res.free(k).realize(), a) for k in range(n + 2)]
-    deltas = []
-    for k in range(n + 1):
-        ih_k, phgs_k, downs = levels[k]
-        ih_next, phgs_next, _ = levels[k + 1]
-        diff = res.diff(k + 1)
-        comps = []
-        for c in site.elements():
-            _, elems = downs[c]
-            dres = _restrict_hom(diff, elems,
-                                 src=phgs_next[c].src_presheaf,
-                                 tgt=phgs_k[c].src_presheaf)
-            cols = []
-            for fam in phgs_k[c].basis:
-                cols.append(phgs_next[c].coords_of(
-                    _compose(fam, dres)).coords.col(0))
-            comps.append(FpAbHom(
-                ih_k.stalk(c), ih_next.stalk(c),
-                IntMatrix.from_cols(cols, rows=ih_next.stalk(c).gens),
-                check=False))
-        deltas.append(PresheafHom(ih_k, ih_next, comps, check=True))
-    data = {}
+    res = resolution.free_resolution(presheaf_context(site), b, n + 1)
+    meet = [[_meet(site, l, c) for c in site.elements()]
+            for l in site.elements()]
+    resolutions, data, meets = {}, {}, {}
     for c in site.elements():
-        cx = resolution.FpAbComplex(
-            [levels[k][0].stalk(c) for k in range(n + 2)],
-            [deltas[k].components[c] for k in range(n + 1)])
-        data[c] = resolution.cohomology_data(cx, n)
+        sub, elems = site.down_poset(c)
+        local = {e: i for i, e in enumerate(elems)}
+        # (summand, l∧c) for the summands of each P_k that meet ↓c
+        kept = [[(i, meet[l][c]) for i, l in enumerate(res.free(k).labels)
+                 if meet[l][c] is not None] for k in range(n + 2)]
+        frees = [FreePresheaf(sub, [local[m] for _, m in ks]) for ks in kept]
+        objs = [f.realize() for f in frees]
+        diffs = [_restrict_hom(res.diff(k), elems, src=objs[k],
+                               tgt=objs[k - 1]) for k in range(1, n + 2)]
+        bc = b.restrict(elems)
+        aug = _restrict_hom(res.augmentation, elems, src=objs[0], tgt=bc)
+        resolutions[c] = FreeResolution(presheaf_context(sub), bc, frees,
+                                        diffs, aug, dd_verified=True)
+        data[c] = resolution.cohomology_data(
+            resolution.hom_complex(resolutions[c], a.restrict(elems)), n)
+        meets[c] = kept[n]
     maps = {}
     for (d, c) in site.strict_pairs():
-        maps[(d, c)] = _class_map(data[c], data[d],
-                                  levels[n][0].res(d, c).matrix)
+        # a summand that meets ↓d meets ↓c too
+        col = {i: (j, m) for j, (i, m) in enumerate(meets[c])}
+        terms = [(t, col[i][0], 1, a.res(m, col[i][1]).matrix)
+                 for t, (i, m) in enumerate(meets[d])]
+        transport = resolution.unit_block_matrix(
+            [a.stalk(m) for _, m in meets[c]],
+            [a.stalk(m) for _, m in meets[d]], terms)
+        maps[(d, c)] = _class_map(data[c], data[d], transport)
     stalks = [data[c].group for c in site.elements()]
     presheaf = AbPresheaf(site, stalks, maps, check=True)
-    resolutions = {}
-    for c in site.elements():
-        _, elems = site.down_poset(c)
-        ctx_c = presheaf_context(site.induced(elems))
-        objs = [res.free(k).realize().restrict(elems) for k in range(n + 2)]
-        diffs = [_restrict_hom(res.diff(k), elems,
-                               src=objs[k], tgt=objs[k - 1])
-                 for k in range(1, n + 2)]
-        aug = _restrict_hom(res.augmentation, elems,
-                            src=objs[0], tgt=b.restrict(elems))
-        resolutions[c] = FreeResolution(ctx_c, b.restrict(elems), objs,
-                                        diffs, aug, dd_verified=True)
     return SheafExtResult(presheaf, resolutions)
 
 
@@ -839,23 +824,21 @@ def sheaf_ext(b: AbPresheaf, a: AbPresheaf, n: int,
     """The Ext presheaf: at c, Ext over the down-set below c.
 
     method "general" resolves every down-set separately and connects the
-    stalks by comparison lifts; "fast" uses one full-site resolution and
-    the internal hom, valid on sites passing
-    principal_intersection_check; "auto" picks.
+    stalks by comparison lifts; "fast" restricts one full-site resolution
+    to every down-set, valid on sites passing
+    principal_intersection_check; "auto" takes the fast path wherever it
+    is valid.
     """
     if b.site != a.site:
         raise SiteMismatch("sheaf Ext needs presheaves on one site")
     if n < 0:
         raise ValueError("Ext degree must be nonnegative")
-    if method == "auto":
-        method = "fast" if principal_intersection_check(b.site) else "general"
-    if method == "fast":
-        if not principal_intersection_check(b.site):
-            raise ValueError("fast path needs principal down-set "
-                             "intersections")
-        return _sheaf_ext_fast(b, a, n)
-    if method != "general":
+    if method not in ("general", "fast", "auto"):
         raise ValueError(f"unknown method {method!r}")
+    if method != "general" and principal_intersection_check(b.site):
+        return _sheaf_ext_fast(b, a, n)
+    if method == "fast":
+        raise ValueError("fast path needs principal down-set intersections")
     return _sheaf_ext_general(b, a, n)
 
 
@@ -871,20 +854,17 @@ def internal_projectivity_witness(site: FinitePoset, c: int,
     if not is_epi(sigma):
         raise ValueError("sigma must be an epimorphism")
     yc = free_presheaf(site, c)
-    _, phgs_f, downs = _ihom_data(yc, sigma.src)
-    _, phgs_g, _ = _ihom_data(yc, sigma.tgt)
     for e in site.elements():
-        _, elems = downs[e]
-        sg = _restrict_hom(sigma, elems,
-                           src=phgs_f[e].tgt_presheaf,
-                           tgt=phgs_g[e].tgt_presheaf)
-        cols = []
-        for fam in phgs_f[e].basis:
-            cols.append(phgs_g[e].coords_of(
-                _compose(sg, fam)).coords.col(0))
-        induced = FpAbHom(phgs_f[e].group, phgs_g[e].group,
-                          IntMatrix.from_cols(cols,
-                                              rows=phgs_g[e].group.gens),
+        elems = site.down_set(e)
+        y = yc.restrict(elems)
+        phg_f = PresheafHomGroup(y, sigma.src.restrict(elems))
+        phg_g = PresheafHomGroup(y, sigma.tgt.restrict(elems))
+        sg = _restrict_hom(sigma, elems, src=phg_f.tgt_presheaf,
+                           tgt=phg_g.tgt_presheaf)
+        cols = [phg_g.coords_of(_compose(sg, fam)).coords.col(0)
+                for fam in phg_f.basis]
+        induced = FpAbHom(phg_f.group, phg_g.group,
+                          IntMatrix.from_cols(cols, rows=phg_g.group.gens),
                           check=False)
         if not fpab.is_epi(induced):
             return e

@@ -11,6 +11,7 @@ cross-check each other on every site where both apply.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extcalc import fpab, resolution
 from extcalc import poset_sheaf as ps
@@ -113,6 +114,23 @@ def random_tree_presheaf(rng, parents):
             x = parents[x]
         res[(d, c)] = h
     return AbPresheaf(site, stalks, res)
+
+
+def assert_paths_agree(b, a, n):
+    """Fast and general sheaf Ext give the same presheaf up to isomorphism:
+    stalks, limits, and kernels and cokernels of every restriction."""
+    fast = sheaf_ext(b, a, n, method="fast")
+    gen = sheaf_ext(b, a, n, method="general")
+    for c in b.site.elements():
+        assert fast.stalk(c).canonical_form == gen.stalk(c).canonical_form
+    assert (global_sections(fast.presheaf).canonical_form
+            == global_sections(gen.presheaf).canonical_form)
+    for pair in b.site.strict_pairs():
+        fm, gm = fast.presheaf.maps[pair], gen.presheaf.maps[pair]
+        assert (fpab.kernel(fm)[0].canonical_form
+                == fpab.kernel(gm)[0].canonical_form)
+        assert (fpab.cokernel(fm)[0].canonical_form
+                == fpab.cokernel(gm)[0].canonical_form)
 
 
 CHAIN4 = [None, 0, 1, 2]
@@ -595,10 +613,28 @@ class TestSheafExt:
     def test_sierpinski_resolutions_are_recorded(self):
         b = sierpinski_quotient()
         a = free_presheaf(sierpinski(), 0)
-        r = sheaf_ext(b, a, 2)
-        assert set(r.resolutions) == {0, 1}
-        for res in r.resolutions.values():
-            res.validate()
+        for method in ("general", "fast"):
+            r = sheaf_ext(b, a, 2, method=method)
+            assert set(r.resolutions) == {0, 1}
+            for res in r.resolutions.values():
+                res.validate()
+
+    @pytest.mark.parametrize("method", ["general", "fast"])
+    def test_recorded_resolutions_compute_the_stalks(self, method):
+        # each recorded resolution is one by sums of representables over
+        # its down-set, so its hom complex gives that stalk back
+        rng = random.Random(71)
+        b = random_tree_presheaf(rng, TREE5)
+        a = random_tree_presheaf(rng, TREE5)
+        for n in (1, 2):
+            r = sheaf_ext(b, a, n, method=method)
+            for c in b.site.elements():
+                res = r.resolutions[c]
+                assert all(isinstance(f, FreePresheaf) for f in res.frees)
+                res.validate()
+                ac = a.restrict(b.site.down_set(c))
+                h = resolution.cohomology(resolution.hom_complex(res, ac), n)
+                assert h.canonical_form == r.stalk(c).canonical_form
 
     def test_stalks_are_down_set_ext(self):
         # definition check: each stalk recomputed from scratch over the
@@ -667,41 +703,29 @@ class TestFastPath:
             assert r.stalk(c).canonical_form == g.stalk(c).canonical_form
 
     def test_agreement_with_general(self):
-        # both paths must produce the same presheaf up to isomorphism:
-        # stalks, limits, and kernels and cokernels of every restriction
         rng = random.Random(83)
         for parents in (CHAIN4, TREE5, TREE6):
             for _ in range(2):
                 b = random_tree_presheaf(rng, parents)
                 a = random_tree_presheaf(rng, parents)
                 for n in (1, 2):
-                    fast = sheaf_ext(b, a, n, method="fast")
-                    gen = sheaf_ext(b, a, n, method="general")
-                    for c in b.site.elements():
-                        assert (fast.stalk(c).canonical_form
-                                == gen.stalk(c).canonical_form)
-                    assert (global_sections(fast.presheaf).canonical_form
-                            == global_sections(gen.presheaf).canonical_form)
-                    for pair in b.site.strict_pairs():
-                        fm = fast.presheaf.maps[pair]
-                        gm = gen.presheaf.maps[pair]
-                        assert (fpab.kernel(fm)[0].canonical_form
-                                == fpab.kernel(gm)[0].canonical_form)
-                        assert (fpab.cokernel(fm)[0].canonical_form
-                                == fpab.cokernel(gm)[0].canonical_form)
+                    assert_paths_agree(b, a, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           n=st.sampled_from([0, 1, 2]))
+    def test_agreement_property(self, rng, n):
+        size = rng.randint(1, 5)
+        parents = [None] + [rng.randrange(i) for i in range(1, size)]
+        assert_paths_agree(random_tree_presheaf(rng, parents),
+                           random_tree_presheaf(rng, parents), n)
 
     def test_agreement_on_diamond(self):
         site = diamond()
         b = constant_presheaf(site, zmod(4))
         a = free_presheaf(site, 1)
         for n in (0, 1, 2):
-            fast = sheaf_ext(b, a, n, method="fast")
-            gen = sheaf_ext(b, a, n, method="general")
-            for c in site.elements():
-                assert (fast.stalk(c).canonical_form
-                        == gen.stalk(c).canonical_form)
-            assert (global_sections(fast.presheaf).canonical_form
-                    == global_sections(gen.presheaf).canonical_form)
+            assert_paths_agree(b, a, n)
 
 
 class TestProjectivityWitness:
