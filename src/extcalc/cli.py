@@ -24,6 +24,7 @@ computation-domain error (argparse itself exits 2 on usage errors).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -40,6 +41,11 @@ EXIT_DOMAIN = 5
 
 BAR_DEGREE_CAP = 6
 POSET_SIZE_CAP = 12
+# Largest elimination, in matrix cells (see _cohomology_cells), that a
+# group-cohomology request may need; larger requests are refused up
+# front.  The slowest request measured under it, H^5(C4; Z/8) at 0.71M
+# cells, takes 7.6 s on a 2-core Xeon VM, inside the README's 10 s budget.
+COHOMOLOGY_CELL_CAP = 1_000_000
 
 _SECTIONS = ("groups", "matrices", "homs", "sequences", "finite_groups",
              "gmodules", "posets", "presheaves")
@@ -539,6 +545,20 @@ def _cmd_six_term(args, doc: Document) -> dict:
     }
 
 
+def _cohomology_cells(g: groupring.FiniteGroup, module: groupring.GModule,
+                      n: int) -> int:
+    """Size of the largest elimination behind H^n(G; M).
+
+    Through the normalized bar resolution, the kernel of the coboundary
+    C^n -> C^{n+1} is taken beside the relations of C^{n+1}: a matrix with
+    (|G|-1)^(n+1)·gens(M) rows, and (|G|-1)^n·gens(M) plus
+    (|G|-1)^(n+1)·rels(M) columns.
+    """
+    k = g.order - 1
+    gens, rels = module.M.gens, module.M.relations.cols
+    return k ** (n + 1) * gens * (k ** n * gens + k ** (n + 1) * rels)
+
+
 def _cmd_group_cohomology(args, doc: Document) -> dict:
     g = _need(doc.finite_groups, args.G, "finite group")
     degrees = _degree_list(args)
@@ -554,6 +574,13 @@ def _cmd_group_cohomology(args, doc: Document) -> dict:
             raise CliDomainError(f"gmodule {args.M!r} is over a different "
                                  "group")
         module_name = args.M
+    top = max(degrees)
+    if top >= 0:  # a negative degree is refused by group_cohomology itself
+        cells = _cohomology_cells(g, module, top)
+        if cells > COHOMOLOGY_CELL_CAP:
+            raise CliDomainError(
+                f"cohomology work is capped at {COHOMOLOGY_CELL_CAP} matrix "
+                f"cells; H^{top} here needs about {cells}")
     forms = {n: group_display(groupring.group_cohomology(g, module, n))
              for n in degrees}
     return _put_degrees({"command": "group-cohomology", "G": args.G,
@@ -757,7 +784,9 @@ def _emit(result: dict, fmt: str) -> None:
 
 # ------------------------------------------------------------ dispatcher
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call and then reused."""
     parser = argparse.ArgumentParser(
         prog="extcalc",
         description="Exact Ext computations for presented abelian groups, "

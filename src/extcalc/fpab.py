@@ -325,6 +325,13 @@ class FpAbHom:
         return Element(self.tgt, self.matrix * x.coords)
 
     def reduced_matrix(self) -> IntMatrix:
+        moduli = self.tgt._row_moduli
+        if moduli is not None:
+            # monomial relations: reduce entrywise, as reduce does per column
+            data = tuple(tuple(x % moduli[i] for x in row)
+                         if moduli.get(i) else row
+                         for i, row in enumerate(self.matrix.data))
+            return IntMatrix._wrap(self.matrix.rows, self.matrix.cols, data)
         cols = [self.tgt.reduce(self.matrix.column_matrix(j)).col(0)
                 for j in range(self.matrix.cols)]
         return IntMatrix.from_cols(cols, rows=self.tgt.gens)

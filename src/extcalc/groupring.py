@@ -2,12 +2,14 @@
 
 A module over ZG is a finitely presented abelian group with a G-action by
 automorphisms.  Free modules ZG^r are held compactly, because the bar
-resolution of the trivial module has rank |G|^n in degree n and its
-differentials would be hopeless as dense integer matrices; they are stored
-as sparse columns over the group ring and expanded only against
-coefficient modules.  Group cohomology is Ext over the group-ring context,
-with two independent cross-checks: the 2-periodic resolution for cyclic
-groups, and crossed homomorphisms in degree one.
+resolutions of the trivial module have rank |G|^n, or (|G|-1)^n when
+normalized, in degree n and their differentials would be hopeless as
+dense integer matrices; they are stored as sparse columns over the group
+ring and expanded only against coefficient modules.  Group cohomology is
+Ext over the group-ring context through the normalized bar resolution,
+with three independent cross-checks: the unnormalized bar resolution, the
+2-periodic resolution for cyclic groups, and crossed homomorphisms in
+degree one.
 """
 
 from __future__ import annotations
@@ -167,13 +169,16 @@ class GModule:
                 raise IllDefined(f"action of element {g} is not an "
                                  "endomorphism of the module")
         if check:
-            if action[G.identity] != fpab.identity_hom(M):
+            # every action is an endomorphism of M, so comparing reduced
+            # matrices is hom equality; each action is reduced only once
+            reduced = [h.reduced_matrix() for h in action]
+            if reduced[G.identity] != fpab.identity_hom(M).reduced_matrix():
                 raise NotEquivariant("identity element does not act as the "
                                      "identity map")
             for g in range(G.order):
                 for h in range(G.order):
-                    if (fpab.compose(action[g], action[h])
-                            != action[G.table[g][h]]):
+                    if (fpab.compose(action[g], action[h]).reduced_matrix()
+                            != reduced[G.table[g][h]]):
                         raise NotEquivariant(
                             f"action is not multiplicative at ({g}, {h})")
             for g in range(G.order):
@@ -570,38 +575,64 @@ def _augmentation(G: FiniteGroup, cover: FreeGModule,
                       check=False)
 
 
-def bar_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
-    """Unnormalized bar resolution of the trivial module Z over ZG.
+def _bar_like_resolution(G: FiniteGroup, max_deg: int,
+                         letters: Sequence[int]) -> FreeResolution:
+    """Bar-type resolution of Z over ZG on tuples of the given letters.
 
-    Degree n is free of rank |G|^n on the n-tuples of group elements.  The
-    differential is the alternating face sum: the first face is twisted by
-    the leading element, the middle faces multiply adjacent entries, the
-    last face drops the tail.  Tuples index blocks in mixed-radix order
-    with the leading element most significant.
+    Degree k is free on the k-tuples of letters, indexed in mixed-radix
+    order with the leading letter most significant.  The differential is
+    the alternating face sum: the first face is twisted by the leading
+    element, the middle faces multiply adjacent entries, the last face
+    drops the tail.  A middle face whose product is not a letter is
+    dropped, which is the degenerate face of the normalized complex.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
     ctx = gmodule_context(G)
-    n = G.order
+    base = len(letters)
+    pos = {g: i for i, g in enumerate(letters)}
     e = G.identity
-    frees = [FreeGModule(G, n ** k) for k in range(max_deg + 1)]
+    frees = [FreeGModule(G, base ** k) for k in range(max_deg + 1)]
     diffs = []
     for k in range(1, max_deg + 1):
         raw = []
-        for idx in range(n ** k):
-            t = _tuple_of(idx, n, k)
-            terms = [(_index_of(t[1:], n), t[0], 1)]
+        for idx in range(base ** k):
+            t = _tuple_of(idx, base, k)
+            terms = [(_index_of(t[1:], base), letters[t[0]], 1)]
             sign = -1
             for i in range(k - 1):
-                merged = t[:i] + (G.table[t[i]][t[i + 1]],) + t[i + 2:]
-                terms.append((_index_of(merged, n), e, sign))
+                prod = pos.get(G.table[letters[t[i]]][letters[t[i + 1]]])
+                if prod is not None:
+                    merged = t[:i] + (prod,) + t[i + 2:]
+                    terms.append((_index_of(merged, base), e, sign))
                 sign = -sign
-            terms.append((_index_of(t[:-1], n), e, sign))
+            terms.append((_index_of(t[:-1], base), e, sign))
             raw.append(terms)
         diffs.append(ZGFreeHom.from_terms(G, frees[k], frees[k - 1], raw))
     triv = trivial_module(G, free_abelian(1))
     aug = _augmentation(G, frees[0], triv)
     return FreeResolution(ctx, triv, frees, diffs, aug)
+
+
+def bar_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
+    """Unnormalized bar resolution of the trivial module Z over ZG.
+
+    Degree n is free of rank |G|^n on the n-tuples of group elements,
+    with the faces of _bar_like_resolution.  Kept as the oracle for the
+    normalized resolution that group cohomology uses.
+    """
+    return _bar_like_resolution(G, max_deg, range(G.order))
+
+
+def normalized_bar_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
+    """Normalized bar resolution of the trivial module Z over ZG.
+
+    Degree n is free of rank (|G|-1)^n on the n-tuples of non-identity
+    elements: the unnormalized bar complex modulo the degenerate tuples,
+    so a middle face whose product is the identity vanishes.
+    """
+    letters = [g for g in range(G.order) if g != G.identity]
+    return _bar_like_resolution(G, max_deg, letters)
 
 
 def periodic_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
@@ -632,12 +663,16 @@ def periodic_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
 
 
 def group_cohomology(G: FiniteGroup, M: GModule, n: int) -> FpAbGroup:
-    """H^n(G; M) as Ext over ZG of the trivial module, via the bar resolution."""
+    """H^n(G; M) as Ext over ZG of the trivial module.
+
+    Computed through the normalized bar resolution, of rank (|G|-1)^n in
+    degree n; any projective resolution gives the same group.
+    """
     if n < 0:
         raise ValueError("cohomology degree must be nonnegative")
     if M.G != G:
         raise IllDefined("module is over a different group")
-    res = bar_resolution(G, n + 1)
+    res = normalized_bar_resolution(G, n + 1)
     return resolution.cohomology(resolution.hom_complex(res, M), n)
 
 

@@ -8,7 +8,7 @@ from importlib.resources import files
 
 import pytest
 
-from extcalc import cli
+from extcalc import cli, groupring
 
 SIERPINSKI = str(files("extcalc").joinpath("fixtures/sierpinski.json"))
 C2 = str(files("extcalc").joinpath("fixtures/c2_cohomology.json"))
@@ -320,6 +320,24 @@ class TestExitCodes:
         assert code == cli.EXIT_DOMAIN
         assert "capped" in err
 
+    def test_cohomology_work_cap_refuses_or_finishes(self, capsys,
+                                                     monkeypatch):
+        # H^5(S3; Z) needs a 15625 x 3125 elimination: refused up front;
+        # H^3(C6; Z) is well inside the cap and answers
+        doc = json.dumps({"finite_groups": {
+            "S3": {"table": [list(r) for r in groupring.symmetric3().table]},
+            "C6": "cyclic 6"}})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, _, err = run(capsys, "group-cohomology", "--input", "-",
+                           "--G", "S3", "--n", "5")
+        assert code == cli.EXIT_DOMAIN
+        assert "capped" in err
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, _ = run(capsys, "group-cohomology", "--input", "-",
+                           "--G", "C6", "--n", "3")
+        assert code == 0
+        assert out == "H^3(C6; trivial Z) = 0\n"
+
     def test_poset_size_cap_is_domain(self, capsys, monkeypatch):
         doc = '{"posets": {"long": {"size": 13, "relations": []}}}'
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
@@ -363,6 +381,22 @@ class TestDeterminism:
 
 
 class TestEntryPoint:
+    def test_reused_parser_matches_a_fresh_process(self, capsys):
+        # the parser is built once per process; a usage error must leave
+        # nothing behind for the next call
+        argv = ["group-cohomology", "--input", C2, "--G", "C2",
+                "--M", "signZ", "--max-deg", "3", "--format", "machine"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["group-cohomology", "--input", C2, "--n", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "extcalc", *argv],
+                               capture_output=True, text=True, timeout=60)
+        assert code == fresh.returncode == 0
+        assert out == fresh.stdout
+        assert cli._build_parser() is cli._build_parser()
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "extcalc", "ext", "--B", "Z/4",

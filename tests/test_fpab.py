@@ -231,6 +231,25 @@ def test_hom_equality_mod_relations():
     assert h.is_zero()
 
 
+def test_reduced_matrix_reduces_each_column():
+    # monomial targets take an entrywise path, the others go through the
+    # Smith form; both must agree with reduce column by column
+    rng = random.Random(4107)
+    targets = [from_invariants(1, [2, 6]), zmod(4), free_abelian(2),
+               make_group(2, IntMatrix.from_rows([[2, 1], [4, 3]])),
+               make_group(3, IntMatrix.from_rows([[2], [0], [3]]))]
+    for tgt in targets:
+        for cols in (0, 1, 3):
+            m = IntMatrix(tgt.gens, cols, [[rng.randint(-9, 9)
+                                            for _ in range(cols)]
+                                           for _ in range(tgt.gens)])
+            h = FpAbHom(free_abelian(cols), tgt, m)
+            expected = IntMatrix.from_cols(
+                [tgt.reduce(m.column_matrix(j)).col(0) for j in range(cols)],
+                rows=tgt.gens)
+            assert h.reduced_matrix() == expected
+
+
 def test_hom_evaluation_and_composition():
     q = make_hom(free_abelian(1), zmod(2), IntMatrix.from_rows([[1]]))
     dbl = make_hom(free_abelian(1), free_abelian(1), IntMatrix.from_rows([[2]]))

@@ -6,9 +6,11 @@ cyclic group (validated for exactness by the generic machinery) and the
 crossed-homomorphism presentation of degree one.  Those oracles come first.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extcalc import fpab, resolution
 from extcalc.exactint import IntMatrix
@@ -32,6 +34,7 @@ from extcalc.groupring import (
     h1_crossed,
     klein_four,
     make_group,
+    normalized_bar_resolution,
     periodic_resolution,
     sign_module,
     symmetric3,
@@ -367,6 +370,133 @@ class TestBarResolution:
         # the [e] column cancels outright; the [t] column is t - e
         bar = bar_resolution(cyclic(2), 1)
         assert bar.diff(1).cols == ((), ((0, 0, -1), (0, 1, 1)))
+
+
+SMALL_GROUPS = {**{f"C{k}": cyclic(k) for k in range(1, 7)},
+                "V4": klein_four(), "S3": symmetric3()}
+
+
+def characters(G):
+    """Every homomorphism G -> {1, -1}, as its tuple of values."""
+    return [vals for vals in itertools.product((1, -1), repeat=G.order)
+            if all(vals[G.table[a][b]] == vals[a] * vals[b]
+                   for a in range(G.order) for b in range(G.order))]
+
+
+def twisted_module(G, m, chi):
+    """The abelian group m with g acting as chi(g) times the identity."""
+    ident = identity_hom(m)
+    return GModule(G, m, [ident if c > 0 else -ident for c in chi])
+
+
+def sample_coefficients(G):
+    """Trivial Z, trivial Z/2, and Z twisted by the last character of G
+    (trivial when G has no nontrivial one)."""
+    z = free_abelian(1)
+    return [trivial_module(G, z), trivial_module(G, zmod(2)),
+            twisted_module(G, z, characters(G)[-1])]
+
+
+class TestNormalizedBarResolution:
+    @pytest.mark.parametrize("name", SMALL_GROUPS)
+    def test_ranks_are_powers_of_order_minus_one(self, name):
+        G = SMALL_GROUPS[name]
+        res = normalized_bar_resolution(G, 3)
+        assert [res.free(k).rank for k in range(4)] \
+            == [(G.order - 1) ** k for k in range(4)]
+
+    @pytest.mark.parametrize("name", SMALL_GROUPS)
+    def test_dd_vanishes_and_low_degrees_are_exact(self, name):
+        G = SMALL_GROUPS[name]
+        normalized_bar_resolution(G, 4).verify_dd()
+        normalized_bar_resolution(G, 2).validate()
+
+    def test_degenerate_middle_face_is_dropped(self):
+        # on C2 the only 2-tuple is [t|t]; its middle face t·t = e is
+        # degenerate, leaving t[t] + [t]
+        res = normalized_bar_resolution(cyclic(2), 2)
+        assert res.diff(1).cols == (((0, 0, -1), (0, 1, 1)),)
+        assert res.diff(2).cols == (((0, 0, 1), (0, 1, 1)),)
+
+    # C6 is left out: its unnormalized H^3 kernels alone take about 5 s
+    @pytest.mark.parametrize("name", [n for n in SMALL_GROUPS if n != "C6"])
+    def test_agrees_with_unnormalized_bar_through_degree3(self, name):
+        G = SMALL_GROUPS[name]
+        for m in sample_coefficients(G):
+            bar = resolution.hom_complex(bar_resolution(G, 4), m)
+            norm = resolution.hom_complex(normalized_bar_resolution(G, 4), m)
+            for n in range(4):
+                assert resolution.cohomology(norm, n).canonical_form \
+                    == resolution.cohomology(bar, n).canonical_form, (m, n)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_agrees_with_periodic_through_degree4(self, order):
+        G = cyclic(order)
+        coeffs = [free_abelian(1)] + ([zmod(2)] if order <= 4 else [])
+        for a in coeffs:
+            m = trivial_module(G, a)
+            per = resolution.hom_complex(periodic_resolution(G, 5), m)
+            norm = resolution.hom_complex(normalized_bar_resolution(G, 5), m)
+            for n in range(5):
+                assert resolution.cohomology(norm, n).canonical_form \
+                    == resolution.cohomology(per, n).canonical_form, (a, n)
+
+
+def subgroups(G):
+    """Every subgroup of G, as a frozenset of elements."""
+    out = []
+    for bits in range(1 << G.order):
+        h = frozenset(g for g in range(G.order) if bits >> g & 1)
+        if G.identity in h and all(G.table[a][b] in h for a in h for b in h):
+            out.append(h)
+    return out
+
+
+def random_gmodule(rng, G):
+    """One or two summands A[G/H] twisted by a character, A cyclic or Z,
+    presented in a randomly changed basis (so relations need not be
+    diagonal)."""
+    blocks = []
+    for _ in range(rng.randint(1, 2)):
+        h = rng.choice(subgroups(G))
+        cosets = sorted({frozenset(G.table[x][y] for y in h)
+                         for x in range(G.order)}, key=min)
+        index = {c: i for i, c in enumerate(cosets)}
+        chi = rng.choice(characters(G))
+        blocks.append((rng.choice((0, 2, 3, 4, 5, 6)), cosets, index, chi))
+    k = sum(len(b[1]) for b in blocks)
+    rel_cols, acts = [], [[[0] * k for _ in range(k)] for _ in range(G.order)]
+    off = 0
+    for a, cosets, index, chi in blocks:
+        for i, c in enumerate(cosets):
+            if a:
+                rel_cols.append([a if r == off + i else 0 for r in range(k)])
+            for g in range(G.order):
+                moved = index[frozenset(G.table[g][x] for x in c)]
+                acts[g][off + moved][off + i] = chi[g]
+        off += len(cosets)
+    u, u_inv = IntMatrix.identity(k), IntMatrix.identity(k)
+    for _ in range(rng.randint(0, 3) if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        step = [[int(r == s) + (c if (r, s) == (i, j) else 0)
+                 for s in range(k)] for r in range(k)]
+        back = [[int(r == s) - (c if (r, s) == (i, j) else 0)
+                 for s in range(k)] for r in range(k)]
+        u = IntMatrix(k, k, step) * u
+        u_inv = u_inv * IntMatrix(k, k, back)
+    m = fpab.make_group(k, u * IntMatrix.from_cols(rel_cols, rows=k))
+    return GModule(G, m, [fpab.make_hom(m, m, u * IntMatrix(k, k, rows)
+                                        * u_inv) for rows in acts])
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_normalized_h1_matches_crossed_homs(rng):
+    G = rng.choice(list(SMALL_GROUPS.values()))
+    m = random_gmodule(rng, G)
+    assert group_cohomology(G, m, 1).canonical_form \
+        == h1_crossed(G, m).canonical_form
 
 
 class TestGroupCohomology:
