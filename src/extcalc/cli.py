@@ -67,17 +67,6 @@ _VALIDATION_ERRORS = (IllDefined, DimensionMismatch,
 
 # -------------------------------------------------------------- display
 
-def group_display(g: FpAbGroup) -> str:
-    rank, torsion = g.canonical_form
-    parts = []
-    if rank == 1:
-        parts.append("Z")
-    elif rank > 1:
-        parts.append(f"Z^{rank}")
-    parts.extend(f"Z/{d}" for d in torsion)
-    return " + ".join(parts) if parts else "0"
-
-
 def _matrix_rows(m: IntMatrix) -> List[List[int]]:
     return [list(m.row(i)) for i in range(m.rows)]
 
@@ -398,7 +387,7 @@ def _cmd_group(args, doc: Document) -> dict:
     return {
         "command": "group",
         "group": args.group,
-        "result": group_display(g),
+        "result": fpab.describe(g),
         "rank": rank,
         "torsion": list(torsion),
     }
@@ -412,7 +401,7 @@ def _cmd_hom(args, doc: Document) -> dict:
         "command": "hom",
         "src": args.src,
         "tgt": args.tgt,
-        "result": group_display(hg.group),
+        "result": fpab.describe(hg.group),
     }
 
 
@@ -442,7 +431,7 @@ def _cmd_ext(args, doc: Document) -> dict:
     forms = {}
     for n in _degree_list(args):
         group = resolution.ext_n(ctx, b, a, n)
-        forms[n] = group_display(group)
+        forms[n] = fpab.describe(group)
         if n == 1:
             cross = ses.ext1_group(b, a).group
             if cross.canonical_form != group.canonical_form:
@@ -473,7 +462,7 @@ def _cmd_baer(args, doc: Document) -> dict:
         "command": "baer",
         "B": args.B,
         "A": args.A,
-        "ext1": group_display(ext.group),
+        "ext1": fpab.describe(ext.group),
     }
     if args.i is not None or args.j is not None:
         if args.i is None or args.j is None:
@@ -537,7 +526,7 @@ def _cmd_six_term(args, doc: Document) -> dict:
         "ses": args.ses,
         "M": args.M,
         "variance": args.variance,
-        "groups": [group_display(g) for g in groups],
+        "groups": [fpab.describe(g) for g in groups],
         "left_exact": report.left_exact,
         "interior": list(report.interior),
         "right_exact": report.right_exact,
@@ -581,7 +570,7 @@ def _cmd_group_cohomology(args, doc: Document) -> dict:
             raise CliDomainError(
                 f"cohomology work is capped at {COHOMOLOGY_CELL_CAP} matrix "
                 f"cells; H^{top} here needs about {cells}")
-    forms = {n: group_display(groupring.group_cohomology(g, module, n))
+    forms = {n: fpab.describe(groupring.group_cohomology(g, module, n))
              for n in degrees}
     return _put_degrees({"command": "group-cohomology", "G": args.G,
                          "M": module_name}, args, forms)
@@ -593,7 +582,7 @@ def _cmd_fixed_points(args, doc: Document) -> dict:
     return {
         "command": "fixed-points",
         "M": args.M,
-        "result": group_display(group),
+        "result": fpab.describe(group),
     }
 
 
@@ -610,12 +599,12 @@ def _is_total_order(site: poset_sheaf.FinitePoset) -> bool:
 
 def _presheaf_result(p: poset_sheaf.AbPresheaf) -> dict:
     out = {
-        "stalks": [group_display(s) for s in p.stalks],
+        "stalks": [fpab.describe(s) for s in p.stalks],
         "restrictions": {f"{d}<={c}": _matrix_rows(h.matrix)
                          for (d, c), h in sorted(p.maps.items())},
     }
     if _is_total_order(p.site):
-        out["chain_form"] = " <- ".join(group_display(s) for s in p.stalks)
+        out["chain_form"] = " <- ".join(fpab.describe(s) for s in p.stalks)
     return out
 
 
@@ -647,7 +636,7 @@ def _cmd_external_ext(args, doc: Document) -> dict:
     b = _need(doc.presheaves, args.B, "presheaf")
     a = _need(doc.presheaves, args.A, "presheaf")
     _check_poset_size(b.site)
-    forms = {n: group_display(poset_sheaf.external_ext(b, a, n))
+    forms = {n: fpab.describe(poset_sheaf.external_ext(b, a, n))
              for n in _degree_list(args)}
     return _put_degrees({"command": "external-ext", "B": args.B,
                          "A": args.A}, args, forms)
@@ -660,7 +649,7 @@ def _cmd_global_sections(args, doc: Document) -> dict:
     return {
         "command": "global-sections",
         "F": args.F,
-        "result": group_display(group),
+        "result": fpab.describe(group),
     }
 
 
@@ -680,8 +669,8 @@ def _cmd_witness_search(args, doc: Document) -> dict:
         sigma, stalk = found
         out.update({
             "stalk": stalk,
-            "src_stalks": [group_display(s) for s in sigma.src.stalks],
-            "tgt_stalks": [group_display(s) for s in sigma.tgt.stalks],
+            "src_stalks": [fpab.describe(s) for s in sigma.src.stalks],
+            "tgt_stalks": [fpab.describe(s) for s in sigma.tgt.stalks],
             "components": [_matrix_rows(h.matrix)
                            for h in sigma.components],
         })

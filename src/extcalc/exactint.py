@@ -1,9 +1,14 @@
-"""Exact integer matrix arithmetic: Smith normal form, kernels, linear solving.
+"""Exact integer matrix arithmetic: sparse echelon elimination, Smith normal form.
 
 All entries are Python ints, so intermediate values never overflow.  Matrices
-are immutable; every operation returns a fresh matrix.  Determinism matters
-for downstream canonical forms, so pivot choices follow a fixed rule: the
-minimal absolute value wins, with the smallest (row, col) index breaking ties.
+are immutable; every operation returns a fresh matrix.  Kernels, column
+spans, rank and linear solving share one sparse column-echelon reduction;
+the solvers read each right-hand side off its pivot columns by forward
+substitution.  The dense `snf` serves only what reads a Smith diagonal or its
+transforms: canonical forms, reduction and minimized presentations of groups,
+and the CLI `snf` command.  Determinism matters for canonical forms, so pivot
+choices follow a fixed rule: the minimal absolute value wins, with the
+smallest index breaking ties.
 """
 
 from __future__ import annotations
@@ -94,9 +99,6 @@ class IntMatrix:
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)
 
-    def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
-
     def column_matrix(self, j: int) -> "IntMatrix":
         return IntMatrix(self.rows, 1, ((r[j],) for r in self.data))
 
@@ -161,7 +163,6 @@ class IntMatrix:
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:
-    mats = tuple(m for m in mats)
     if not mats:
         raise DimensionMismatch("hstack of nothing")
     rows = mats[0].rows
@@ -172,7 +173,6 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
-    mats = tuple(m for m in mats)
     if not mats:
         raise DimensionMismatch("vstack of nothing")
     cols = mats[0].cols
@@ -249,21 +249,16 @@ class SmithDecomposition:
     the exact integer inverse of U, tracked during the reduction.
     """
 
-    __slots__ = ("U", "D", "V", "u_inv", "src_rows", "src_cols")
+    __slots__ = ("U", "D", "V", "u_inv")
 
     def __init__(self, U, D, V, u_inv):
         self.U = U
         self.D = D
         self.V = V
         self.u_inv = u_inv
-        self.src_rows = D.rows
-        self.src_cols = D.cols
 
     def diagonal(self) -> list:
         return [self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols))]
-
-    def nonzero_diagonal(self) -> list:
-        return [d for d in self.diagonal() if d != 0]
 
 
 def snf(a: IntMatrix) -> SmithDecomposition:
@@ -537,41 +532,68 @@ def rank(a: IntMatrix) -> int:
     return npiv
 
 
-class SnfSolver:
-    """Reusable solver for A x = b over the integers, one decomposition for many b."""
+class ModSolver:
+    """Reusable solver for A x = b modulo the column span of Rel.
 
-    def __init__(self, a: IntMatrix):
-        self.a = a
-        self.dec = snf(a)
-        self.diag = self.dec.diagonal()
+    One column-echelon reduction of [A | Rel] serves every b.  Its pivot
+    columns are ordered by pivot row and vanish above it, so forward
+    substitution writes b = sum q_k c_k: exact division at each pivot row
+    (None on a remainder), then None if a residual is left on the other
+    rows.  x = sum q_k w_k, with w_k the tracked A-part of the transform
+    of pivot column c_k.
+    """
+
+    def __init__(self, a: IntMatrix, rel: IntMatrix):
+        if rel.rows != a.rows:
+            raise DimensionMismatch("relation matrix height mismatch")
+        self.rows, self.cols = a.rows, a.cols
+        order, npiv = _column_reduce(hstack(a, rel) if rel.cols else a,
+                                     track_rows=a.cols)
+        self._pivots = []
+        for col in order[:npiv]:
+            r = min(col.d)
+            self._pivots.append((r, col.d.pop(r), col.d, col.w))
 
     def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
-        if b.rows != self.a.rows or b.cols != 1:
+        if b.rows != self.rows or b.cols != 1:
             raise DimensionMismatch(
-                f"right-hand side is {b.rows}x{b.cols}, expected {self.a.rows}x1")
-        c = self.dec.U * b
-        n = self.a.cols
-        y = [0] * n
-        for i in range(self.a.rows):
-            ci = c.data[i][0]
-            di = self.diag[i] if i < len(self.diag) else 0
-            if di:
-                if ci % di:
-                    return None
-                y[i] = ci // di
-            elif ci:
-                return None
-        return self.dec.V * IntMatrix.column(y)
+                f"right-hand side is {b.rows}x{b.cols}, expected {self.rows}x1")
+        return self.solve_matrix(b)
 
     def solve_matrix(self, b: IntMatrix) -> Optional[IntMatrix]:
         """Solve for every column of b; None if any single column fails."""
+        if b.rows != self.rows:
+            raise DimensionMismatch(
+                f"right-hand side has {b.rows} rows, expected {self.rows}")
         xs = []
         for j in range(b.cols):
-            x = self.solve(b.column_matrix(j))
-            if x is None:
+            resid = {i: row[j] for i, row in enumerate(b.data) if row[j]}
+            x = [0] * self.cols
+            for r, p, below, w in self._pivots:
+                q, rem = divmod(resid.pop(r, 0), p)
+                if rem:
+                    return None
+                if q:
+                    for i, v in below.items():
+                        resid[i] = resid.get(i, 0) - q * v
+                    for i, v in w.items():
+                        x[i] += q * v
+            if any(resid.values()):
                 return None
-            xs.append(x.col(0))
-        return IntMatrix.from_cols(xs, rows=self.a.cols)
+            xs.append(x)
+        data = tuple(zip(*xs)) if xs else ((),) * self.cols
+        return IntMatrix._wrap(self.cols, b.cols, data)
+
+
+class SnfSolver(ModSolver):
+    """Reusable solver for A x = b over Z: ModSolver with Rel empty; no Smith form."""
+
+    def __init__(self, a: IntMatrix):
+        super().__init__(a, IntMatrix.zero(a.rows, 0))
+
+    # bound here too: perfbench/tracing.py wraps each class's own methods
+    solve = ModSolver.solve
+    solve_matrix = ModSolver.solve_matrix
 
 
 def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -580,28 +602,6 @@ def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     Shape errors raise DimensionMismatch; unsolvability returns None.
     """
     return SnfSolver(a).solve(b)
-
-
-class ModSolver:
-    """Solver for A x = b modulo the column span of Rel."""
-
-    def __init__(self, a: IntMatrix, rel: IntMatrix):
-        if rel.rows != a.rows:
-            raise DimensionMismatch("relation matrix height mismatch")
-        self.ncols = a.cols
-        self.inner = SnfSolver(hstack(a, rel) if rel.cols else a)
-
-    def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
-        x = self.inner.solve(b)
-        if x is None:
-            return None
-        return x.take_rows(range(self.ncols))
-
-    def solve_matrix(self, b: IntMatrix) -> Optional[IntMatrix]:
-        x = self.inner.solve_matrix(b)
-        if x is None:
-            return None
-        return x.take_rows(range(self.ncols))
 
 
 def solve_mod(a: IntMatrix, b: IntMatrix, rel: IntMatrix) -> Optional[IntMatrix]:

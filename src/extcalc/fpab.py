@@ -162,9 +162,6 @@ class FpAbGroup:
                 y[i] %= d
         return dec.u_inv * IntMatrix.column(y)
 
-    def coords_equal(self, a: IntMatrix, b: IntMatrix) -> bool:
-        return self.reduce(a - b).is_zero()
-
     def contains_zero(self, coords: IntMatrix) -> bool:
         return self.reduce(coords).is_zero()
 
@@ -383,10 +380,6 @@ def compose(f: FpAbHom, g: FpAbHom) -> FpAbHom:
     if g.tgt != f.src:
         raise DimensionMismatch("composition endpoint mismatch")
     return FpAbHom(g.src, f.tgt, f.matrix * g.matrix, check=False)
-
-
-def hom_equal(f: FpAbHom, g: FpAbHom) -> bool:
-    return f == g
 
 
 def _vec(m: IntMatrix) -> IntMatrix:

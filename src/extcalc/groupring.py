@@ -513,12 +513,11 @@ class GModuleContext(ModuleContext):
         n = self.G.order
         e = self.G.identity
         solver = ModSolver(pd.ab.matrix, pd.tgt.M.relations)
-        units = []
-        for j in range(r):
-            x = solver.solve(gd.ab.matrix.column_matrix(j * n + e))
-            if x is None:
-                raise NotEpi("map does not reach a unit image")
-            units.append(x)
+        x = solver.solve_matrix(
+            gd.ab.matrix.take_cols([j * n + e for j in range(r)]))
+        if x is None:
+            raise NotEpi("map does not reach a unit image")
+        units = [x.column_matrix(j) for j in range(r)]
         return self.extend_units(gd.src, pd.src, units)
 
     def hom_group(self, f, a) -> FreeHomGroup:

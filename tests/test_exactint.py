@@ -11,10 +11,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extcalc.exactint import (
     DimensionMismatch,
     IntMatrix,
+    ModSolver,
     block_diag,
     column_space_basis,
     det,
@@ -276,6 +278,73 @@ def test_solve_mod_substitution_property():
         if x is not None:
             resid = a * x - b
             assert solve(rel, resid) is not None or resid.is_zero()
+
+
+def smith_in_span(m, b):
+    """Smith criterion for b in the column span of M, sharing no code with
+    the echelon solvers: with U M V = D, M y = b is solvable iff each
+    (U b)_i is divisible by d_i and vanishes past the rank."""
+    dec = snf(m)
+    diag = dec.diagonal()
+    ub = dec.U * b
+    for i in range(m.rows):
+        d = diag[i] if i < len(diag) else 0
+        c = ub.data[i][0]
+        if (c % d if d else c):
+            return False
+    return True
+
+
+@st.composite
+def solve_mod_cases(draw):
+    """Small A, Rel and right-hand sides, a mix of solvable and not: each
+    column is A x0 + Rel y0 plus a sparse perturbation."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 3))
+    p = draw(st.integers(0, 2))
+    k = draw(st.integers(1, 3))
+
+    def grid(rows, cols, values=st.integers(-4, 4)):
+        return IntMatrix(rows, cols, draw(st.lists(
+            st.lists(values, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+    a, rel = grid(m, n), grid(m, p)
+    noise = grid(m, k, st.sampled_from((0, 0, 0, 1, -1, 2)))
+    b = a * grid(n, k) + rel * grid(p, k) + noise
+    return a, rel, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=solve_mod_cases())
+def test_solve_mod_matches_smith_criterion(case):
+    a, rel, bs = case
+    for j in range(bs.cols):
+        b = bs.column_matrix(j)
+        x = solve_mod(a, b, rel)
+        assert (x is None) == (not smith_in_span(hstack(a, rel), b))
+        if x is not None:
+            assert (x.rows, x.cols) == (a.cols, 1)
+            assert smith_in_span(rel, a * x - b)
+        x = solve(a, b)
+        assert (x is None) == (not smith_in_span(a, b))
+        if x is not None:
+            assert a * x == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=solve_mod_cases())
+def test_solve_matrix_fails_when_any_column_fails(case):
+    a, rel, bs = case
+    ok = [smith_in_span(hstack(a, rel), bs.column_matrix(j))
+          for j in range(bs.cols)]
+    x = ModSolver(a, rel).solve_matrix(bs)
+    assert (x is None) == (not all(ok))
+    if x is not None:
+        assert (x.rows, x.cols) == (a.cols, bs.cols)
+        for j in range(bs.cols):
+            assert smith_in_span(rel, a * x.column_matrix(j)
+                                 - bs.column_matrix(j))
 
 
 # ---------------------------------------------------------------- plumbing
