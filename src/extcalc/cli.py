@@ -39,12 +39,11 @@ EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 EXIT_DOMAIN = 5
 
-BAR_DEGREE_CAP = 6
+DEGREE_CAP = 6
 POSET_SIZE_CAP = 12
-# Largest elimination, in matrix cells (see _cohomology_cells), that a
-# group-cohomology request may need; larger requests are refused up
-# front.  The slowest request measured under it, H^5(C4; Z/8) at 0.71M
-# cells, takes 7.6 s on a 2-core Xeon VM, inside the README's 10 s budget.
+# Work cap, in matrix cells, of a group-cohomology request: the sum over
+# the eliminations of its resolution build, and separately the kernel of
+# its top coboundary beside the relations above it; refused before either.
 COHOMOLOGY_CELL_CAP = 1_000_000
 
 _SECTIONS = ("groups", "matrices", "homs", "sequences", "finite_groups",
@@ -534,26 +533,13 @@ def _cmd_six_term(args, doc: Document) -> dict:
     }
 
 
-def _cohomology_cells(g: groupring.FiniteGroup, module: groupring.GModule,
-                      n: int) -> int:
-    """Size of the largest elimination behind H^n(G; M).
-
-    Through the normalized bar resolution, the kernel of the coboundary
-    C^n -> C^{n+1} is taken beside the relations of C^{n+1}: a matrix with
-    (|G|-1)^(n+1)·gens(M) rows, and (|G|-1)^n·gens(M) plus
-    (|G|-1)^(n+1)·rels(M) columns.
-    """
-    k = g.order - 1
-    gens, rels = module.M.gens, module.M.relations.cols
-    return k ** (n + 1) * gens * (k ** n * gens + k ** (n + 1) * rels)
-
-
 def _cmd_group_cohomology(args, doc: Document) -> dict:
     g = _need(doc.finite_groups, args.G, "finite group")
     degrees = _degree_list(args)
-    if max(degrees) > BAR_DEGREE_CAP:
+    top = max(degrees)
+    if top > DEGREE_CAP:
         raise CliDomainError(f"cohomology degree is capped at "
-                             f"{BAR_DEGREE_CAP}; got {max(degrees)}")
+                             f"{DEGREE_CAP}; got {top}")
     if args.M is None:
         module = groupring.trivial_module(g, fpab.free_abelian(1))
         module_name = "trivial Z"
@@ -563,15 +549,19 @@ def _cmd_group_cohomology(args, doc: Document) -> dict:
             raise CliDomainError(f"gmodule {args.M!r} is over a different "
                                  "group")
         module_name = args.M
-    top = max(degrees)
-    if top >= 0:  # a negative degree is refused by group_cohomology itself
-        cells = _cohomology_cells(g, module, top)
-        if cells > COHOMOLOGY_CELL_CAP:
-            raise CliDomainError(
-                f"cohomology work is capped at {COHOMOLOGY_CELL_CAP} matrix "
-                f"cells; H^{top} here needs about {cells}")
-    forms = {n: fpab.describe(groupring.group_cohomology(g, module, n))
-             for n in degrees}
+    if top < 0:
+        raise CliDomainError("cohomology degree must be nonnegative")
+    # one resolution and hom complex serve the whole table
+    res = groupring.greedy_resolution(g, top + 1, COHOMOLOGY_CELL_CAP)
+    r, r_up = res.free(top).rank, res.free(top + 1).rank
+    gens, rels = module.M.gens, module.M.relations.cols
+    cells = r_up * gens * (r * gens + r_up * rels)
+    if cells > COHOMOLOGY_CELL_CAP:
+        raise CliDomainError(
+            f"cohomology work is capped at {COHOMOLOGY_CELL_CAP} matrix "
+            f"cells; H^{top} here needs about {cells}")
+    cx = resolution.hom_complex(res, module)
+    forms = {n: fpab.describe(resolution.cohomology(cx, n)) for n in degrees}
     return _put_degrees({"command": "group-cohomology", "G": args.G,
                          "M": module_name}, args, forms)
 

@@ -6,10 +6,10 @@ resolutions of the trivial module have rank |G|^n, or (|G|-1)^n when
 normalized, in degree n and their differentials would be hopeless as
 dense integer matrices; they are stored as sparse columns over the group
 ring and expanded only against coefficient modules.  Group cohomology is
-Ext over the group-ring context through the normalized bar resolution,
-with three independent cross-checks: the unnormalized bar resolution, the
-2-periodic resolution for cyclic groups, and crossed homomorphisms in
-degree one.
+Ext over the group-ring context through greedy_resolution (rank one in
+every degree for a cyclic group), cross-checked by the normalized and
+unnormalized bar resolutions, the 2-periodic resolution for cyclic
+groups, and crossed homomorphisms in degree one.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ from .exactint import (
     DimensionMismatch,
     IntMatrix,
     ModSolver,
+    SnfSolver,
     block_diag,
     constrained_kernel,
     hstack,
+    kernel_basis,
     vstack,
 )
 from . import fpab
@@ -566,12 +568,13 @@ def _index_of(t: Sequence[int], base: int) -> int:
     return idx
 
 
-def _augmentation(G: FiniteGroup, cover: FreeGModule,
-                  triv: GModule) -> GModuleHom:
-    src = cover.dense()
+def _resolution_of_z(G: FiniteGroup, frees, diffs) -> FreeResolution:
+    """Trivial Z resolved by frees and diffs, augmented by summing."""
+    src, triv = frees[0].dense(), trivial_module(G, free_abelian(1))
     mat = IntMatrix.from_rows([[1] * G.order], cols=G.order)
-    return GModuleHom(src, triv, FpAbHom(src.M, triv.M, mat, check=False),
-                      check=False)
+    aug = GModuleHom(src, triv, FpAbHom(src.M, triv.M, mat, check=False),
+                     check=False)
+    return FreeResolution(gmodule_context(G), triv, frees, diffs, aug)
 
 
 def _bar_like_resolution(G: FiniteGroup, max_deg: int,
@@ -587,7 +590,6 @@ def _bar_like_resolution(G: FiniteGroup, max_deg: int,
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
-    ctx = gmodule_context(G)
     base = len(letters)
     pos = {g: i for i, g in enumerate(letters)}
     e = G.identity
@@ -608,17 +610,15 @@ def _bar_like_resolution(G: FiniteGroup, max_deg: int,
             terms.append((_index_of(t[:-1], base), e, sign))
             raw.append(terms)
         diffs.append(ZGFreeHom.from_terms(G, frees[k], frees[k - 1], raw))
-    triv = trivial_module(G, free_abelian(1))
-    aug = _augmentation(G, frees[0], triv)
-    return FreeResolution(ctx, triv, frees, diffs, aug)
+    return _resolution_of_z(G, frees, diffs)
 
 
 def bar_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
     """Unnormalized bar resolution of the trivial module Z over ZG.
 
     Degree n is free of rank |G|^n on the n-tuples of group elements,
-    with the faces of _bar_like_resolution.  Kept as the oracle for the
-    normalized resolution that group cohomology uses.
+    with the faces of _bar_like_resolution.  Kept as an oracle, like the
+    normalized resolution, for the greedy one that group cohomology uses.
     """
     return _bar_like_resolution(G, max_deg, range(G.order))
 
@@ -648,7 +648,6 @@ def periodic_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
     gen = next((g for g in range(n) if G.element_order(g) == n), None)
     if gen is None:
         raise ValueError("periodic resolution needs a cyclic group")
-    ctx = gmodule_context(G)
     e = G.identity
     free = FreeGModule(G, 1)
     tm1 = [(0, gen, 1), (0, e, -1)]
@@ -656,22 +655,73 @@ def periodic_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
     diffs = [ZGFreeHom.from_terms(G, free, free,
                                   [tm1 if k % 2 == 1 else norm])
              for k in range(1, max_deg + 1)]
-    triv = trivial_module(G, free_abelian(1))
-    aug = _augmentation(G, free, triv)
-    return FreeResolution(ctx, triv, [free] * (max_deg + 1), diffs, aug)
+    return _resolution_of_z(G, [free] * (max_deg + 1), diffs)
+
+
+def _from_cols(cols, height: int) -> IntMatrix:
+    # trusted: int columns of the given height, all built right here
+    return IntMatrix._wrap(height, len(cols),
+                           tuple(zip(*cols)) or ((),) * height)
+
+
+def greedy_resolution(G: FiniteGroup, max_deg: int,
+                      max_cells: Optional[int] = None) -> FreeResolution:
+    """A small free resolution of the trivial module Z over ZG (Ellis 2004).
+
+    Degree k+1 covers the kernel of the dense matrix of d_k (of the
+    augmentation for k = 0): each kernel_basis column, smallest absolute
+    sum first to keep coefficients small, becomes a generator unless it
+    lies in the Z-span of the G-translates of those kept before.  The
+    translates then span the kernel, so the resolution is exact by
+    construction, and they are the dense matrix of d_{k+1}.  ValueError
+    comes before an elimination that takes the build past max_cells.
+    """
+    if max_deg < 0:
+        raise ValueError("max_deg must be nonnegative")
+    n, table = G.order, G.table
+    frees, diffs, spent = [FreeGModule(G, 1)], [], 0
+
+    def charge(m: IntMatrix) -> IntMatrix:
+        nonlocal spent
+        spent += m.rows * m.cols
+        if max_cells is not None and spent > max_cells:
+            raise ValueError(f"resolution work is capped at {max_cells} matrix"
+                             f" cells; degree {len(frees)} goes past it")
+        return m
+
+    dense = IntMatrix.from_rows([[1] * n], cols=n)
+    for _ in range(max_deg):
+        ker, height = kernel_basis(charge(dense)), dense.cols
+        kept, span, solver = [], [], None
+        for v in sorted(ker.transpose().data, key=lambda v: sum(map(abs, v))):
+            if kept:
+                solver = solver or SnfSolver(charge(_from_cols(span, height)))
+                if solver.solve(_from_cols([v], height)) is not None:
+                    continue
+            solver = None
+            kept.append([(i // n, i % n, c) for i, c in enumerate(v) if c])
+            # span gains every translate: g moves (block, h) to (block, gh)
+            span += [[0] * height for _ in range(n)]
+            for g, w in enumerate(span[-n:]):
+                for (b, h, c) in kept[-1]:
+                    w[b * n + table[g][h]] = c
+        frees.append(FreeGModule(G, len(kept)))
+        diffs.append(ZGFreeHom(G, frees[-1], frees[-2], kept))
+        dense = _from_cols(span, height)
+    return _resolution_of_z(G, frees, diffs)
 
 
 def group_cohomology(G: FiniteGroup, M: GModule, n: int) -> FpAbGroup:
     """H^n(G; M) as Ext over ZG of the trivial module.
 
-    Computed through the normalized bar resolution, of rank (|G|-1)^n in
-    degree n; any projective resolution gives the same group.
+    Computed through greedy_resolution; any projective resolution gives
+    the same group.
     """
     if n < 0:
         raise ValueError("cohomology degree must be nonnegative")
     if M.G != G:
         raise IllDefined("module is over a different group")
-    res = normalized_bar_resolution(G, n + 1)
+    res = greedy_resolution(G, n + 1)
     return resolution.cohomology(resolution.hom_complex(res, M), n)
 
 

@@ -322,21 +322,38 @@ class TestExitCodes:
 
     def test_cohomology_work_cap_refuses_or_finishes(self, capsys,
                                                      monkeypatch):
-        # H^5(S3; Z) needs a 15625 x 3125 elimination: refused up front;
-        # H^3(C6; Z) is well inside the cap and answers
+        # a resolution of (Z/2)^5 runs past a million cells of elimination
+        # by degree 3: refused mid-build, before that elimination runs;
+        # H^5(S3; Z) and H^3(C6; Z) are well inside the cap and answer
+        c2_5 = [[i ^ j for j in range(32)] for i in range(32)]
         doc = json.dumps({"finite_groups": {
             "S3": {"table": [list(r) for r in groupring.symmetric3().table]},
-            "C6": "cyclic 6"}})
+            "C6": "cyclic 6", "C2^5": {"table": c2_5}}})
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
         code, _, err = run(capsys, "group-cohomology", "--input", "-",
-                           "--G", "S3", "--n", "5")
+                           "--G", "C2^5", "--n", "3")
         assert code == cli.EXIT_DOMAIN
         assert "capped" in err
+        for g, n, form in (("S3", 5, "0"), ("C6", 3, "0")):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+            code, out, _ = run(capsys, "group-cohomology", "--input", "-",
+                               "--G", g, "--n", str(n))
+            assert code == 0
+            assert out == f"H^{n}({g}; trivial Z) = {form}\n"
+
+    def test_top_coboundary_is_sized_before_the_hom_complex(
+            self, capsys, monkeypatch):
+        # the C2 build to degree 2 eliminates 6 cells; the coboundary of
+        # H^1 with three Z/2 summands needs 1*3*(1*3 + 1*3) = 18
+        monkeypatch.setattr(cli, "COHOMOLOGY_CELL_CAP", 10)
+        doc = json.dumps({"finite_groups": {"C2": "cyclic 2"}, "gmodules": {
+            "M": {"group": "C2", "module": "Z/2 + Z/2 + Z/2",
+                  "action": {"1": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}}})
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
-        code, out, _ = run(capsys, "group-cohomology", "--input", "-",
-                           "--G", "C6", "--n", "3")
-        assert code == 0
-        assert out == "H^3(C6; trivial Z) = 0\n"
+        code, _, err = run(capsys, "group-cohomology", "--input", "-",
+                           "--G", "C2", "--M", "M", "--n", "1")
+        assert code == cli.EXIT_DOMAIN
+        assert "cohomology work is capped at 10 matrix cells" in err
 
     def test_poset_size_cap_is_domain(self, capsys, monkeypatch):
         doc = '{"posets": {"long": {"size": 13, "relations": []}}}'

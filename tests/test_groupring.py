@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extcalc import fpab, resolution
+from extcalc import fpab, groupring, resolution
 from extcalc.exactint import IntMatrix
 from extcalc.fpab import describe, free_abelian, identity_hom, zmod
 from extcalc.groupring import (
@@ -29,6 +29,7 @@ from extcalc.groupring import (
     ext_action,
     fixed_points,
     gmodule_context,
+    greedy_resolution,
     group_cohomology,
     group_ring_module,
     h1_crossed,
@@ -497,6 +498,82 @@ def test_normalized_h1_matches_crossed_homs(rng):
     m = random_gmodule(rng, G)
     assert group_cohomology(G, m, 1).canonical_form \
         == h1_crossed(G, m).canonical_form
+
+
+class TestGreedyResolution:
+    # candidates are tried smallest absolute sum first; C1 has no
+    # augmentation kernel to cover, so it stops at rank zero
+    RANKS = {**{f"C{k}": [1] * 7 for k in range(2, 7)},
+             "C1": [1, 0, 0, 0, 0, 0, 0],
+             "V4": [1, 2, 3, 4, 5, 6, 7],
+             "S3": [1, 2, 3, 4, 5, 6, 7]}
+
+    @pytest.mark.parametrize("name", SMALL_GROUPS)
+    def test_pinned_ranks_and_dd_through_degree6(self, name):
+        res = greedy_resolution(SMALL_GROUPS[name], 6)
+        assert [res.free(k).rank for k in range(7)] == self.RANKS[name]
+        res.verify_dd()
+
+    @pytest.mark.parametrize("name", SMALL_GROUPS)
+    def test_exact_through_degree4(self, name):
+        greedy_resolution(SMALL_GROUPS[name], 4).validate()
+
+    @pytest.mark.parametrize("name", SMALL_GROUPS)
+    def test_agrees_with_normalized_bar_through_degree3(self, name):
+        G = SMALL_GROUPS[name]
+        for m in sample_coefficients(G):
+            norm = resolution.hom_complex(normalized_bar_resolution(G, 4), m)
+            greedy = resolution.hom_complex(greedy_resolution(G, 4), m)
+            for n in range(4):
+                assert resolution.cohomology(greedy, n).canonical_form \
+                    == resolution.cohomology(norm, n).canonical_form, (m, n)
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_agrees_with_periodic_through_degree6(self, order):
+        G = cyclic(order)
+        for a in (free_abelian(1), zmod(2), zmod(3)):
+            m = trivial_module(G, a)
+            per = resolution.hom_complex(periodic_resolution(G, 7), m)
+            greedy = resolution.hom_complex(greedy_resolution(G, 7), m)
+            for n in range(7):
+                assert resolution.cohomology(greedy, n).canonical_form \
+                    == resolution.cohomology(per, n).canonical_form, (a, n)
+
+    def test_s3_anchors_past_the_old_cap(self):
+        G = symmetric3()
+        z = trivial_module(G, free_abelian(1))
+        assert [describe(group_cohomology(G, z, n)) for n in (4, 5, 6)] \
+            == ["Z/6", "0", "Z/2"]
+
+    def test_work_cap_is_a_running_total_of_eliminations(self, monkeypatch):
+        # every kernel and membership solver counts its input cells once
+        total = []
+
+        def counted(fn):
+            def run(a):
+                total.append(a.rows * a.cols)
+                return fn(a)
+            return run
+
+        for name in ("kernel_basis", "SnfSolver"):
+            monkeypatch.setattr(groupring, name,
+                                counted(getattr(groupring, name)))
+        greedy_resolution(klein_four(), 6)
+        cells = sum(total)
+        assert greedy_resolution(klein_four(), 6, max_cells=cells).max_deg == 6
+        with pytest.raises(ValueError, match="capped"):
+            greedy_resolution(klein_four(), 6, max_cells=cells - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_greedy_cohomology_matches_normalized_bar(rng):
+    G = rng.choice(list(SMALL_GROUPS.values()))
+    m = random_gmodule(rng, G)
+    bar = resolution.hom_complex(normalized_bar_resolution(G, 3), m)
+    for n in range(3):
+        assert group_cohomology(G, m, n).canonical_form \
+            == resolution.cohomology(bar, n).canonical_form, n
 
 
 class TestGroupCohomology:
