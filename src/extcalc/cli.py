@@ -41,6 +41,8 @@ EXIT_DOMAIN = 5
 
 DEGREE_CAP = 6
 POSET_SIZE_CAP = 12
+# 3^n witness candidates in pairs: 6 elements took 10 s on a 2-core Xeon
+WITNESS_POSET_SIZE_CAP = 5
 # Work cap, in matrix cells, of a group-cohomology request: the sum over
 # the eliminations of its resolution build, and separately the kernel of
 # its top coboundary beside the relations above it; refused before either.
@@ -576,9 +578,10 @@ def _cmd_fixed_points(args, doc: Document) -> dict:
     }
 
 
-def _check_poset_size(site: poset_sheaf.FinitePoset) -> None:
-    if site.size > POSET_SIZE_CAP:
-        raise CliDomainError(f"poset size is capped at {POSET_SIZE_CAP}; "
+def _check_poset_size(site: poset_sheaf.FinitePoset,
+                      cap: int = POSET_SIZE_CAP) -> None:
+    if site.size > cap:
+        raise CliDomainError(f"poset size is capped at {cap}; "
                              f"got {site.size}")
 
 
@@ -645,7 +648,7 @@ def _cmd_global_sections(args, doc: Document) -> dict:
 
 def _cmd_witness_search(args, doc: Document) -> dict:
     site = _need(doc.posets, args.poset, "poset")
-    _check_poset_size(site)
+    _check_poset_size(site, WITNESS_POSET_SIZE_CAP)
     if not 0 <= args.c < site.size:
         raise CliDomainError(f"element {args.c} is not in the poset")
     found = poset_sheaf.witness_search(site, args.c)

@@ -5,6 +5,9 @@ and a restriction hom to every related pair, downward.  Free presheaves
 are sums of representables ZY(c): the integers on the principal down-set
 of c.  Hom(ZY(c), F) is evaluation at c, which makes representables
 projective for the external theory and drives the resolution machinery.
+Limits (sections, global sections, presheaf hom groups) are one equalizer
+inside a direct sum.  By Yoneda, internal Hom(ZY(c), F) at e is the
+sections of F over ↓c∩↓e, which is how the projectivity witness reads it.
 
 Sheaf Ext is computed stalkwise: the stalk at c is Ext over the down-set
 below c, and the restriction maps come from comparison lifts between the
@@ -23,8 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactint import (
     IntMatrix,
     ModSolver,
-    hstack,
-    vstack,
+    block_diag,
 )
 from . import fpab
 from .fpab import (
@@ -300,9 +302,7 @@ def is_mono(h: PresheafHom) -> bool:
 
 
 def zero_presheaf(site: FinitePoset) -> AbPresheaf:
-    zero = fpab.make_group(0)
-    res = {(d, c): fpab.zero_hom(zero, zero) for (d, c) in site.strict_pairs()}
-    return AbPresheaf(site, [zero] * site.size, res, check=False)
+    return FreePresheaf(site, ()).realize()
 
 
 class FreePresheaf:
@@ -365,14 +365,58 @@ def free_presheaf(site: FinitePoset, c: int) -> AbPresheaf:
     return FreePresheaf(site, (c,)).realize()
 
 
-# ------------------------------------------------------------------ hom
+# ---------------------------------------------------------------- limits
+
+def _equalizer(groups: Sequence[FpAbGroup],
+               arrows) -> Tuple[FpAbGroup, FpAbHom, List[int]]:
+    """Where each pair of block maps agrees, inside the direct sum of groups.
+
+    arrows lists (target, c, f, d, g), the constraint f x_c = g x_d in
+    target, for summands c != d.  Returns the kernel of the stacked
+    constraints, its inclusion into the direct sum, and the generator
+    offset of each summand.
+    """
+    ambient, offsets = fpab.direct_sum_many(groups)
+    if not arrows:
+        return ambient, identity_hom(ambient), offsets
+    rows = []
+    for (t, c, f, d, g) in arrows:
+        for fr, gr in zip(f.data, g.data):
+            row = [0] * ambient.gens
+            row[offsets[c]:offsets[c] + len(fr)] = fr
+            row[offsets[d]:offsets[d] + len(gr)] = [-v for v in gr]
+            rows.append(row)
+    total, _ = fpab.direct_sum_many([a[0] for a in arrows])
+    matrix = IntMatrix(total.gens, ambient.gens, rows)
+    constraint = FpAbHom(ambient, total, matrix, check=False)
+    return (*fpab.kernel(constraint), offsets)
+
+
+def sections(F: AbPresheaf,
+             elems: Sequence[int]) -> Tuple[FpAbGroup, FpAbHom]:
+    """Γ(elems, F) with its inclusion into the sum of the stalks over elems.
+
+    A section is a family compatible under every restriction among elems.
+    """
+    arrows = [(F.stalk(d), j, F.res(d, c).matrix, i,
+               IntMatrix.identity(F.stalk(d).gens))
+              for i, d in enumerate(elems) for j, c in enumerate(elems)
+              if d != c and F.site.leq[d][c]]
+    group, incl, _ = _equalizer([F.stalk(x) for x in elems], arrows)
+    return group, incl
+
+
+def global_sections(F: AbPresheaf) -> FpAbGroup:
+    """The limit of F: families compatible under every restriction."""
+    return sections(F, F.site.elements())[0]
+
 
 class PresheafHomGroup:
     """The group of natural families F -> G.
 
-    Presented as the kernel of the stacked naturality constraints inside
-    the direct sum of the stalkwise hom groups.  Coordinates convert to
-    and from PresheafHom values through hom_of and coords_of.
+    Presented as the equalizer of the naturality constraints inside the
+    direct sum of the stalkwise hom groups.  Coordinates convert to and
+    from PresheafHom values through hom_of and coords_of.
     """
 
     __slots__ = ("src_presheaf", "tgt_presheaf", "hgs", "ambient", "offsets",
@@ -381,37 +425,21 @@ class PresheafHomGroup:
     def __init__(self, F: AbPresheaf, G: AbPresheaf):
         if F.site != G.site:
             raise SiteMismatch("hom needs presheaves on one site")
-        site = F.site
         hgs = [fpab.hom_group(F.stalk(c), G.stalk(c))
-               for c in site.elements()]
-        ambient, offsets = fpab.direct_sum_many([hg.group for hg in hgs])
-        pairs = site.strict_pairs()
-        if pairs:
-            strips = []
-            tgt_groups = []
-            for (d, c) in pairs:
-                hdc = fpab.hom_group(F.stalk(c), G.stalk(d))
-                tgt_groups.append(hdc.group)
-                post = fpab.induced_hom_group_map(
-                    hgs[c], hdc,
-                    lambda h, rg=G.res(d, c): fpab.compose(rg, h))
-                pre = fpab.induced_hom_group_map(
-                    hgs[d], hdc,
-                    lambda h, rf=F.res(d, c): fpab.compose(h, rf))
-                blocks = [IntMatrix.zero(hdc.group.gens, hgs[e].group.gens)
-                          for e in site.elements()]
-                blocks[c] = blocks[c] + post.matrix
-                blocks[d] = blocks[d] - pre.matrix
-                strips.append(hstack(*blocks))
-            total, _ = fpab.direct_sum_many(tgt_groups)
-            constraint = FpAbHom(ambient, total, vstack(*strips), check=False)
-            group, incl = fpab.kernel(constraint)
-        else:
-            group, incl = ambient, identity_hom(ambient)
+               for c in F.site.elements()]
+        arrows = []
+        for (d, c) in F.site.strict_pairs():
+            hdc = fpab.hom_group(F.stalk(c), G.stalk(d))
+            post = fpab.induced_hom_group_map(
+                hgs[c], hdc, lambda h, rg=G.res(d, c): fpab.compose(rg, h))
+            pre = fpab.induced_hom_group_map(
+                hgs[d], hdc, lambda h, rf=F.res(d, c): fpab.compose(h, rf))
+            arrows.append((hdc.group, c, post.matrix, d, pre.matrix))
+        group, incl, offsets = _equalizer([hg.group for hg in hgs], arrows)
         self.src_presheaf = F
         self.tgt_presheaf = G
         self.hgs = hgs
-        self.ambient = ambient
+        self.ambient = incl.tgt
         self.offsets = offsets
         self.incl = incl
         self.group = group
@@ -422,19 +450,14 @@ class PresheafHomGroup:
         if isinstance(coords, Element):
             coords = coords.coords
         amb = self.incl.matrix * coords
-        comps = []
-        for c, hg in enumerate(self.hgs):
-            off = self.offsets[c]
-            block = IntMatrix.column([amb.entry(off + r, 0)
-                                      for r in range(hg.group.gens)])
-            comps.append(hg.hom_of(block))
+        comps = [hg.hom_of(amb.take_rows(range(off, off + hg.group.gens)))
+                 for hg, off in zip(self.hgs, self.offsets)]
         return PresheafHom(self.src_presheaf, self.tgt_presheaf, comps,
                            check=False)
 
     def coords_of(self, ph: PresheafHom) -> Element:
-        vals = []
-        for c, hg in enumerate(self.hgs):
-            vals.extend(hg.coords_of(ph.components[c]).coords.col(0))
+        vals = [v for hg, h in zip(self.hgs, ph.components)
+                for v in hg.coords_of(h).coords.col(0)]
         if self._solver is None:
             self._solver = ModSolver(self.incl.matrix, self.ambient.relations)
         x = self._solver.solve(IntMatrix.column(vals))
@@ -445,10 +468,9 @@ class PresheafHomGroup:
     @property
     def basis(self) -> List[PresheafHom]:
         if self._basis is None:
-            self._basis = [
-                self.hom_of(IntMatrix.column(
-                    [1 if r == j else 0 for r in range(self.group.gens)]))
-                for j in range(self.group.gens)]
+            unit = IntMatrix.identity(self.group.gens)
+            self._basis = [self.hom_of(unit.column_matrix(j))
+                           for j in range(self.group.gens)]
         return self._basis
 
 
@@ -460,7 +482,9 @@ def internal_hom(F: AbPresheaf, G: AbPresheaf) -> AbPresheaf:
     """Down-set hom presheaf: at c, the natural families below c.
 
     The restriction to d forgets the part of a family that lives outside
-    the smaller down-set.
+    the smaller down-set: it keeps the rows of the inclusion at c that
+    belong to the hom blocks over the down-set of d, then corestricts
+    them through the inclusion at d.
     """
     site = F.site
     downs = [site.down_set(c) for c in site.elements()]
@@ -469,40 +493,13 @@ def internal_hom(F: AbPresheaf, G: AbPresheaf) -> AbPresheaf:
     stalks = [phg.group for phg in phgs]
     res = {}
     for (d, c) in site.strict_pairs():
-        keep = [downs[c].index(e) for e in downs[d]]
-        cols = []
-        for fam in phgs[c].basis:
-            part = PresheafHom(phgs[d].src_presheaf, phgs[d].tgt_presheaf,
-                               [fam.components[k] for k in keep], check=False)
-            cols.append(phgs[d].coords_of(part).coords.col(0))
-        res[(d, c)] = FpAbHom(stalks[c], stalks[d],
-                              IntMatrix.from_cols(cols, rows=stalks[d].gens),
-                              check=True)
+        big, small = phgs[c], phgs[d]
+        rows = [big.offsets[k] + r for k, e in enumerate(downs[c])
+                if site.is_leq(e, d) for r in range(big.hgs[k].group.gens)]
+        part = FpAbHom(stalks[c], small.ambient,
+                       big.incl.matrix.take_rows(rows), check=False)
+        res[(d, c)] = fpab.corestrict(part, small.incl)
     return AbPresheaf(site, stalks, res, check=True)
-
-
-def global_sections(F: AbPresheaf) -> FpAbGroup:
-    """The limit of F: families compatible under every restriction."""
-    site = F.site
-    if site.size == 0:
-        return fpab.make_group(0)
-    ambient, offsets = fpab.direct_sum_many(list(F.stalks))
-    pairs = site.strict_pairs()
-    if not pairs:
-        return ambient
-    strips = []
-    tgt_groups = []
-    for (d, c) in pairs:
-        tgt_groups.append(F.stalk(d))
-        blocks = [IntMatrix.zero(F.stalk(d).gens, F.stalk(e).gens)
-                  for e in site.elements()]
-        blocks[c] = blocks[c] + F.res(d, c).matrix
-        blocks[d] = blocks[d] - IntMatrix.identity(F.stalk(d).gens)
-        strips.append(hstack(*blocks))
-    total, _ = fpab.direct_sum_many(tgt_groups)
-    constraint = FpAbHom(ambient, total, vstack(*strips), check=False)
-    group, _ = fpab.kernel(constraint)
-    return group
 
 
 # -------------------------------------------------------------- context
@@ -552,7 +549,7 @@ class PresheafContext(ModuleContext):
         return x.realize() if isinstance(x, FreePresheaf) else x
 
     def zero_object(self) -> AbPresheaf:
-        return FreePresheaf(self.site, ()).realize()
+        return zero_presheaf(self.site)
 
     def is_zero_object(self, obj) -> bool:
         if isinstance(obj, FreePresheaf):
@@ -844,29 +841,30 @@ def sheaf_ext(b: AbPresheaf, a: AbPresheaf, n: int,
 
 # ------------------------------------------------- projectivity witness
 
+def _internal_hom_at(site: FinitePoset, c: int, e: int,
+                     sigma: PresheafHom) -> FpAbHom:
+    """Internal Hom(ZY(c), sigma) at e: by Yoneda, sigma on Γ(↓c∩↓e, -)."""
+    elems = [x for x in site.down_set(c) if site.leq[x][e]]
+    src, src_incl = sections(sigma.src, elems)
+    tgt, tgt_incl = sections(sigma.tgt, elems)
+    post = block_diag(*(sigma.components[x].matrix for x in elems))
+    pushed = FpAbHom(src, tgt_incl.tgt, post * src_incl.matrix, check=False)
+    return fpab.corestrict(pushed, tgt_incl)
+
+
 def internal_projectivity_witness(site: FinitePoset, c: int,
                                   sigma: PresheafHom) -> Optional[int]:
     """First stalk where internal_hom(ZY(c), -) fails to preserve sigma.
 
-    Returns None when the induced map is epi at every element.  Absence
-    over any family of epis is evidence, never a certificate.
+    Each stalk map is read through Yoneda as sigma on the sections over
+    ↓c∩↓e (see _internal_hom_at).  Returns None when the induced map is
+    epi at every element.  Absence over any family of epis is evidence,
+    never a certificate.
     """
     if not is_epi(sigma):
         raise ValueError("sigma must be an epimorphism")
-    yc = free_presheaf(site, c)
     for e in site.elements():
-        elems = site.down_set(e)
-        y = yc.restrict(elems)
-        phg_f = PresheafHomGroup(y, sigma.src.restrict(elems))
-        phg_g = PresheafHomGroup(y, sigma.tgt.restrict(elems))
-        sg = _restrict_hom(sigma, elems, src=phg_f.tgt_presheaf,
-                           tgt=phg_g.tgt_presheaf)
-        cols = [phg_g.coords_of(_compose(sg, fam)).coords.col(0)
-                for fam in phg_f.basis]
-        induced = FpAbHom(phg_f.group, phg_g.group,
-                          IntMatrix.from_cols(cols, rows=phg_g.group.gens),
-                          check=False)
-        if not fpab.is_epi(induced):
+        if not fpab.is_epi(_internal_hom_at(site, c, e, sigma)):
             return e
     return None
 
@@ -887,11 +885,9 @@ def _canonical_presheaves(site: FinitePoset):
     out = []
     for kinds in itertools.product(range(3), repeat=site.size):
         stalks = [_STALK_KINDS[k] for k in kinds]
-        res = {}
-        for (d, c) in site.strict_pairs():
-            res[(d, c)] = FpAbHom(stalks[c], stalks[d],
-                                  _canonical_hom(kinds[c], kinds[d]),
-                                  check=False)
+        res = {(d, c): FpAbHom(stalks[c], stalks[d],
+                               _canonical_hom(kinds[c], kinds[d]), check=False)
+               for (d, c) in site.strict_pairs()}
         try:
             out.append((kinds, AbPresheaf(site, stalks, res, check=True)))
         except IllDefined:

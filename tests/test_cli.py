@@ -363,6 +363,26 @@ class TestExitCodes:
         assert code == cli.EXIT_DOMAIN
         assert "capped" in err
 
+    def test_witness_search_size_cap(self, capsys, monkeypatch):
+        # the candidate family grows as 3^n and is searched in pairs, so
+        # a poset one past the cap is refused before any search
+        doc = json.dumps({"posets": {
+            "wide": {"size": cli.WITNESS_POSET_SIZE_CAP + 1,
+                     "relations": []},
+            "bow": {"size": 5, "relations": [[0, 1], [0, 2], [1, 3],
+                                             [1, 4], [2, 3], [2, 4]]}}})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, _, err = run(capsys, "witness-search", "--input", "-",
+                           "--poset", "wide", "--c", "0")
+        assert code == cli.EXIT_DOMAIN
+        assert "capped" in err
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, _ = run(capsys, "witness-search", "--input", "-",
+                           "--poset", "bow", "--c", "3",
+                           "--format", "machine")
+        assert code == 0
+        assert json.loads(out)["stalk"] in (3, 4)
+
     def test_negative_degree_is_domain(self, capsys):
         code, _, err = run(capsys, "ext", "--B", "Z/4", "--A", "Z/6",
                            "--n", "-1")

@@ -43,6 +43,7 @@ from extcalc.poset_sheaf import (
     presheaf_context,
     presheaf_hom_group,
     principal_intersection_check,
+    sections,
     sheaf_ext,
     witness_search,
     zero_presheaf,
@@ -405,6 +406,30 @@ class TestInternalHom:
         assert internal_hom(f, zero_presheaf(f.site)).is_zero()
         assert internal_hom(zero_presheaf(f.site), f).is_zero()
 
+    @settings(max_examples=25, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_restriction_forgets_outside_the_smaller_down_set(self, rng):
+        # res(d, c) applied to the coordinates of a family below c gives
+        # the coordinates of that family's components below d
+        size = rng.randint(2, 5)
+        parents = [None] + [rng.randrange(i) for i in range(1, size)]
+        f = random_tree_presheaf(rng, parents)
+        g = random_tree_presheaf(rng, parents)
+        site = f.site
+        ih = internal_hom(f, g)
+        downs = [site.down_set(c) for c in site.elements()]
+        phgs = [presheaf_hom_group(f.restrict(elems), g.restrict(elems))
+                for elems in downs]
+        for c in site.elements():
+            assert ih.stalk(c) == phgs[c].group
+        for (d, c) in site.strict_pairs():
+            res = ih.res(d, c).matrix
+            unit = IntMatrix.identity(phgs[c].group.gens)
+            for j, fam in enumerate(phgs[c].basis):
+                part = phgs[d].hom_of(res * unit.column_matrix(j))
+                assert list(part.components) == [
+                    fam.components[downs[c].index(e)] for e in downs[d]]
+
 
 class TestGlobalSections:
 
@@ -728,7 +753,80 @@ class TestFastPath:
             assert_paths_agree(b, a, n)
 
 
+def witness_through_hom_groups(site, c, sigma):
+    """internal_projectivity_witness through explicit natural families.
+
+    At each e, both hom groups out of ZY(c) below e are built from the
+    stalkwise hom groups, and postcomposition with sigma is read off in
+    coordinates.  Returns the induced map at every element.
+    """
+    yc = free_presheaf(site, c)
+    maps = []
+    for e in site.elements():
+        elems = site.down_set(e)
+        y = yc.restrict(elems)
+        src = presheaf_hom_group(y, sigma.src.restrict(elems))
+        tgt = presheaf_hom_group(y, sigma.tgt.restrict(elems))
+        sg = PresheafHom(src.tgt_presheaf, tgt.tgt_presheaf,
+                         [sigma.components[x] for x in elems], check=False)
+        cols = [tgt.coords_of(ps._compose(sg, fam)).coords.col(0)
+                for fam in src.basis]
+        maps.append(fpab.FpAbHom(
+            src.group, tgt.group,
+            IntMatrix.from_cols(cols, rows=tgt.group.gens), check=False))
+    return maps
+
+
+@st.composite
+def canonical_epis(draw):
+    """A poset of at most 4 elements, an element c and a canonical epi."""
+    size = draw(st.integers(1, 4))
+    pairs = [(d, c) for c in range(size) for d in range(c)]
+    relations = (st.lists(st.sampled_from(pairs), unique=True) if pairs
+                 else st.just([]))
+    site = make_poset(size, draw(relations))
+    cands = ps._canonical_presheaves(site)
+    kinds_f, f = draw(st.sampled_from(cands))
+    epis = []
+    for kinds_g, g in cands:
+        if not all(ps._kind_epi(a, b) for a, b in zip(kinds_f, kinds_g)):
+            continue
+        comps = [fpab.FpAbHom(f.stalk(e), g.stalk(e),
+                              ps._canonical_hom(kinds_f[e], kinds_g[e]))
+                 for e in site.elements()]
+        try:
+            epis.append(PresheafHom(f, g, comps))
+        except IllDefined:
+            continue
+    return site, draw(st.integers(0, size - 1)), draw(st.sampled_from(epis))
+
+
+def _forms(h):
+    return (h.src.canonical_form, h.tgt.canonical_form,
+            fpab.kernel(h)[0].canonical_form,
+            fpab.cokernel(h)[0].canonical_form)
+
+
 class TestProjectivityWitness:
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=canonical_epis())
+    def test_sections_match_hom_groups(self, case):
+        # Yoneda: Hom(ZY(c), F) below e is Γ(↓c∩↓e, F), and the witness
+        # reads sigma on those sections as postcomposition with sigma
+        site, c, sigma = case
+        reference = witness_through_hom_groups(site, c, sigma)
+        for e, ref in enumerate(reference):
+            meet = [x for x in site.down_set(c) if site.is_leq(x, e)]
+            assert (sections(sigma.src, meet)[0].canonical_form
+                    == ref.src.canonical_form)
+            assert (sections(sigma.tgt, meet)[0].canonical_form
+                    == ref.tgt.canonical_form)
+            at_e = ps._internal_hom_at(site, c, e, sigma)
+            assert _forms(at_e) == _forms(ref)
+        first = next((e for e, ref in enumerate(reference)
+                      if not fpab.is_epi(ref)), None)
+        assert internal_projectivity_witness(site, c, sigma) == first
 
     def test_bowtie_search_finds_witness(self):
         found = witness_search(bowtie(), 3)
@@ -740,21 +838,9 @@ class TestProjectivityWitness:
     def test_witness_verified_by_substitution(self):
         # rebuild the induced stalk map independently and watch it miss
         sigma, stalk = witness_search(bowtie(), 3)
-        yc = free_presheaf(bowtie(), 3)
-        elems = bowtie().down_set(stalk)
-        src_phg = presheaf_hom_group(yc.restrict(elems),
-                                     sigma.src.restrict(elems))
-        tgt_phg = presheaf_hom_group(yc.restrict(elems),
-                                     sigma.tgt.restrict(elems))
-        sg = PresheafHom(src_phg.tgt_presheaf, tgt_phg.tgt_presheaf,
-                         [sigma.components[e] for e in elems], check=False)
-        cols = [tgt_phg.coords_of(ps._compose(sg, fam)).coords.col(0)
-                for fam in src_phg.basis]
-        induced = fpab.FpAbHom(
-            src_phg.group, tgt_phg.group,
-            IntMatrix.from_cols(cols, rows=tgt_phg.group.gens), check=False)
+        induced = witness_through_hom_groups(bowtie(), 3, sigma)[stalk]
         assert not fpab.is_epi(induced)
-        assert not tgt_phg.group.is_trivial()
+        assert not induced.tgt.is_trivial()
 
     def test_witness_is_stable(self):
         first = witness_search(bowtie(), 3)

@@ -7,6 +7,7 @@ shared hom group out of a free is also checked by one property over all
 three contexts: induced precomposition agrees with composing the maps.
 """
 
+import math
 import random
 
 import pytest
@@ -180,6 +181,34 @@ def test_ext_n_vanishes_in_higher_degrees():
     assert ext_n(CTX, zmod(6), zmod(4), 1).canonical_form == (0, (2,))
     with pytest.raises(ValueError):
         ext_n(CTX, Z, Z, -1)
+
+
+def invariant_factor_formula(b, a, n):
+    """Canonical form of Ext^n_Z(B, A) from the invariant factors alone.
+
+    With B = Z^r + sum Z/d and A = Z^s + sum Z/e: Hom(B, A) is A^r plus
+    Z/gcd(d, e) for every pair, Ext^1(B, A) is the sum of A/dA, and
+    every higher Ext vanishes.
+    """
+    r, ds = b.canonical_form
+    s, es = a.canonical_form
+    pairs = [math.gcd(d, e) for d in ds for e in es]
+    if n == 0:
+        rank, factors = r * s, list(es) * r + pairs
+    elif n == 1:
+        rank, factors = 0, list(ds) * s + pairs
+    else:
+        rank, factors = 0, []
+    return from_invariants(rank, [f for f in factors if f > 1]).canonical_form
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_ext_n_matches_invariant_factor_formula(rng):
+    b, a = random_group(rng), random_group(rng)
+    for n in range(4):
+        assert (ext_n(CTX, b, a, n).canonical_form
+                == invariant_factor_formula(b, a, n)), n
 
 
 def test_ext_n_presentation_independent():
