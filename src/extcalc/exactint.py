@@ -1,18 +1,21 @@
 """Exact integer matrix arithmetic: sparse echelon elimination, Smith normal form.
 
 All entries are Python ints, so intermediate values never overflow.  Matrices
-are immutable; every operation returns a fresh matrix.  Kernels, column
-spans, rank and linear solving share one sparse column-echelon reduction;
-the solvers read each right-hand side off its pivot columns by forward
-substitution.  The dense `snf` serves only what reads a Smith diagonal or its
-transforms: canonical forms, reduction and minimized presentations of groups,
-and the CLI `snf` command.  Determinism matters for canonical forms, so pivot
-choices follow a fixed rule: the minimal absolute value wins, with the
-smallest index breaking ties.
+are immutable; every operation returns a fresh matrix.  Entries are checked
+once, at the boundary (the public constructors); operations build through
+`IntMatrix._wrap` without re-checking.  Kernels, column spans, rank and linear
+solving share one sparse column-echelon reduction; the solvers read each
+right-hand side off its pivot columns by forward substitution.  The dense
+`snf` serves only what reads a Smith diagonal or its transforms: canonical
+forms, reduction and minimized presentations of groups, and the CLI `snf`
+command.  Determinism matters for canonical forms, so pivot choices follow a
+fixed rule: the minimal absolute value wins, the smallest index breaking ties.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 
@@ -23,9 +26,11 @@ class DimensionMismatch(ValueError):
 class IntMatrix:
     """Immutable dense matrix over the integers.
 
-    Stored row-major as a tuple of row tuples.  Either dimension may be
-    zero; empty matrices participate in products and stacking with the
-    usual conventions.
+    Stored row-major as a tuple of row tuples of ints; either dimension may
+    be zero, with the usual conventions for products and stacking.  The
+    constructor, `from_rows`, `from_cols`, `column` and `diagonal` validate
+    input (ragged grid: DimensionMismatch; non-integral entry: TypeError);
+    every other operation builds through `_wrap` without re-checking.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -33,20 +38,16 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[int]]):
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative dimension")
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        data = tuple(tuple(map(index, row)) for row in entries)
         if len(data) != rows or any(len(r) != cols for r in data):
-            raise DimensionMismatch(
-                f"entry grid does not match declared shape {rows}x{cols}"
-            )
+            raise DimensionMismatch(f"entry grid does not match declared shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
         self.data = data
 
     @classmethod
     def _wrap(cls, rows: int, cols: int, data: tuple) -> "IntMatrix":
-        # trusted construction: data must already be a tuple of int-tuples
-        # of the declared shape; skips the per-entry normalization, which
-        # matters for induced matrices with millions of entries
+        # trusted: data is already a tuple of int tuples of the declared shape
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
@@ -55,12 +56,9 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        rows = len(entries)
-        if rows == 0:
-            if cols is None:
-                cols = 0
-            return cls(0, cols, ())
-        return cls(rows, len(entries[0]), entries)
+        if len(entries) == 0:
+            return cls(0, cols or 0, ())
+        return cls(len(entries), len(entries[0]), entries)
 
     @classmethod
     def from_cols(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -73,11 +71,15 @@ class IntMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, ((0,) * cols,) * rows)
+        if rows < 0 or cols < 0:
+            raise DimensionMismatch("negative dimension")
+        return cls._wrap(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, (tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        if n < 0:
+            raise DimensionMismatch("negative dimension")
+        return cls._wrap(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def diagonal(cls, values: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
@@ -88,7 +90,7 @@ class IntMatrix:
 
     @classmethod
     def column(cls, values: Sequence[int]) -> "IntMatrix":
-        return cls(len(values), 1, ((int(v),) for v in values))
+        return cls(len(values), 1, ((v,) for v in values))
 
     def entry(self, i: int, j: int) -> int:
         return self.data[i][j]
@@ -100,16 +102,18 @@ class IntMatrix:
         return tuple(r[j] for r in self.data)
 
     def column_matrix(self, j: int) -> "IntMatrix":
-        return IntMatrix(self.rows, 1, ((r[j],) for r in self.data))
+        return IntMatrix._wrap(self.rows, 1, tuple((r[j],) for r in self.data))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, (self.col(j) for j in range(self.cols)))
+        # zip(*()) is empty: a 0xN matrix spells out its N empty rows
+        return IntMatrix._wrap(self.cols, self.rows, tuple(zip(*self.data)) or ((),) * self.cols)
 
     def take_cols(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(self.rows, len(indices), (tuple(r[j] for j in indices) for r in self.data))
+        return IntMatrix._wrap(self.rows, len(indices),
+                               tuple(tuple(r[j] for j in indices) for r in self.data))
 
     def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(len(indices), self.cols, (self.data[i] for i in indices))
+        return IntMatrix._wrap(len(indices), self.cols, tuple(self.data[i] for i in indices))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -128,25 +132,26 @@ class IntMatrix:
                         if b:
                             acc[j] += a * b
             out.append(tuple(acc))
-        return IntMatrix(self.rows, ocols, out)
+        return IntMatrix._wrap(self.rows, ocols, tuple(out))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("addition shape mismatch")
-        return IntMatrix(self.rows, self.cols,
-                         (tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
+        return IntMatrix._wrap(self.rows, self.cols, tuple(
+            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("subtraction shape mismatch")
-        return IntMatrix(self.rows, self.cols,
-                         (tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
+        return IntMatrix._wrap(self.rows, self.cols, tuple(
+            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, (tuple(-a for a in r) for r in self.data))
+        return IntMatrix._wrap(self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.data))
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, (tuple(k * a for a in r) for r in self.data))
+        k = index(k)
+        return IntMatrix._wrap(self.rows, self.cols, tuple(tuple(k * a for a in r) for r in self.data))
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.data for a in r)
@@ -168,8 +173,8 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionMismatch("hstack row mismatch")
-    return IntMatrix(rows, sum(m.cols for m in mats),
-                     (tuple(x for m in mats for x in m.data[i]) for i in range(rows)))
+    return IntMatrix._wrap(rows, sum(m.cols for m in mats), tuple(
+        tuple(chain.from_iterable(parts)) for parts in zip(*(m.data for m in mats))))
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
@@ -178,23 +183,20 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionMismatch("vstack column mismatch")
-    return IntMatrix(sum(m.rows for m in mats), cols, (r for m in mats for r in m.data))
+    return IntMatrix._wrap(sum(m.rows for m in mats), cols,
+                           tuple(chain.from_iterable(m.data for m in mats)))
 
 
 def block_diag(*mats: IntMatrix) -> IntMatrix:
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    out = []
+    c0 = 0
     for m in mats:
-        for i in range(m.rows):
-            row = out[r0 + i]
-            mrow = m.data[i]
-            for j in range(m.cols):
-                row[c0 + j] = mrow[j]
-        r0 += m.rows
+        left, right = (0,) * c0, (0,) * (cols - c0 - m.cols)
+        out.extend(left + r + right for r in m.data)
         c0 += m.cols
-    return IntMatrix(rows, cols, out)
+    return IntMatrix._wrap(rows, cols, tuple(out))
 
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -207,7 +209,7 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             arow = a.data[i]
             brow = b.data[ib]
             out.append(tuple(arow[j] * brow[jb] for j in range(a.cols) for jb in range(b.cols)))
-    return IntMatrix(rows, cols, out)
+    return IntMatrix._wrap(rows, cols, tuple(out))
 
 
 def det(a: IntMatrix) -> int:
@@ -393,8 +395,8 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             row_op(t, viol, 1)
         t += 1
 
-    return SmithDecomposition(IntMatrix(m, m, u), IntMatrix(m, n, d),
-                              IntMatrix(n, n, v), IntMatrix(m, m, ui))
+    return SmithDecomposition(*(IntMatrix._wrap(r, c, tuple(map(tuple, x)))
+                                for r, c, x in ((m, m, u), (m, n, d), (n, n, v), (m, m, ui))))
 
 
 class _ReducedCol:
@@ -486,11 +488,12 @@ def _column_reduce(a: IntMatrix, track_rows: int):
     return order, front
 
 
-def _densify(sparse: dict, length: int) -> list:
-    dense = [0] * length
-    for i, x in sparse.items():
-        dense[i] = x
-    return dense
+def _from_sparse_cols(cols: Sequence[dict], height: int) -> IntMatrix:
+    grid = [[0] * len(cols) for _ in range(height)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            grid[i][j] = x
+    return IntMatrix._wrap(height, len(cols), tuple(map(tuple, grid)))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -500,8 +503,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     kernel of an integer matrix is a direct summand of the ambient lattice.
     """
     order, npiv = _column_reduce(a, track_rows=a.cols)
-    return IntMatrix.from_cols([_densify(col.w, a.cols) for col in order[npiv:]],
-                               rows=a.cols)
+    return _from_sparse_cols([col.w for col in order[npiv:]], a.cols)
 
 
 def constrained_kernel(a: IntMatrix, rel: IntMatrix) -> IntMatrix:
@@ -516,15 +518,13 @@ def constrained_kernel(a: IntMatrix, rel: IntMatrix) -> IntMatrix:
         raise DimensionMismatch("constraint matrix height mismatch")
     combined = hstack(a, rel) if rel.cols else a
     order, npiv = _column_reduce(combined, track_rows=a.cols)
-    return IntMatrix.from_cols([_densify(col.w, a.cols) for col in order[npiv:]],
-                               rows=a.cols)
+    return _from_sparse_cols([col.w for col in order[npiv:]], a.cols)
 
 
 def column_space_basis(a: IntMatrix) -> IntMatrix:
     """Basis for the column span of A, as the nonzero columns of a column echelon form."""
     order, npiv = _column_reduce(a, track_rows=0)
-    return IntMatrix.from_cols([_densify(col.d, a.rows) for col in order[:npiv]],
-                               rows=a.rows)
+    return _from_sparse_cols([col.d for col in order[:npiv]], a.rows)
 
 
 def rank(a: IntMatrix) -> int:

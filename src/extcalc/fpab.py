@@ -153,14 +153,14 @@ class FpAbGroup:
                 m = self._row_moduli.get(i, 0)
                 x = coords.data[i][0]
                 out.append(x % m if m else x)
-            return IntMatrix.column(out)
+            return IntMatrix._wrap(self.gens, 1, tuple((x,) for x in out))
         dec = self._snf_data()
         y = [row[0] for row in (dec.U * coords).data]
         diag = dec.diagonal()
         for i, d in enumerate(diag):
             if d:
                 y[i] %= d
-        return dec.u_inv * IntMatrix.column(y)
+        return dec.u_inv * IntMatrix._wrap(len(y), 1, tuple((x,) for x in y))
 
     def contains_zero(self, coords: IntMatrix) -> bool:
         return self.reduce(coords).is_zero()
@@ -384,13 +384,14 @@ def compose(f: FpAbHom, g: FpAbHom) -> FpAbHom:
 
 def _vec(m: IntMatrix) -> IntMatrix:
     """Column-major vectorization."""
-    return IntMatrix.column([m.data[i][j] for j in range(m.cols) for i in range(m.rows)])
+    return IntMatrix._wrap(m.rows * m.cols, 1,
+                           tuple((r[j],) for j in range(m.cols) for r in m.data))
 
 
 def _unvec(col: IntMatrix, rows: int, cols: int) -> IntMatrix:
     vals = [r[0] for r in col.data]
-    return IntMatrix(rows, cols,
-                     (tuple(vals[i + j * rows] for j in range(cols)) for i in range(rows)))
+    return IntMatrix._wrap(rows, cols, tuple(
+        tuple(vals[i + j * rows] for j in range(cols)) for i in range(rows)))
 
 
 class HomGroup:
@@ -565,7 +566,7 @@ def summand_injection(total: FpAbGroup, groups: Sequence[FpAbGroup],
         if offsets[i] <= k < offsets[i] + g.gens:
             row[k - offsets[i]] = 1
         rows.append(tuple(row))
-    return FpAbHom(g, total, IntMatrix(total.gens, g.gens, rows), check=False)
+    return FpAbHom(g, total, IntMatrix._wrap(total.gens, g.gens, tuple(rows)), check=False)
 
 
 def summand_projection(total: FpAbGroup, groups: Sequence[FpAbGroup],
@@ -576,7 +577,7 @@ def summand_projection(total: FpAbGroup, groups: Sequence[FpAbGroup],
         row = [0] * total.gens
         row[offsets[i] + k] = 1
         rows.append(tuple(row))
-    return FpAbHom(total, g, IntMatrix(g.gens, total.gens, rows), check=False)
+    return FpAbHom(total, g, IntMatrix._wrap(g.gens, total.gens, tuple(rows)), check=False)
 
 
 def minimized(group: FpAbGroup) -> Tuple[FpAbGroup, FpAbHom, FpAbHom]:

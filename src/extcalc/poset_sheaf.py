@@ -385,9 +385,9 @@ def _equalizer(groups: Sequence[FpAbGroup],
             row = [0] * ambient.gens
             row[offsets[c]:offsets[c] + len(fr)] = fr
             row[offsets[d]:offsets[d] + len(gr)] = [-v for v in gr]
-            rows.append(row)
+            rows.append(tuple(row))
     total, _ = fpab.direct_sum_many([a[0] for a in arrows])
-    matrix = IntMatrix(total.gens, ambient.gens, rows)
+    matrix = IntMatrix._wrap(total.gens, ambient.gens, tuple(rows))
     constraint = FpAbHom(ambient, total, matrix, check=False)
     return (*fpab.kernel(constraint), offsets)
 

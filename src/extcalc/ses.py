@@ -208,16 +208,13 @@ def baer_sum(e: ShortExactSeq, f: ShortExactSeq) -> ShortExactSeq:
     if e.A != f.A or e.B != f.B:
         raise DimensionMismatch("Baer sum needs matching endpoints")
     a, b = e.A, e.B
-    i_sum = FpAbHom(direct_sum(a, a).group, direct_sum(e.E, f.E).group,
-                    block_diag(e.i.matrix, f.i.matrix), check=False)
-    p_sum = FpAbHom(direct_sum(e.E, f.E).group, direct_sum(b, b).group,
-                    block_diag(e.p.matrix, f.p.matrix), check=False)
+    aa, ef, bb = (direct_sum_many(pair)[0] for pair in ((a, a), (e.E, f.E), (b, b)))
+    i_sum = FpAbHom(aa, ef, block_diag(e.i.matrix, f.i.matrix), check=False)
+    p_sum = FpAbHom(ef, bb, block_diag(e.p.matrix, f.p.matrix), check=False)
     total = ShortExactSeq(i_sum, p_sum)
-    diag = FpAbHom(b, direct_sum(b, b).group,
-                   vstack(IntMatrix.identity(b.gens), IntMatrix.identity(b.gens)),
+    diag = FpAbHom(b, bb, vstack(IntMatrix.identity(b.gens), IntMatrix.identity(b.gens)),
                    check=False)
-    codiag = FpAbHom(direct_sum(a, a).group, a,
-                     hstack(IntMatrix.identity(a.gens), IntMatrix.identity(a.gens)),
+    codiag = FpAbHom(aa, a, hstack(IntMatrix.identity(a.gens), IntMatrix.identity(a.gens)),
                      check=False)
     return pushout_ses(codiag, pullback_ses(diag, total))
 
@@ -231,7 +228,7 @@ class Ext1Group:
     and modulo A's own relations, all flattened to one presented group.
     """
 
-    __slots__ = ("B", "A", "group", "k_incl", "cover")
+    __slots__ = ("B", "A", "group", "k_incl", "cover", "_base")
 
     def __init__(self, b: FpAbGroup, a: FpAbGroup):
         self.B = b
@@ -244,6 +241,7 @@ class Ext1Group:
         rel_blocks = block_diag(*([a.relations] * kb)) if kb else IntMatrix.zero(0, 0)
         self.group = make_group(kb * na, hstack(rel_blocks, restriction))
         self._check_against_invariant_formula()
+        self._base = None
 
     def _check_against_invariant_formula(self):
         predicted = []
@@ -258,10 +256,12 @@ class Ext1Group:
                                "invariant-factor formula")
 
     def canonical_presentation(self) -> ShortExactSeq:
-        """The reference sequence K -> F -> B used for class coordinates."""
-        k_free = free_abelian(self.k_incl.cols)
-        incl = FpAbHom(k_free, self.cover.src, self.k_incl, check=False)
-        return make_ses(incl, self.cover)
+        """The reference sequence K -> F -> B for class coordinates; built once, shared."""
+        if self._base is None:
+            k_free = free_abelian(self.k_incl.cols)
+            incl = FpAbHom(k_free, self.cover.src, self.k_incl, check=False)
+            self._base = make_ses(incl, self.cover)
+        return self._base
 
     def class_element(self, coords: IntMatrix) -> "ExtClass":
         return ExtClass(self, Element(self.group, coords))

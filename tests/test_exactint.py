@@ -19,6 +19,7 @@ from extcalc.exactint import (
     ModSolver,
     block_diag,
     column_space_basis,
+    constrained_kernel,
     det,
     hstack,
     kernel_basis,
@@ -386,7 +387,6 @@ def test_det_matches_oracle():
 
 def test_constrained_kernel_brute_force():
     # generators of {x : A x in colspan(rel)}, checked against box enumeration
-    from extcalc.exactint import constrained_kernel
     rng = random.Random(1008)
     for _ in range(40):
         m = rng.randint(1, 3)
@@ -409,7 +409,6 @@ def test_constrained_kernel_brute_force():
 
 
 def test_constrained_kernel_trivial_constraint():
-    from extcalc.exactint import constrained_kernel
     a = IntMatrix.from_rows([[2, 4]])
     # rel spans everything: constraint is vacuous
     full = constrained_kernel(a, IntMatrix.identity(1))
@@ -418,3 +417,101 @@ def test_constrained_kernel_trivial_constraint():
     none = constrained_kernel(a, IntMatrix.zero(1, 0))
     assert rank(none) == 1
     assert (a * none).is_zero()
+
+
+# ---------------------------------------------------------------- the boundary
+
+class _Seven:
+    """An integer type that is not int: usable wherever an index is."""
+
+    def __index__(self):
+        return 7
+
+
+def test_boundary_constructors_reject_non_integral_entries():
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[3.7]])
+    with pytest.raises(TypeError):
+        IntMatrix.diagonal([2.9, 3])
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[3, 5]]).scale(0.5)
+    with pytest.raises(TypeError):
+        IntMatrix.column([1, 2.0])
+    with pytest.raises(TypeError):
+        IntMatrix.from_cols([[1], ["2"]])
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_cols([[1, 2], [3]])
+    for build in (lambda: IntMatrix.zero(-1, 2), lambda: IntMatrix.identity(-1)):
+        with pytest.raises(DimensionMismatch):
+            build()
+    m = IntMatrix.from_rows([[True, False], [_Seven(), -2]])
+    assert m.data == ((1, 0), (7, -2))
+    assert all(type(x) is int for row in m.data for x in row)
+    assert IntMatrix.diagonal([_Seven(), True]) == IntMatrix.from_rows([[7, 0], [0, 1]])
+    assert m.scale(_Seven()) == IntMatrix.from_rows([[7, 0], [49, -14]])
+
+
+def assert_well_formed(m):
+    """The invariant every trusted construction must keep."""
+    assert type(m.data) is tuple and len(m.data) == m.rows
+    for row in m.data:
+        assert type(row) is tuple and len(row) == m.cols
+        assert all(type(x) is int for x in row)
+    assert m == IntMatrix(m.rows, m.cols, m.data)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, max_side=5, values=st.integers(-6, 6)):
+    """A validated matrix, 0 rows or 0 columns included."""
+    rows = draw(st.integers(0, max_side)) if rows is None else rows
+    cols = draw(st.integers(0, max_side)) if cols is None else cols
+    return IntMatrix(rows, cols, draw(st.lists(
+        st.lists(values, min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows)))
+
+
+@st.composite
+def operand_sets(draw):
+    a = draw(matrices(values=st.integers(-6, 6) | st.booleans()))
+    return (a, draw(matrices(rows=a.cols)), draw(matrices(rows=a.rows, cols=a.cols)),
+            draw(matrices(rows=a.rows, max_side=3)), draw(matrices(rows=a.cols, max_side=3)),
+            draw(st.integers(-5, 5)),
+            draw(st.lists(st.integers(0, max(a.rows - 1, 0)), max_size=6)),
+            draw(st.lists(st.integers(0, max(a.cols - 1, 0)), max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=operand_sets())
+def test_every_operation_keeps_the_matrix_invariant(case):
+    a, b, c, rel, x, k, ri, ci = case
+    dec = snf(a)
+    results = [a, a * b, a + c, a - c, -a, a.scale(k), a.transpose(), c.transpose(),
+               IntMatrix.zero(0, a.cols).transpose(), IntMatrix.zero(a.rows, 0).transpose(),
+               hstack(a, c, rel), vstack(a, c), block_diag(a, b, rel), kron(a, b), kron(b, rel),
+               IntMatrix.zero(a.rows, a.cols), IntMatrix.identity(a.cols),
+               dec.U, dec.D, dec.V, dec.u_inv,
+               kernel_basis(a), constrained_kernel(a, rel), column_space_basis(a),
+               ModSolver(a, rel).solve_matrix(a * x)]
+    if a.rows:
+        results.append(a.take_rows(ri))
+    if a.cols:
+        results += [a.take_cols(ci), a.column_matrix(ci[0] if ci else 0)]
+    for m in results:
+        assert_well_formed(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=matrices(max_side=4))
+def test_snf_invariant_products_are_minor_gcds(a):
+    """d_1 ... d_k is the gcd of the k x k minors, and 0 past the rank."""
+    diag = snf(a).diagonal()
+    r = rank(a)
+    product = 1
+    for k in range(1, min(a.rows, a.cols) + 1):
+        g = 0
+        for ri in itertools.combinations(range(a.rows), k):
+            for ci in itertools.combinations(range(a.cols), k):
+                g = math.gcd(g, det(a.take_rows(ri).take_cols(ci)))
+        product *= diag[k - 1]
+        assert product == g
+        assert (product == 0) == (k > r)

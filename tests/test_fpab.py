@@ -199,6 +199,8 @@ def test_element_arithmetic():
     assert (a - b).is_zero()
     assert (-a) == g.element([5])
     assert a.scale(6).is_zero()
+    with pytest.raises(TypeError):
+        a.scale(1.5)
     assert len(list(g.elements())) == 6
     assert len(set(g.elements())) == 6
 

@@ -215,6 +215,8 @@ def test_class_realize_roundtrip():
         e = realize_class(c)
         assert e.A == a and e.B == b
         assert class_of(e, g) == c
+        # the reference sequence is built once per group and shared
+        assert g.canonical_presentation() is g.canonical_presentation()
 
 
 def test_class_zero_iff_split():
