@@ -438,7 +438,8 @@ def hom_group(a: FpAbGroup, b: FpAbGroup) -> HomGroup:
 
     A hom matrix M must satisfy M * rel(A) = 0 modulo rel(B) columnwise;
     two matrices are identified when they differ columnwise by rel(B).
-    Both conditions are linear in vec(M).
+    Both conditions are linear in vec(M).  Each lattice column satisfies
+    the first by construction, so the basis homs are built unchecked.
     """
     n, m = b.gens, a.gens
     ra, rb = a.relations, b.relations
@@ -448,7 +449,7 @@ def hom_group(a: FpAbGroup, b: FpAbGroup) -> HomGroup:
     equiv = block_diag(*([rb] * m)) if m else IntMatrix.zero(0, 0)
     relations = constrained_kernel(lattice, equiv)
     group = FpAbGroup(lattice.cols, relations)
-    basis = [FpAbHom(a, b, _unvec(lattice.column_matrix(j), n, m), check=True)
+    basis = [FpAbHom(a, b, _unvec(lattice.column_matrix(j), n, m), check=False)
              for j in range(lattice.cols)]
     return HomGroup(a, b, group, basis, lattice, equiv)
 
@@ -585,11 +586,13 @@ def minimized(group: FpAbGroup) -> Tuple[FpAbGroup, FpAbHom, FpAbHom]:
 
     Returns (small, to_small, from_small) with to_small ∘ from_small the
     identity on the small group and from_small ∘ to_small equal to the
-    identity of the original group.  Nothing in the engine calls it: it
-    is a tested public helper for shrinking a presentation by hand, and
-    the benchmark's tracer wraps it.
+    identity of the original group.  The torsion generators come first,
+    with monomial relations Z/d for the invariant factors d; the group's
+    own cached Smith form supplies the change of basis, so computing its
+    canonical form as well costs no second elimination.  Cohomology
+    (resolution.cohomology_data) presents every H^n this way.
     """
-    dec = snf(group.relations)
+    dec = group._snf_data()
     diag = dec.diagonal()
     keep = [i for i, d in enumerate(diag) if d != 1]
     keep += list(range(len(diag), group.gens))

@@ -548,14 +548,6 @@ class PresheafContext(ModuleContext):
     def _obj(self, x) -> AbPresheaf:
         return x.realize() if isinstance(x, FreePresheaf) else x
 
-    def zero_object(self) -> AbPresheaf:
-        return zero_presheaf(self.site)
-
-    def is_zero_object(self, obj) -> bool:
-        if isinstance(obj, FreePresheaf):
-            return not obj.labels
-        return obj.is_zero()
-
     def free_rank(self, f) -> int:
         if isinstance(f, FreePresheaf):
             return len(f.labels)
@@ -584,7 +576,9 @@ class PresheafContext(ModuleContext):
         for (d, c) in site.strict_pairs():
             moved = fpab.compose(f.src.res(d, c), parts[c][1])
             res[(d, c)] = fpab.corestrict(moved, parts[d][1])
-        k = AbPresheaf(site, stalks, res, check=True)
+        # restrictions are corestrictions of f.src's along the stalkwise
+        # monos, so they compose as f.src's do and incl is natural
+        k = AbPresheaf(site, stalks, res, check=False)
         incl = PresheafHom(k, f.src, [incl for (_, incl) in parts],
                            check=False)
         return k, incl
@@ -596,12 +590,6 @@ class PresheafContext(ModuleContext):
         obj = self._obj(obj)
         return PresheafHom(obj, obj,
                            [identity_hom(obj.stalk(c))
-                            for c in self.site.elements()], check=False)
-
-    def zero_hom(self, src, tgt) -> PresheafHom:
-        s, t = self._obj(src), self._obj(tgt)
-        return PresheafHom(s, t,
-                           [fpab.zero_hom(s.stalk(c), t.stalk(c))
                             for c in self.site.elements()], check=False)
 
     def is_zero_hom(self, f: PresheafHom) -> bool:

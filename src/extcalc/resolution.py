@@ -41,15 +41,6 @@ class ModuleContext:
     def __hash__(self) -> int:
         return hash(type(self))
 
-    def zero_object(self):
-        raise NotImplementedError
-
-    def is_zero_object(self, obj) -> bool:
-        raise NotImplementedError
-
-    def free(self, rank: int):
-        raise NotImplementedError
-
     def free_rank(self, f) -> int:
         raise NotImplementedError
 
@@ -58,15 +49,14 @@ class ModuleContext:
         raise NotImplementedError
 
     def kernel(self, f):
+        """(K, incl) with incl mono.  K's structure maps are corestrictions
+        along incl, so its laws hold as in f's source and go unchecked."""
         raise NotImplementedError
 
     def compose(self, f, g):
         raise NotImplementedError
 
     def identity(self, obj):
-        raise NotImplementedError
-
-    def zero_hom(self, src, tgt):
         raise NotImplementedError
 
     def is_zero_hom(self, f) -> bool:
@@ -275,28 +265,31 @@ def zero_complex(length: int) -> FpAbComplex:
 class CohomologyData:
     """H^n of a complex with enough data to map cocycles to coordinates.
 
-    lattice columns are cocycle representatives in C^n generator
-    coordinates; they generate {x : d(x) = 0 in C^{n+1}} and present H^n
-    after quotienting by coboundaries and C^n relations.
+    The group is presented on its invariant factors (fpab.minimized), and
+    lattice columns are cocycle representatives of its generators in C^n
+    generator coordinates.  coords_of solves against a basis of the
+    cocycles {x : d(x) = 0 in C^{n+1}} modulo coboundaries and C^n
+    relations, then maps the solution onto those generators.
     """
 
-    def __init__(self, group: FpAbGroup, lattice: IntMatrix, boundary: IntMatrix):
+    def __init__(self, group: FpAbGroup, lattice: IntMatrix,
+                 cocycles: IntMatrix, boundary: IntMatrix,
+                 to_group: IntMatrix):
         self.group = group
         self.lattice = lattice
+        self._cocycles = cocycles
         self._boundary = boundary
+        self._to_group = to_group
         self._solver = None
 
     def coords_of(self, cocycle: IntMatrix) -> fpab.Element:
         """Class of a cocycle given in C^n generator coordinates."""
         if self._solver is None:
-            self._solver = ModSolver(self.lattice, self._boundary)
+            self._solver = ModSolver(self._cocycles, self._boundary)
         x = self._solver.solve(cocycle)
         if x is None:
             raise ValueError("column is not a cocycle for this complex degree")
-        return fpab.Element(self.group, x)
-
-    def representative(self, coords: fpab.Element) -> IntMatrix:
-        return self.lattice * coords.coords
+        return fpab.Element(self.group, self._to_group * x)
 
 
 def cohomology_data(c: FpAbComplex, n: int) -> CohomologyData:
@@ -305,14 +298,17 @@ def cohomology_data(c: FpAbComplex, n: int) -> CohomologyData:
     group_n = c.groups[n]
     if n < len(c.maps):
         out = c.maps[n]
-        lattice = constrained_kernel(out.matrix, out.tgt.relations)
+        cocycles = constrained_kernel(out.matrix, out.tgt.relations)
     else:
-        lattice = IntMatrix.identity(group_n.gens)
+        cocycles = IntMatrix.identity(group_n.gens)
     incoming = (c.maps[n - 1].matrix if n >= 1
                 else IntMatrix.zero(group_n.gens, 0))
     boundary = hstack(group_n.relations, incoming)
-    relations = constrained_kernel(lattice, boundary)
-    return CohomologyData(make_group(lattice.cols, relations), lattice, boundary)
+    relations = constrained_kernel(cocycles, boundary)
+    small, to_small, from_small = fpab.minimized(
+        make_group(cocycles.cols, relations))
+    return CohomologyData(small, cocycles * from_small.matrix, cocycles,
+                          boundary, to_small.matrix)
 
 
 def cohomology(c: FpAbComplex, n: int) -> FpAbGroup:
@@ -371,15 +367,6 @@ def lift_chain_map(p: FreeResolution, q: FreeResolution, f) -> List:
 class ZContext(ModuleContext):
     """Finitely presented abelian groups as the base module category."""
 
-    def zero_object(self) -> FpAbGroup:
-        return make_group(0, IntMatrix.zero(0, 0))
-
-    def is_zero_object(self, obj: FpAbGroup) -> bool:
-        return obj.is_trivial()
-
-    def free(self, rank: int) -> FpAbGroup:
-        return free_abelian(rank)
-
     def free_rank(self, f: FpAbGroup) -> int:
         return f.gens
 
@@ -395,9 +382,6 @@ class ZContext(ModuleContext):
 
     def identity(self, obj: FpAbGroup) -> FpAbHom:
         return fpab.identity_hom(obj)
-
-    def zero_hom(self, src: FpAbGroup, tgt: FpAbGroup) -> FpAbHom:
-        return fpab.zero_hom(src, tgt)
 
     def is_zero_hom(self, f: FpAbHom) -> bool:
         return f.is_zero()

@@ -58,11 +58,16 @@ class NotExact(ValueError):
 
 
 class ShortExactSeq:
-    """A --i--> E --p--> B with i mono, p epi, im(i) = ker(p)."""
+    """A --i--> E --p--> B with i mono, p epi, im(i) = ker(p).
+
+    The constructor trusts its maps: it serves the constructions below,
+    which are exact by design.  Sequences from outside go through
+    make_ses, which checks every axiom.
+    """
 
     __slots__ = ("A", "E", "B", "i", "p")
 
-    def __init__(self, i: FpAbHom, p: FpAbHom, A=None, E=None, B=None):
+    def __init__(self, i: FpAbHom, p: FpAbHom):
         self.A = i.src
         self.E = i.tgt
         self.B = p.tgt
@@ -165,7 +170,8 @@ def pushout_ses(f: FpAbHom, e: ShortExactSeq) -> ShortExactSeq:
     """Pushout of e along f : A -> A'.
 
     The middle group is (A' ⊕ E)/⟨(f(a), −i(a))⟩, presented directly by
-    adjoining those columns to the block relations.
+    adjoining those columns to the block relations.  The result is exact
+    whenever e is, so it is built unchecked.
     """
     if f.src != e.A:
         raise DimensionMismatch("pushout map must start at the kernel group")
@@ -179,7 +185,7 @@ def pushout_ses(f: FpAbHom, e: ShortExactSeq) -> ShortExactSeq:
     p2 = FpAbHom(pushed, e.B,
                  hstack(IntMatrix.zero(e.B.gens, a2.gens), e.p.matrix),
                  check=False)
-    return make_ses(i2, p2)
+    return ShortExactSeq(i2, p2)
 
 
 def pushout_middle_map(f: FpAbHom, e: ShortExactSeq,
@@ -191,7 +197,10 @@ def pushout_middle_map(f: FpAbHom, e: ShortExactSeq,
 
 
 def pullback_ses(g: FpAbHom, e: ShortExactSeq) -> ShortExactSeq:
-    """Pullback of e along g : B' -> B, the kernel of (p, −g) : E⊕B' -> B."""
+    """Pullback of e along g : B' -> B, the kernel of (p, −g) : E⊕B' -> B.
+
+    The result is exact whenever e is, so it is built unchecked.
+    """
     if g.tgt != e.B:
         raise DimensionMismatch("pullback map must land in the quotient group")
     b2 = g.src
@@ -200,7 +209,7 @@ def pullback_ses(g: FpAbHom, e: ShortExactSeq) -> ShortExactSeq:
     k, incl = kernel(diff)
     i2 = corestrict(compose(s.in_a, e.i), incl)
     p2 = compose(s.pr_b, incl)
-    return make_ses(i2, p2)
+    return ShortExactSeq(i2, p2)
 
 
 def baer_sum(e: ShortExactSeq, f: ShortExactSeq) -> ShortExactSeq:
@@ -256,11 +265,14 @@ class Ext1Group:
                                "invariant-factor formula")
 
     def canonical_presentation(self) -> ShortExactSeq:
-        """The reference sequence K -> F -> B for class coordinates; built once, shared."""
+        """The reference sequence K -> F -> B for class coordinates; built once, shared.
+
+        Exact by construction: K is a basis of the relation lattice of B.
+        """
         if self._base is None:
             k_free = free_abelian(self.k_incl.cols)
             incl = FpAbHom(k_free, self.cover.src, self.k_incl, check=False)
-            self._base = make_ses(incl, self.cover)
+            self._base = ShortExactSeq(incl, self.cover)
         return self._base
 
     def class_element(self, coords: IntMatrix) -> "ExtClass":

@@ -12,6 +12,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extcalc.exactint import IntMatrix, solve
 from extcalc.fpab import (
@@ -283,6 +284,19 @@ def test_hom_group_counts_match_brute_force():
     # free sources: Hom(Z^r, B) = B^r
     hg = hom_group(free_abelian(2), from_invariants(1, [3]))
     assert hg.group.canonical_form == (2, (3, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_hom_group_basis_homs_are_well_defined(rng):
+    # hom_group builds its basis unchecked: each lattice column satisfies
+    # the relation constraint by construction, which make_hom re-checks
+    a = random_group(rng, max_gens=3, span=4)
+    b = random_group(rng, max_gens=3, span=4)
+    hg = hom_group(a, b)
+    assert len(hg.basis) == hg.group.gens
+    for h in hg.basis:
+        assert make_hom(a, b, h.matrix) == h
 
 
 def test_hom_group_count_invariant_under_presentation():

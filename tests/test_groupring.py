@@ -231,6 +231,76 @@ class TestGModule:
         norm = fpab.make_hom(m.M, m.M, IntMatrix.from_rows([[1, 1], [1, 1]]))
         GModuleHom(m, m, norm)
 
+    def test_non_automorphism_fails_multiplicativity(self):
+        # 2 is no automorphism of Z/4; the laws already reject it, since
+        # 2∘2 = 0 differs from the identity's action
+        m = zmod(4)
+        two = fpab.make_hom(m, m, IntMatrix.from_rows([[2]]))
+        with pytest.raises(NotEquivariant) as info:
+            GModule(cyclic(2), m, [identity_hom(m), two])
+        assert str(info.value) == "action is not multiplicative at (1, 1)"
+
+
+LAW_GROUPS = {"C2": cyclic(2), "C3": cyclic(3), "V4": klein_four(),
+              "S3": symmetric3()}
+LAW_MODULES = (zmod(2), zmod(3), zmod(4), free_abelian(1), free_abelian(2),
+               fpab.from_invariants(0, [2, 2]),
+               fpab.make_group(2, IntMatrix.from_cols([[2, 4]], rows=2)))
+
+
+def random_action(rng, G, m):
+    """Endomorphisms of m, one per element of G.
+
+    Either one endomorphism for every element, or random images of a
+    generating set extended along words from the identity, which obey the
+    laws exactly when the images satisfy G's relations; then sometimes
+    one element's endomorphism is replaced at random.
+    """
+    hg = fpab.hom_group(m, m)
+
+    def endo():
+        return hg.hom_of(IntMatrix.column(
+            [rng.randint(-2, 2) for _ in range(hg.group.gens)]))
+
+    if rng.random() < 0.2:
+        return [endo()] * G.order
+    acts, images = {G.identity: identity_hom(m)}, {}
+    while len(acts) < G.order:
+        # a new generator: the first element not reached yet
+        images[min(set(range(G.order)) - set(acts))] = endo()
+        frontier = list(acts)
+        while frontier:
+            x = frontier.pop()
+            for g, image in images.items():
+                y = G.table[g][x]
+                if y not in acts:
+                    acts[y] = fpab.compose(image, acts[x])
+                    frontier.append(y)
+    action = [acts[g] for g in range(G.order)]
+    if rng.random() < 0.3:
+        action[rng.randrange(G.order)] = endo()
+    return action
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_module_laws_decide_acceptance_and_give_automorphisms(rng):
+    G = rng.choice(list(LAW_GROUPS.values()))
+    m = rng.choice(LAW_MODULES)
+    action = random_action(rng, G, m)
+    laws = action[G.identity] == identity_hom(m) and all(
+        fpab.compose(action[g], action[h]) == action[G.table[g][h]]
+        for g in range(G.order) for h in range(G.order))
+    try:
+        module = GModule(G, m, action)
+    except NotEquivariant:
+        assert not laws
+        return
+    assert laws
+    # GModule no longer tests this: the two laws imply it
+    for h in module.action:
+        assert fpab.is_mono(h) and fpab.is_epi(h)
+
 
 class TestFreeHoms:
     def test_from_terms_cancels(self):
@@ -330,13 +400,13 @@ class TestGModuleContext:
     def test_zero_object_and_identities(self):
         G = cyclic(4)
         ctx = gmodule_context(G)
-        assert ctx.is_zero_object(ctx.zero_object())
-        free = ctx.free(2)
+        free = FreeGModule(G, 2)
         assert ctx.free_rank(free) == 2
         assert ctx.free_rank(free.dense()) == 2
         ident = ctx.identity(free)
         assert isinstance(ident, ZGFreeHom)
-        assert ctx.is_zero_hom(ctx.compose(ident, ctx.zero_hom(free, free)))
+        assert not ctx.is_zero_hom(ident)
+        assert ctx.compose(ident, ident).cols == ident.cols
         with pytest.raises(fpab.NotFree):
             ctx.free_rank(trivial_module(G, zmod(2)))
 
@@ -489,6 +559,38 @@ def random_gmodule(rng, G):
     m = fpab.make_group(k, u * IntMatrix.from_cols(rel_cols, rows=k))
     return GModule(G, m, [fpab.make_hom(m, m, u * IntMatrix(k, k, rows)
                                         * u_inv) for rows in acts])
+
+
+def random_equivariant(rng, b, a):
+    """The transfer sum of g·h·g⁻¹ of a random hom h : B -> A."""
+    G, hg = b.G, fpab.hom_group(b.M, a.M)
+    h = hg.hom_of(IntMatrix.column(
+        [rng.randint(-2, 2) for _ in range(hg.group.gens)]))
+    total = fpab.zero_hom(b.M, a.M)
+    for g in range(G.order):
+        total = total + fpab.compose(
+            a.action[g], fpab.compose(h, b.action[G.inverse[g]]))
+    return GModuleHom(b, a, total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_context_kernels_pass_the_validating_constructors(rng):
+    # GModuleContext.kernel builds its module and inclusion unchecked
+    G = rng.choice(list(SMALL_GROUPS.values()))
+    ctx = gmodule_context(G)
+    a = random_gmodule(rng, G)
+    free = FreeGModule(G, rng.randint(1, 2))
+    units = [IntMatrix.column([rng.randint(-2, 2) for _ in range(a.M.gens)])
+             for _ in range(free.rank)]
+    for f in (ctx.extend_units(free, a, units),
+              random_equivariant(rng, random_gmodule(rng, G), a)):
+        k, incl = ctx.kernel(f)
+        GModule(G, k.M, k.action)
+        GModuleHom(k, f.src, incl.ab)
+        assert fpab.is_mono(incl.ab)
+        assert fpab.compose(f.ab, incl.ab).is_zero()
+        assert fpab.kernel(f.ab)[0].canonical_form == k.M.canonical_form
 
 
 @settings(max_examples=40, deadline=None)

@@ -492,6 +492,30 @@ class TestPresheafContext:
         coker, _ = fpab.cokernel(k.res(0, 1))
         assert coker.canonical_form == (0, (2,))
 
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_kernels_pass_the_validating_constructors(self, rng):
+        # PresheafContext.kernel builds its presheaf and inclusion
+        # unchecked; the validating constructors must accept both
+        size = rng.randint(1, 4)
+        parents = [None] + [rng.randrange(i) for i in range(1, size)]
+        a = random_tree_presheaf(rng, parents)
+        ctx = presheaf_context(a.site)
+        labels = [rng.randrange(size) for _ in range(rng.randint(1, 3))]
+        units = [IntMatrix.column([rng.randint(-2, 2)
+                                   for _ in range(a.stalk(l).gens)])
+                 for l in labels]
+        phg = presheaf_hom_group(random_tree_presheaf(rng, parents), a)
+        natural = phg.hom_of(IntMatrix.column(
+            [rng.randint(-2, 2) for _ in range(phg.group.gens)]))
+        for f in (ctx.extend_units(FreePresheaf(a.site, labels), a, units),
+                  natural):
+            k, incl = ctx.kernel(f)
+            AbPresheaf(a.site, k.stalks, k.maps)
+            PresheafHom(k, f.src, incl.components)
+            assert ps.is_mono(incl)
+            assert ctx.is_zero_hom(ctx.compose(f, incl))
+
     def test_lift_through_cover(self):
         rng = random.Random(53)
         f = random_tree_presheaf(rng, TREE5)
@@ -625,6 +649,18 @@ class TestSheafExt:
             for n in (1, 2):
                 r = sheaf_ext(free_presheaf(site, c), a, n)
                 assert r.presheaf.is_zero()
+
+    @settings(max_examples=30, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           n=st.sampled_from([0, 1, 2]),
+           method=st.sampled_from(["general", "fast"]))
+    def test_stalks_are_presented_on_invariant_factors(self, rng, n, method):
+        size = rng.randint(1, 5)
+        parents = [None] + [rng.randrange(i) for i in range(1, size)]
+        r = sheaf_ext(random_tree_presheaf(rng, parents),
+                      random_tree_presheaf(rng, parents), n, method=method)
+        for s in r.presheaf.stalks:
+            assert s.gens == s.rank + len(s.invariant_factors)
 
     def test_sierpinski_quotient_headline(self):
         b = sierpinski_quotient()

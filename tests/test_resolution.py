@@ -294,7 +294,7 @@ def test_lift_between_different_resolutions():
 
 def test_lift_zero_map():
     res = free_resolution(CTX, zmod(4), 2)
-    chain = lift_chain_map(res, res, CTX.zero_hom(zmod(4), zmod(4)))
+    chain = lift_chain_map(res, res, fpab.zero_hom(zmod(4), zmod(4)))
     assert chain[0].is_zero()
     # composing with the augmentation gives the zero map in every degree
     assert CTX.compose(res.augmentation, chain[0]).is_zero()

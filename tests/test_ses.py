@@ -10,6 +10,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extcalc.exactint import IntMatrix
 from extcalc.fpab import (
@@ -298,6 +299,35 @@ def test_pushforward_pullback_on_classes():
         bwd = ext1_pullback(h, g, g_pull)
         pulled_coords = bwd(class_of(e, g).coords)
         assert class_of(pullback_ses(h, e), g_pull).coords == pulled_coords
+
+
+def random_group_for_ses(rng):
+    if rng.random() < 0.25:
+        return from_invariants(rng.randint(1, 2), rng.choice(((), (2,))))
+    return random_finite(rng)
+
+
+def random_linear_hom(rng, a, b):
+    hg = hom_group(a, b)
+    return hg.hom_of(IntMatrix.column([rng.randint(-2, 2)
+                                       for _ in range(hg.group.gens)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_constructed_sequences_pass_make_ses(rng):
+    # pushout, pullback, realize_class and baer_sum build their sequences
+    # unchecked; make_ses checks every axiom of the result again
+    a, b = random_group_for_ses(rng), random_group_for_ses(rng)
+    g = ext1_group(b, a)
+    e, f = (realize_class(random_class(rng, g)) for _ in range(2))
+    a2, b2 = random_group_for_ses(rng), random_group_for_ses(rng)
+    built = [e, f, baer_sum(e, f),
+             pushout_ses(random_linear_hom(rng, a, a2), e),
+             pullback_ses(random_linear_hom(rng, b2, b), e)]
+    for s in built:
+        checked = make_ses(s.i, s.p)
+        assert (checked.A, checked.E, checked.B) == (s.A, s.E, s.B)
 
 
 def test_pushout_pullback_commute_on_classes():
