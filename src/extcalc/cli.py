@@ -355,10 +355,6 @@ def _load(args) -> Document:
         raise CliParseError(f"cannot read {args.input}: {exc.strerror}")
 
 
-def _doc_group(doc: Document, desc: str, where: str) -> FpAbGroup:
-    return group_from_desc(desc, doc, where)
-
-
 def _need(mapping: dict, name: str, kind: str):
     if name not in mapping:
         raise CliParseError(f"unknown {kind} reference {name!r}")
@@ -383,7 +379,7 @@ def _cmd_snf(args, doc: Document) -> dict:
 
 
 def _cmd_group(args, doc: Document) -> dict:
-    g = _doc_group(doc, args.group, "group argument")
+    g = group_from_desc(args.group, doc, "group argument")
     rank, torsion = g.canonical_form
     return {
         "command": "group",
@@ -395,8 +391,8 @@ def _cmd_group(args, doc: Document) -> dict:
 
 
 def _cmd_hom(args, doc: Document) -> dict:
-    src = _doc_group(doc, args.src, "hom src")
-    tgt = _doc_group(doc, args.tgt, "hom tgt")
+    src = group_from_desc(args.src, doc, "hom src")
+    tgt = group_from_desc(args.tgt, doc, "hom tgt")
     hg = fpab.hom_group(src, tgt)
     return {
         "command": "hom",
@@ -426,8 +422,8 @@ def _put_degrees(out: dict, args, forms: Dict[int, str]) -> dict:
 
 
 def _cmd_ext(args, doc: Document) -> dict:
-    b = _doc_group(doc, args.B, "ext B")
-    a = _doc_group(doc, args.A, "ext A")
+    b = group_from_desc(args.B, doc, "ext B")
+    a = group_from_desc(args.A, doc, "ext A")
     ctx = resolution.z_context()
     forms = {}
     for n in _degree_list(args):
@@ -456,8 +452,8 @@ def _parse_coords(text: str, gens: int, what: str) -> IntMatrix:
 
 
 def _cmd_baer(args, doc: Document) -> dict:
-    b = _doc_group(doc, args.B, "baer B")
-    a = _doc_group(doc, args.A, "baer A")
+    b = group_from_desc(args.B, doc, "baer B")
+    a = group_from_desc(args.A, doc, "baer A")
     ext = ses.ext1_group(b, a)
     out = {
         "command": "baer",
@@ -519,7 +515,7 @@ def _cmd_baer(args, doc: Document) -> dict:
 
 def _cmd_six_term(args, doc: Document) -> dict:
     e = _need(doc.sequences, args.ses, "sequence")
-    m = _doc_group(doc, args.M, "six-term M")
+    m = group_from_desc(args.M, doc, "six-term M")
     variance = {"co": "covariant", "contra": "contravariant"}[args.variance]
     groups, _, report = ses.six_term(e, m, variance)
     return {

@@ -491,16 +491,14 @@ def is_mono(f: FpAbHom) -> bool:
 
 
 def lift_through_epi(p: FpAbHom, g: FpAbHom) -> FpAbHom:
-    """h with p∘h = g, for g out of a free group and p epi."""
+    """h with p∘h = g for g out of a free group; NotEpi if g leaves im p."""
     if g.tgt != p.tgt:
         raise DimensionMismatch("lift endpoints do not match")
     if not g.src.is_free():
         raise NotFree("lift source must be free")
-    if not is_epi(p):
-        raise NotEpi("cannot lift through a non-surjection")
     h = ModSolver(p.matrix, p.tgt.relations).solve_matrix(g.matrix)
     if h is None:
-        raise NotEpi("lift unexpectedly failed; map is not surjective")
+        raise NotEpi("map does not reach a unit image")
     return FpAbHom(g.src, p.src, h, check=False)
 
 

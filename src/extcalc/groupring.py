@@ -14,7 +14,7 @@ groups, and crossed homomorphisms in degree one.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exactint import (
     DimensionMismatch,
@@ -148,18 +148,32 @@ def symmetric3() -> FiniteGroup:
     return FiniteGroup(table)
 
 
+def _greedy_generators(G: FiniteGroup) -> List[int]:
+    """Each element outside the subgroup generated by those before it."""
+    gens, reached, t = [], {G.identity}, G.table
+    for g in range(G.order):
+        if g not in reached:
+            gens.append(g)
+            while new := {t[s][x] for s in gens for x in reached} - reached:
+                reached |= new
+    return gens
+
+
 class GModule:
     """Abelian group with a G-action by automorphisms, i.e. a ZG-module.
 
     action[g] is the endomorphism for group element g.  check=True, the
-    default for modules from outside, tests the two laws ρ(e) = id and
-    ρ(g)∘ρ(h) = ρ(gh) as homs, meaning equality modulo the presentation's
-    relations, never as literal matrices.  Together they make every
-    action an automorphism, since ρ(g)∘ρ(g⁻¹) = ρ(e) = id, so that is
-    not tested separately.  Constructions inside the engine whose laws
-    hold by design pass check=False.  zg_rank marks modules materialized
-    from a free ZG^r and records the block layout equivariant lifts rely
-    on.
+    default for modules from outside, tests ρ(e) = id, and ρ(s)∘ρ(h) =
+    ρ(sh) for s in a greedy generating set S and every h, as homs (equal
+    modulo the relations, not as literal matrices).  These |S|·|G|
+    compositions decide the whole law: the s obeying it for every h
+    contain e and S and are closed under products, as ρ(st)∘ρ(h) =
+    ρ(s)∘ρ(th) = ρ(sth), so they form a submonoid, and in a finite group
+    the submonoid generated by S is G.  The laws make every action an
+    automorphism, since ρ(g)∘ρ(g⁻¹) = ρ(e) = id.  Constructions inside
+    the engine whose laws hold by design pass check=False.  zg_rank marks
+    modules materialized from a free ZG^r and records the block layout
+    equivariant lifts rely on.
     """
 
     __slots__ = ("G", "M", "action", "zg_rank")
@@ -181,7 +195,7 @@ class GModule:
             if reduced[G.identity] != fpab.identity_hom(M).reduced_matrix():
                 raise NotEquivariant("identity element does not act as the "
                                      "identity map")
-            for g in range(G.order):
+            for g in _greedy_generators(G):
                 for h in range(G.order):
                     if (fpab.compose(action[g], action[h]).reduced_matrix()
                             != reduced[G.table[g][h]]):

@@ -69,7 +69,8 @@ class ModuleContext:
         raise NotImplementedError
 
     def lift_through(self, p, g):
-        """h with p∘h = g; g must start at a free object, p must be epi."""
+        """h with p∘h = g for g out of a free object, solved at its units;
+        p need not be epi, and NotEpi means g leaves im(p)."""
         raise NotImplementedError
 
     def hom_group(self, f, a) -> "FreeHomGroup":
@@ -155,10 +156,7 @@ def unit_block_matrix(src_stalks: Sequence[FpAbGroup],
 class FreeResolution:
     """... -> P_2 -> P_1 -> P_0 -> B, free objects over a context.
 
-    diffs[k] is d_{k+1} : P_{k+1} -> P_k; the factored form of d_n through
-    the kernel object B_n = ker(d_{n-1}) is computed on demand, since
-    explicitly built resolutions (bar, periodic) supply only the
-    differentials.
+    diffs[k] is d_{k+1} : P_{k+1} -> P_k.
     """
 
     def __init__(self, ctx: ModuleContext, target, frees: Sequence,
@@ -169,7 +167,6 @@ class FreeResolution:
         self.diffs = list(diffs)
         self.augmentation = augmentation
         self.dd_verified = dd_verified
-        self._factored = {}
 
     @property
     def max_deg(self) -> int:
@@ -192,24 +189,17 @@ class FreeResolution:
                                    f"{k + 2} and {k}")
         self.dd_verified = True
 
-    def factored(self, n: int):
-        """(B_n, i_n, p_n) with i_n∘p_n = d_n and B_n = ker(d_{n-1})."""
-        if n not in self._factored:
-            below = self.augmentation if n == 1 else self.diff(n - 1)
-            b_n, i_n = self.ctx.kernel(below)
-            p_n = self.ctx.corestrict(self.diff(n), i_n)
-            self._factored[n] = (b_n, i_n, p_n)
-        return self._factored[n]
-
     def validate(self, up_to: Optional[int] = None) -> None:
         """Check d∘d = 0 and exactness at every internal degree."""
+        ctx = self.ctx
         self.verify_dd()
         top = self.max_deg if up_to is None else up_to
-        if not self.ctx.is_epi(self.augmentation):
+        if not ctx.is_epi(self.augmentation):
             raise RuntimeError("augmentation is not epi")
         for n in range(1, top + 1):
-            _, _, p_n = self.factored(n)
-            if not self.ctx.is_epi(p_n):
+            below = self.augmentation if n == 1 else self.diff(n - 1)
+            _, i_n = ctx.kernel(below)
+            if not ctx.is_epi(ctx.corestrict(self.diff(n), i_n)):
                 raise RuntimeError(f"resolution is not exact at degree {n - 1}")
 
 
@@ -220,18 +210,14 @@ def free_resolution(ctx: ModuleContext, b, max_deg: int) -> FreeResolution:
     p0_free, aug = ctx.epi_cover(b)
     frees = [p0_free]
     diffs = []
-    factored = {}
     prev_epi = aug
     for n in range(1, max_deg + 1):
         b_n, i_n = ctx.kernel(prev_epi)
         f_n, p_n = ctx.epi_cover(b_n)
         frees.append(f_n)
         diffs.append(ctx.compose(i_n, p_n))
-        factored[n] = (b_n, i_n, p_n)
         prev_epi = p_n
-    res = FreeResolution(ctx, b, frees, diffs, aug, dd_verified=True)
-    res._factored = factored
-    return res
+    return FreeResolution(ctx, b, frees, diffs, aug, dd_verified=True)
 
 
 class FpAbComplex:
@@ -342,25 +328,23 @@ def ext_n(ctx: ModuleContext, b, a, n: int) -> FpAbGroup:
 def lift_chain_map(p: FreeResolution, q: FreeResolution, f) -> List:
     """Chain map over f : target(P) -> target(Q), degree by degree.
 
-    Standard comparison-theorem construction: lift the augmentation square
-    first, then lift each composite through the factored differential of Q.
-    Any failure means Q is not exact where it should be.
+    Comparison theorem: lift the augmentation square, then each t∘d_n
+    through Q's d_n itself, whose image is ker(d_{n-1}) when Q is exact.
+    Any chain map over f induces the same map on Ext, so any lift does.
     """
     if p.ctx != q.ctx:
         raise ValueError("resolutions live in different contexts")
     ctx = p.ctx
     depth = min(p.max_deg, q.max_deg)
-    t0 = ctx.lift_through(q.augmentation, ctx.compose(f, p.augmentation))
-    chain = [t0]
+    chain = [ctx.lift_through(q.augmentation,
+                              ctx.compose(f, p.augmentation))]
     for n in range(1, depth + 1):
         psi = ctx.compose(chain[n - 1], p.diff(n))
-        _, i_n, p_n = q.factored(n)
         try:
-            restricted = ctx.corestrict(psi, i_n)
-        except ValueError as exc:
+            chain.append(ctx.lift_through(q.diff(n), psi))
+        except fpab.NotEpi as exc:
             raise RuntimeError(f"comparison lift failed at degree {n}: "
                                f"{exc}") from exc
-        chain.append(ctx.lift_through(p_n, restricted))
     return chain
 
 

@@ -154,16 +154,17 @@ def are_equivalent(e: ShortExactSeq, f: ShortExactSeq) -> Optional[FpAbHom]:
 
 
 def is_split(e: ShortExactSeq) -> Optional[FpAbHom]:
-    """A section s with p∘s = id_B, when one exists."""
-    hg_be = hom_group(e.B, e.E)
-    hg_bb = hom_group(e.B, e.B)
-    cols = [hg_bb.coords_of(compose(e.p, h)).coords.col(0) for h in hg_be.basis]
-    m = IntMatrix.from_cols(cols, rows=hg_bb.group.gens)
-    target = hg_bb.coords_of(identity_hom(e.B)).coords
-    x = solve_mod(m, target, hg_bb.group.relations)
-    if x is None:
+    """A section s with p∘s = id_B, when one exists, by one solve.
+
+    s gives the morphism (id, (i s), id) from A -> A⊕B -> B to e, and the
+    middle map μ of any such morphism gives the section μ∘in_B.
+    """
+    split = direct_sum(e.A, e.B)
+    mu = morphism_between(ShortExactSeq(split.in_a, split.pr_b), e,
+                          identity_hom(e.A), identity_hom(e.B))
+    if mu is None:
         return None
-    return hg_be.hom_of(x)
+    return compose(mu, split.in_b)
 
 
 def pushout_ses(f: FpAbHom, e: ShortExactSeq) -> ShortExactSeq:

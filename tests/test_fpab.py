@@ -412,9 +412,12 @@ def test_lift_through_epi_examples():
 
     with pytest.raises(NotFree):
         lift_through_epi(p, make_hom(zmod(2), zmod(2), IntMatrix.identity(1)))
+    # p need not be epi: the lift exists exactly when g lands in im(p)
+    dbl = make_hom(z, z, IntMatrix.from_rows([[2]]))
+    four = make_hom(z, z, IntMatrix.from_rows([[4]]))
+    assert compose(dbl, lift_through_epi(dbl, four)) == four
     with pytest.raises(NotEpi):
-        lift_through_epi(make_hom(z, z, IntMatrix.from_rows([[2]])),
-                         identity_hom(z))
+        lift_through_epi(dbl, identity_hom(z))
 
 
 def test_lift_through_epi_random():

@@ -42,6 +42,7 @@ from extcalc.poset_sheaf import (
     PresheafHom,
     make_poset,
     presheaf_context,
+    presheaf_hom_group,
 )
 from extcalc.resolution import (
     FpAbComplex,
@@ -57,6 +58,7 @@ from extcalc.resolution import (
 )
 from extcalc.ses import ext1_group
 
+from test_fpab import random_finite_group, random_hom
 from test_poset_sheaf import random_tree_presheaf
 
 
@@ -85,6 +87,17 @@ def test_free_resolution_of_z_terminates_immediately():
     res = free_resolution(CTX, Z, 2)
     assert [f.gens for f in res.frees] == [1, 0, 0]
     res.validate()
+
+
+def test_validate_rejects_inexact_complexes():
+    # Z --4--> Z --> Z/2: im(4) = 4Z misses ker = 2Z, so not exact at 0
+    aug = make_hom(Z, zmod(2), IntMatrix.from_rows([[1]]))
+    four = make_hom(Z, Z, IntMatrix.from_rows([[4]]))
+    with pytest.raises(RuntimeError, match="not exact at degree 0"):
+        FreeResolution(CTX, zmod(2), [Z, Z], [four], aug).validate()
+    zero = fpab.zero_hom(Z, zmod(2))
+    with pytest.raises(RuntimeError, match="augmentation is not epi"):
+        FreeResolution(CTX, zmod(2), [Z], [], zero).validate()
 
 
 def test_free_resolution_random_validity():
@@ -318,6 +331,41 @@ def test_lift_functoriality_on_cohomology():
             via_two = induced_on_cohomology(composite, p, r, a, n)
             via_one = induced_on_cohomology(direct, p, r, a, n)
             assert via_two == via_one
+
+
+def _random_z_map(rng):
+    """A random hom between random finite groups, over the Z context."""
+    b, b2 = random_finite_group(rng, 12), random_finite_group(rng, 12)
+    return CTX, random_hom(rng, b, b2)
+
+
+def _random_presheaf_map(rng):
+    """A random natural map between random presheaves on a tree of at
+    most five elements."""
+    size = rng.randint(1, 5)
+    parents = [None] + [rng.randrange(i) for i in range(1, size)]
+    b, b2 = (random_tree_presheaf(rng, parents) for _ in range(2))
+    phg = presheaf_hom_group(b, b2)
+    f = phg.hom_of(IntMatrix.column([rng.randint(-2, 2)
+                                     for _ in range(phg.group.gens)]))
+    return presheaf_context(b.site), f
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False),
+       case=st.sampled_from([_random_z_map, _random_presheaf_map]))
+def test_lift_chain_map_commutes_with_both_resolutions(rng, case):
+    ctx, f = case(rng)
+    depth = rng.randint(1, 3)
+    p = free_resolution(ctx, f.src, depth)
+    q = free_resolution(ctx, f.tgt, depth)
+    chain = lift_chain_map(p, q, f)
+    assert len(chain) == depth + 1
+    assert ctx.compose(q.augmentation, chain[0]) == \
+        ctx.compose(f, p.augmentation)
+    for n in range(1, depth + 1):
+        assert ctx.compose(q.diff(n), chain[n]) == \
+            ctx.compose(chain[n - 1], p.diff(n))
 
 
 # ------------------------------------------- hom out of a free, all contexts

@@ -226,7 +226,10 @@ def test_class_zero_iff_split():
         a, b, g = random_class_setup(rng)
         c = random_class(rng, g)
         e = realize_class(c)
-        assert (is_split(e) is not None) == c.is_zero()
+        sec = is_split(e)
+        assert (sec is not None) == c.is_zero()
+        if sec is not None:
+            assert compose(e.p, sec) == identity_hom(e.B)
 
 
 def test_class_equality_agrees_with_equivalence():
