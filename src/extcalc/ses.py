@@ -4,6 +4,11 @@ Provides the extension calculus: validated short exact sequences, pushout
 and pullback, Baer sum, equivalence testing, Ext^1 as a computed group with
 class coordinates, and the two six-term exact sequences with an executable
 exactness report.
+
+Constructed extensions are carried by their cocycle (Mac Lane, Homology,
+III): a matrix α from the relation columns of B to A, realized in the
+normal form A -> (A ⊕ Z^gens(B)) / [[rel A, -α], [0, rel B]] -> B.  Pullbacks
+and Baer sums keep gens(A) + gens(B) middle generators however they nest.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .fpab import (
     compose,
     corestrict,
     describe,
-    direct_sum,
     direct_sum_many,
     free_abelian,
     from_invariants,
@@ -44,7 +48,6 @@ from .fpab import (
     is_epi,
     is_mono,
     kernel,
-    lift_through_epi,
     make_group,
 )
 
@@ -68,11 +71,7 @@ class ShortExactSeq:
     __slots__ = ("A", "E", "B", "i", "p")
 
     def __init__(self, i: FpAbHom, p: FpAbHom):
-        self.A = i.src
-        self.E = i.tgt
-        self.B = p.tgt
-        self.i = i
-        self.p = p
+        self.A, self.E, self.B, self.i, self.p = i.src, i.tgt, p.tgt, i, p
 
     def __repr__(self):
         return (f"ShortExactSeq({describe(self.A)} -> {describe(self.E)}"
@@ -97,9 +96,34 @@ def make_ses(i: FpAbHom, p: FpAbHom) -> ShortExactSeq:
     return ShortExactSeq(i, p)
 
 
+def _cocycle(e: ShortExactSeq, g: IntMatrix,
+             rel: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
+    """(lift, α) with p·lift ≡ g mod rel(B) and i·α ≡ lift·rel mod rel(E).
+
+    g sends the columns of rel to zero in B, so lift·rel lies in ker p = im i.
+    """
+    lift = ModSolver(e.p.matrix, e.B.relations).solve_matrix(g)
+    return lift, ModSolver(e.i.matrix, e.E.relations).solve_matrix(lift * rel)
+
+
+def _extension(a: FpAbGroup, b: FpAbGroup, alpha: IntMatrix) -> ShortExactSeq:
+    """A -> (A ⊕ Z^gens(B)) / [[rel A, -α], [0, rel B]] -> B, i and p the blocks.
+
+    Exact for a cocycle α (from _cocycle(e, g, rel(B)), a sum of such, or 0):
+    if x = rel(B)·y is zero in B then (a, x) ≡ (a + α·y, 0); rel(B)·y = 0
+    gives i·α·y ≡ lift·0, so α·y ≡ 0.  (e, b') ↦ (i⁻¹(e - lift·x), x), x
+    representing b', is an equivalence from the pullback of e along g.
+    """
+    na, nb, zero = a.gens, b.gens, IntMatrix.zero
+    mid = make_group(na + nb, hstack(vstack(a.relations, zero(nb, a.relations.cols)),
+                                     vstack(-alpha, b.relations)))
+    i = FpAbHom(a, mid, vstack(IntMatrix.identity(na), zero(nb, na)), check=False)
+    p = FpAbHom(mid, b, hstack(zero(nb, na), IntMatrix.identity(nb)), check=False)
+    return ShortExactSeq(i, p)
+
+
 def split_ses(a: FpAbGroup, b: FpAbGroup) -> ShortExactSeq:
-    s = direct_sum(a, b)
-    return ShortExactSeq(s.in_a, s.pr_b)
+    return _extension(a, b, IntMatrix.zero(a.gens, b.relations.cols))
 
 
 def morphism_between(e: ShortExactSeq, f: ShortExactSeq,
@@ -115,9 +139,7 @@ def morphism_between(e: ShortExactSeq, f: ShortExactSeq,
         raise DimensionMismatch("beta endpoints do not match")
     ee, fe = e.E.gens, f.E.gens
     rel_ee, rel_fe = e.E.relations, f.E.relations
-    sys_rows = []
-    rhs_rows = []
-    mod_blocks = []
+    sys_rows, rhs_rows, mod_blocks = [], [], []
     if rel_ee.cols:
         sys_rows.append(kron(rel_ee.transpose(), IntMatrix.identity(fe)))
         rhs_rows.append(IntMatrix.zero(fe * rel_ee.cols, 1))
@@ -156,15 +178,15 @@ def are_equivalent(e: ShortExactSeq, f: ShortExactSeq) -> Optional[FpAbHom]:
 def is_split(e: ShortExactSeq) -> Optional[FpAbHom]:
     """A section s with p∘s = id_B, when one exists, by one solve.
 
-    s gives the morphism (id, (i s), id) from A -> A⊕B -> B to e, and the
-    middle map μ of any such morphism gives the section μ∘in_B.
+    With (lift, α) the cocycle of e along id_B, the sections are lift - i·T
+    for T·rel(B) ≡ α mod rel(A); are_equivalent(e, split_ses(A, B)) is the oracle.
     """
-    split = direct_sum(e.A, e.B)
-    mu = morphism_between(ShortExactSeq(split.in_a, split.pr_b), e,
-                          identity_hom(e.A), identity_hom(e.B))
-    if mu is None:
-        return None
-    return compose(mu, split.in_b)
+    a, b = e.A, e.B
+    lift, alpha = _cocycle(e, IntMatrix.identity(b.gens), b.relations)
+    t = solve_mod(kron(b.relations.transpose(), IntMatrix.identity(a.gens)),
+                  _vec(alpha), block_diag(*[a.relations] * b.relations.cols))
+    return None if t is None else \
+        FpAbHom(b, e.E, lift - e.i.matrix * _unvec(t, a.gens, b.gens), check=False)
 
 
 def pushout_ses(f: FpAbHom, e: ShortExactSeq) -> ShortExactSeq:
@@ -198,35 +220,18 @@ def pushout_middle_map(f: FpAbHom, e: ShortExactSeq,
 
 
 def pullback_ses(g: FpAbHom, e: ShortExactSeq) -> ShortExactSeq:
-    """Pullback of e along g : B' -> B, the kernel of (p, −g) : E⊕B' -> B.
-
-    The result is exact whenever e is, so it is built unchecked.
-    """
+    """Pullback of e along g : B' -> B, in normal form over B'."""
     if g.tgt != e.B:
         raise DimensionMismatch("pullback map must land in the quotient group")
-    b2 = g.src
-    s = direct_sum(e.E, b2)
-    diff = FpAbHom(s.group, e.B, hstack(e.p.matrix, -g.matrix), check=False)
-    k, incl = kernel(diff)
-    i2 = corestrict(compose(s.in_a, e.i), incl)
-    p2 = compose(s.pr_b, incl)
-    return ShortExactSeq(i2, p2)
+    return _extension(e.A, g.src, _cocycle(e, g.matrix, g.src.relations)[1])
 
 
 def baer_sum(e: ShortExactSeq, f: ShortExactSeq) -> ShortExactSeq:
-    """Group law on extensions: ∇_*(Δ^*(E ⊕ F))."""
+    """Group law on extensions: cocycles along id_B add."""
     if e.A != f.A or e.B != f.B:
         raise DimensionMismatch("Baer sum needs matching endpoints")
-    a, b = e.A, e.B
-    aa, ef, bb = (direct_sum_many(pair)[0] for pair in ((a, a), (e.E, f.E), (b, b)))
-    i_sum = FpAbHom(aa, ef, block_diag(e.i.matrix, f.i.matrix), check=False)
-    p_sum = FpAbHom(ef, bb, block_diag(e.p.matrix, f.p.matrix), check=False)
-    total = ShortExactSeq(i_sum, p_sum)
-    diag = FpAbHom(b, bb, vstack(IntMatrix.identity(b.gens), IntMatrix.identity(b.gens)),
-                   check=False)
-    codiag = FpAbHom(aa, a, hstack(IntMatrix.identity(a.gens), IntMatrix.identity(a.gens)),
-                     check=False)
-    return pushout_ses(codiag, pullback_ses(diag, total))
+    ident, rel = IntMatrix.identity(e.B.gens), e.B.relations
+    return _extension(e.A, e.B, _cocycle(e, ident, rel)[1] + _cocycle(f, ident, rel)[1])
 
 
 class Ext1Group:
@@ -323,19 +328,13 @@ def ext1_group(b: FpAbGroup, a: FpAbGroup) -> Ext1Group:
 def class_of(e: ShortExactSeq, g: Ext1Group) -> ExtClass:
     """Coordinates of a sequence's class in the computed Ext¹ group.
 
-    Lift the canonical cover F -> B through p, restrict the lift to the
-    relation lattice K (where it lands in ker p = im i), and pull the
-    result back to A.  The matrix of that K -> A map is the coordinate
-    vector.
+    The coordinate vector is the matrix of the cocycle K -> A of e along
+    the canonical cover F -> B, on the relation lattice K.
     """
     if e.A != g.A or e.B != g.B:
         raise DimensionMismatch("sequence endpoints do not match the Ext group")
-    lifted = lift_through_epi(e.p, g.cover)
-    on_k = lifted.matrix * g.k_incl
-    into_a = ModSolver(e.i.matrix, e.E.relations).solve_matrix(on_k)
-    if into_a is None:
-        raise RuntimeError("lift restricted to relations escaped the kernel")
-    return ExtClass(g, Element(g.group, _vec(into_a)))
+    alpha = _cocycle(e, g.cover.matrix, g.k_incl)[1]
+    return ExtClass(g, Element(g.group, _vec(alpha)))
 
 
 def realize_class(cls: ExtClass) -> ShortExactSeq:

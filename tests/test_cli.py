@@ -2,9 +2,11 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """`python -m extcalc` in a child that imports the same extcalc as the tests."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "extcalc", *argv], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
 
 
 class TestDocumentParsing:
@@ -428,16 +438,12 @@ class TestEntryPoint:
         assert exc.value.code == 2
         capsys.readouterr()
         code, out, _ = run(capsys, *argv)
-        fresh = subprocess.run([sys.executable, "-m", "extcalc", *argv],
-                               capture_output=True, text=True, timeout=60)
+        fresh = run_module(*argv)
         assert code == fresh.returncode == 0
         assert out == fresh.stdout
         assert cli._build_parser() is cli._build_parser()
 
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "extcalc", "ext", "--B", "Z/4",
-             "--A", "Z/6", "--n", "1"],
-            capture_output=True, text=True, timeout=60)
+        proc = run_module("ext", "--B", "Z/4", "--A", "Z/6", "--n", "1")
         assert proc.returncode == 0
         assert proc.stdout == "Ext^1(Z/4, Z/6) = Z/2\n"

@@ -333,6 +333,92 @@ def test_constructed_sequences_pass_make_ses(rng):
         assert (checked.A, checked.E, checked.B) == (s.A, s.E, s.B)
 
 
+# ---------------------------------------------------------------- relabelled middles
+
+def random_presented(rng):
+    """A group from a random presentation; relation columns may be dependent."""
+    if rng.random() < 0.5:
+        return random_group_for_ses(rng)
+    gens, k = rng.randint(1, 2), rng.randint(1, 3)
+    return make_group(gens, IntMatrix(
+        gens, k, [[rng.randint(-4, 4) for _ in range(k)] for _ in range(gens)]))
+
+
+def elementary(n, r, c, k):
+    """I + k·e_rc: a row addition for r != c, and for k = -2 a sign flip when r == c."""
+    return IntMatrix.from_rows([[int(x == y) + k * ((x, y) == (r, c)) for y in range(n)]
+                                for x in range(n)])
+
+
+def relabel(rng, e):
+    """e with its middle in a random basis: i' = U·i, p' = p·U⁻¹, rel E' = U·rel E."""
+    n = e.E.gens
+    u = u_inv = IntMatrix.identity(n)
+    for _ in range(2 * n):
+        r, c = rng.randrange(n), rng.randrange(n)
+        k = -2 if r == c else rng.choice((-2, -1, 1, 2))
+        u = elementary(n, r, c, k) * u
+        u_inv = u_inv * elementary(n, r, c, k if r == c else -k)
+    assert u * u_inv == IntMatrix.identity(n)
+    mid = make_group(n, u * e.E.relations)
+    return make_ses(make_hom(e.A, mid, u * e.i.matrix), make_hom(mid, e.B, e.p.matrix * u_inv))
+
+
+def random_relabelled_sequence(rng):
+    """(A, B, e): a realized, Baer-summed or pulled-back sequence, relabelled."""
+    a, b = random_presented(rng), random_presented(rng)
+    g = ext1_group(b, a)
+    x = random_class(rng, g) if rng.random() < 0.7 else g.zero_class()
+    kind = rng.choice(("realized", "baer", "pullback"))
+    if kind == "realized":
+        e = realize_class(x)
+    elif kind == "baer":
+        e = baer_sum(realize_class(x), realize_class(random_class(rng, g)))
+    else:
+        b2 = random_presented(rng)
+        e = pullback_ses(random_linear_hom(rng, b2, b), realize_class(x))
+        b = b2
+    return a, b, relabel(rng, e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_is_split_agrees_with_equivalence_on_relabelled_middles(rng):
+    a, b, e = random_relabelled_sequence(rng)
+    sec = is_split(e)
+    assert (sec is not None) == (are_equivalent(e, split_ses(a, b)) is not None)
+    if sec is not None:
+        assert compose(e.p, sec) == identity_hom(b)
+        FpAbHom(b, e.E, sec.matrix, check=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_baer_sum_and_pullback_on_relabelled_middles(rng):
+    a, b = random_presented(rng), random_presented(rng)
+    g = ext1_group(b, a)
+    x, y = random_class(rng, g), random_class(rng, g)
+    e, f = relabel(rng, realize_class(x)), relabel(rng, realize_class(y))
+    assert are_equivalent(baer_sum(e, f), realize_class(x + y)) is not None
+    b2 = random_presented(rng)
+    h = random_linear_hom(rng, b2, b)
+    g2 = ext1_group(b2, a)
+    pulled = pullback_ses(h, e)
+    assert pulled.E.gens == a.gens + b2.gens
+    assert class_of(pulled, g2).coords == ext1_pullback(h, g, g2)(class_of(e, g).coords)
+
+
+def test_nested_baer_sums_keep_middle_size():
+    a, b = from_invariants(0, [2, 4]), from_invariants(0, [2, 4])
+    g = ext1_group(b, a)
+    x = g.class_element(IntMatrix.column([1, 1, 1, 3]))
+    e = total = realize_class(x)
+    for k in range(2, 6):
+        total = baer_sum(total, e)
+        assert total.E.gens == a.gens + b.gens
+        assert class_of(total, g).coords == x.coords.scale(k)
+
+
 def test_pushout_pullback_commute_on_classes():
     rng = random.Random(3008)
     for _ in range(12):
