@@ -3,12 +3,11 @@
 All entries are Python ints, so intermediate values never overflow.  Matrices
 are immutable; every operation returns a fresh matrix.  Entries are checked
 once, at the boundary (the public constructors); operations build through
-`IntMatrix._wrap` without re-checking.  Kernels, column spans, rank and linear
-solving share one sparse column-echelon reduction; the solvers read each
-right-hand side off its pivot columns by forward substitution.  The dense
-`snf` serves only what reads a Smith diagonal or its transforms: canonical
-forms, reduction and minimized presentations of groups, and the CLI `snf`
-command.  Determinism matters for canonical forms, so pivot choices follow a
+`IntMatrix._wrap` without re-checking.  Kernels, column spans, rank, linear
+solving and the Smith normal form share one sparse column-echelon reduction:
+the solvers read each right-hand side off its pivot columns by forward
+substitution, and `snf` alternates the reduction on a matrix and on its
+transpose.  Determinism matters for canonical forms, so pivot choices follow a
 fixed rule: the minimal absolute value wins, the smallest index breaking ties.
 """
 
@@ -243,166 +242,11 @@ def det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-class SmithDecomposition:
-    """Result of snf: unimodular U, V and diagonal D with U*A*V = D.
-
-    D is nonnegative with each diagonal entry dividing the next; trailing
-    ones and zeros are kept so D always has the source's shape.  u_inv is
-    the exact integer inverse of U, tracked during the reduction.
-    """
-
-    __slots__ = ("U", "D", "V", "u_inv")
-
-    def __init__(self, U, D, V, u_inv):
-        self.U = U
-        self.D = D
-        self.V = V
-        self.u_inv = u_inv
-
-    def diagonal(self) -> list:
-        return [self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols))]
-
-
-def snf(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form by classical row and column reduction.
-
-    Pivot rule: minimal absolute value among remaining nonzero entries,
-    ties broken by smallest (row, col).  The divisibility chain is enforced
-    by folding offending rows into the pivot row and re-reducing.
-    """
-    m, n = a.rows, a.cols
-    d = [list(r) for r in a.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i, t, c):
-        # row_i += c * row_t
-        di, dt = d[i], d[t]
-        for j in range(n):
-            x = dt[j]
-            if x:
-                di[j] += c * x
-        uirow, utrow = u[i], u[t]
-        for j in range(m):
-            x = utrow[j]
-            if x:
-                uirow[j] += c * x
-        for r in ui:
-            x = r[i]
-            if x:
-                r[t] -= c * x
-
-    def col_op(j, t, c):
-        # col_j += c * col_t
-        for r in d:
-            x = r[t]
-            if x:
-                r[j] += c * x
-        for r in v:
-            x = r[t]
-            if x:
-                r[j] += c * x
-
-    def swap_rows(i, t):
-        d[i], d[t] = d[t], d[i]
-        u[i], u[t] = u[t], u[i]
-        for r in ui:
-            r[i], r[t] = r[t], r[i]
-
-    def swap_cols(j, t):
-        for r in d:
-            r[j], r[t] = r[t], r[j]
-        for r in v:
-            r[j], r[t] = r[t], r[j]
-
-    def negate_row(t):
-        d[t] = [-x for x in d[t]]
-        u[t] = [-x for x in u[t]]
-        for r in ui:
-            r[t] = -r[t]
-
-    lim = min(m, n)
-    t = 0
-    while t < lim:
-        best = None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                x = row[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best is None or ax < best[0]:
-                        best = (ax, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != t:
-            swap_rows(pi, t)
-        if pj != t:
-            swap_cols(pj, t)
-        while True:
-            if d[t][t] < 0:
-                negate_row(t)
-            piv = d[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                x = d[i][t]
-                if x:
-                    q = x // piv
-                    if q:
-                        row_op(i, t, -q)
-                    if d[i][t]:
-                        dirty = True
-            if dirty:
-                bi, bv = t, abs(d[t][t])
-                for i in range(t + 1, m):
-                    x = d[i][t]
-                    if x and abs(x) < bv:
-                        bi, bv = i, abs(x)
-                if bi != t:
-                    swap_rows(bi, t)
-                continue
-            dirty = False
-            for j in range(t + 1, n):
-                x = d[t][j]
-                if x:
-                    q = x // piv
-                    if q:
-                        col_op(j, t, -q)
-                    if d[t][j]:
-                        dirty = True
-            if dirty:
-                bj, bv = t, abs(d[t][t])
-                for j in range(t + 1, n):
-                    x = d[t][j]
-                    if x and abs(x) < bv:
-                        bj, bv = j, abs(x)
-                if bj != t:
-                    swap_cols(bj, t)
-                continue
-            viol = None
-            for i in range(t + 1, m):
-                row = d[i]
-                for j in range(t + 1, n):
-                    if row[j] % piv:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
-            if viol is None:
-                break
-            row_op(t, viol, 1)
-        t += 1
-
-    return SmithDecomposition(*(IntMatrix._wrap(r, c, tuple(map(tuple, x)))
-                                for r, c, x in ((m, m, u), (m, n, d), (n, n, v), (m, m, ui))))
-
-
 class _ReducedCol:
-    """One column of a column-echelon reduction, stored sparsely by row."""
+    """One column of a column-echelon reduction, stored sparsely by row;
+    row is its pivot row, None while it is not a pivot column."""
 
-    __slots__ = ("d", "w", "pos", "pivot")
+    __slots__ = ("d", "w", "pos", "row")
 
 
 def _column_reduce(a: IntMatrix, track_rows: int):
@@ -429,7 +273,7 @@ def _column_reduce(a: IntMatrix, track_rows: int):
         col.d = {}
         col.w = {j: 1} if j < track_rows else {}
         col.pos = j
-        col.pivot = False
+        col.row = None
         order.append(col)
     rowindex = {}
     for i, row in enumerate(a.data):
@@ -444,7 +288,7 @@ def _column_reduce(a: IntMatrix, track_rows: int):
         bucket = rowindex.pop(r, None)
         if not bucket:
             continue
-        live = [col for col in bucket if not col.pivot and col.d.get(r)]
+        live = [col for col in bucket if col.row is None and col.d.get(r)]
         while len(live) > 1:
             live.sort(key=lambda col: (abs(col.d[r]), col.pos))
             pcol = live[0]
@@ -483,7 +327,7 @@ def _column_reduce(a: IntMatrix, track_rows: int):
         if front_col is not pcol:
             order[front], order[pcol.pos] = pcol, front_col
             front_col.pos, pcol.pos = pcol.pos, front
-        pcol.pivot = True
+        pcol.row = r
         front += 1
     return order, front
 
@@ -549,10 +393,8 @@ class ModSolver:
         self.rows, self.cols = a.rows, a.cols
         order, npiv = _column_reduce(hstack(a, rel) if rel.cols else a,
                                      track_rows=a.cols)
-        self._pivots = []
-        for col in order[:npiv]:
-            r = min(col.d)
-            self._pivots.append((r, col.d.pop(r), col.d, col.w))
+        self._pivots = [(col.row, col.d.pop(col.row), col.d, col.w)
+                        for col in order[:npiv]]
 
     def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
         if b.rows != self.rows or b.cols != 1:
@@ -607,3 +449,107 @@ def solve(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
 def solve_mod(a: IntMatrix, b: IntMatrix, rel: IntMatrix) -> Optional[IntMatrix]:
     """One x with A x - b in the column span of Rel, or None."""
     return ModSolver(a, rel).solve(b)
+
+
+class SmithDecomposition:
+    """Result of snf: unimodular U, V and diagonal D with U*A*V = D.
+
+    D is nonnegative with each diagonal entry dividing the next; trailing
+    ones and zeros are kept so D always has the source's shape.  u_inv is
+    the exact integer inverse of U: given when snf can write it down, and
+    otherwise solved for on first use.
+    """
+
+    __slots__ = ("U", "D", "V", "_u_inv")
+
+    def __init__(self, U, D, V, u_inv=None):
+        self.U = U
+        self.D = D
+        self.V = V
+        self._u_inv = u_inv
+
+    @property
+    def u_inv(self) -> IntMatrix:
+        if self._u_inv is None:
+            self._u_inv = SnfSolver(self.U).solve_matrix(IntMatrix.identity(self.U.rows))
+        return self._u_inv
+
+    def diagonal(self) -> list:
+        return [self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols))]
+
+
+def _combine(coeffs: dict, vectors: Sequence[dict]) -> dict:
+    """The sparse vector sum of coeffs[k] * vectors[k]."""
+    out = {}
+    for k, c in coeffs.items():
+        for i, x in vectors[k].items():
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in out.items() if x}
+
+
+def _xgcd(a: int, b: int):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b > 0."""
+    s0, s1, r0, r1 = 1, 0, a, b
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    return r0, s0, (r0 - s0 * a) // b
+
+
+def snf(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form by alternating column-echelon passes (Kannan and
+    Bachem, SIAM J. Comput. 8, 1979).
+
+    _column_reduce runs on A, tracking V; then on the transpose of the r
+    nonzero columns it leaves, tracking U^T; and from there on alternately
+    on the r x r nonzero block and on its transpose, until every pivot
+    column holds one entry.  This ends: each pass makes the leading entry
+    of the part not yet split off the gcd of its first row or column, so
+    it shrinks until it divides both, and the next pass leaves it alone in
+    its row and column for good.  Only the first pass can leave the single
+    entries off the diagonal, so a row permutation puts them there, and a
+    gcd pass of 2x2 unimodular steps makes each divide the next.
+    """
+    m, n = a.rows, a.cols
+    order, r = _column_reduce(a, track_rows=n)
+    pivots = order[:r]
+    v = [col.w for col in order]  # columns of V
+    u = None                      # rows of U, once a transposed pass has run
+    width, on_transpose = m, True
+    while any(len(col.d) > 1 for col in pivots):
+        block = IntMatrix._wrap(r, width, tuple(
+            tuple(col.d.get(i, 0) for i in range(width)) for col in pivots))
+        order, _ = _column_reduce(block, track_rows=width)
+        pivots = order[:r]
+        if not on_transpose:
+            v[:r] = [_combine(col.w, v) for col in pivots]
+        elif u is None:
+            u = [col.w for col in order]
+        else:
+            u[:r] = [_combine(col.w, u) for col in pivots]
+        width, on_transpose = r, not on_transpose
+    ui = None  # columns of u_inv, written down when U is a row permutation
+    if u is None:
+        rows = [col.row for col in pivots]
+        rest = set(range(m)).difference(rows)
+        u = [{i: 1} for i in rows + sorted(rest)]
+        ui = list(u)
+    d = [col.d[col.row] for col in pivots]
+    for i in range(r):
+        for j in range(i + 1, r):
+            x, y = d[i], d[j]
+            if y % x:
+                g, s, t = _xgcd(x, y)
+                u[i], u[j] = _combine({i: s, j: t}, u), _combine({i: -y // g, j: x // g}, u)
+                v[i], v[j] = (_combine({i: 1, j: 1}, v),
+                              _combine({i: -t * y // g, j: s * x // g}, v))
+                if ui is not None:
+                    ui[i], ui[j] = (_combine({i: x // g, j: y // g}, ui),
+                                    _combine({i: -t, j: s}, ui))
+                d[i], d[j] = g, x * y // g
+    return SmithDecomposition(
+        IntMatrix._wrap(m, m, tuple(tuple(row.get(k, 0) for k in range(m)) for row in u)),
+        IntMatrix._wrap(m, n, tuple(tuple(d[i] if i == j and i < r else 0 for j in range(n))
+                                    for i in range(m))),
+        _from_sparse_cols(v, n), None if ui is None else _from_sparse_cols(ui, m))

@@ -8,12 +8,15 @@ kernels, cokernels, hom-groups, and lifts implemented here.
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .exactint import (
     DimensionMismatch,
     IntMatrix,
     ModSolver,
+    _column_reduce,
+    _from_sparse_cols,
     block_diag,
     column_space_basis,
     constrained_kernel,
@@ -57,13 +60,14 @@ class FpAbGroup:
     """Z^gens modulo the column span of `relations`.
 
     The canonical form (free rank, invariant factors each >= 2) classifies
-    the group up to isomorphism.  It is computed lazily from the Smith form
-    of the relations, with a fast path when the relations matrix is already
-    monomial (at most one nonzero per row and per column), which covers the
-    presentations produced by direct sums of cyclic groups.
+    the group up to isomorphism.  Everything here reads one column-echelon
+    basis of the relation lattice, made on first use: cosets reduce against
+    it, and when it is monomial (one entry per column, as for direct sums of
+    cyclic groups), up to columns with pivot 1, its pivots give the
+    canonical form without a Smith form.
     """
 
-    __slots__ = ("gens", "relations", "_snf", "_canon", "_row_moduli")
+    __slots__ = ("gens", "relations", "_echelon", "_snf", "_canon")
 
     def __init__(self, gens: int, relations: Optional[IntMatrix] = None):
         if relations is None:
@@ -73,51 +77,41 @@ class FpAbGroup:
                 f"relations have {relations.rows} rows, group has {gens} generators")
         self.gens = gens
         self.relations = relations
+        self._echelon = None
         self._snf = None
         self._canon = None
-        self._row_moduli = self._monomial_moduli()
 
-    def _monomial_moduli(self):
-        """Row -> modulus map when relations are monomial, else None."""
-        rel = self.relations
-        if rel.cols == 0:
-            return {}
-        row_seen = [False] * rel.rows
-        moduli = {}
-        for j in range(rel.cols):
-            nz = None
-            for i in range(rel.rows):
-                x = rel.data[i][j]
-                if x:
-                    if nz is not None:
-                        return None
-                    nz = (i, x)
-            if nz is None:
-                continue
-            i, x = nz
-            if row_seen[i]:
-                return None
-            row_seen[i] = True
-            moduli[i] = abs(x)
-        return moduli
+    def _echelon_basis(self) -> List[Tuple[int, int, dict]]:
+        """(pivot row, pivot, column) for each column of the echelon basis.
+
+        Pivots are positive, pivot rows increase, and each column (a dict
+        by row) is zero above its pivot row.
+        """
+        if self._echelon is None:
+            order, npiv = _column_reduce(self.relations, track_rows=0)
+            self._echelon = [(col.row, col.d[col.row], col.d) for col in order[:npiv]]
+        return self._echelon
 
     def _snf_data(self):
+        """Smith form of the echelon basis; its U and u_inv serve the
+        relations as well, since both span the same lattice."""
         if self._snf is None:
-            self._snf = snf(self.relations)
+            self._snf = snf(_from_sparse_cols(
+                [col for _, _, col in self._echelon_basis()], self.gens))
         return self._snf
 
     @property
     def canonical_form(self) -> Tuple[int, Tuple[int, ...]]:
         """(free rank, invariant factors) classifying the group up to iso."""
         if self._canon is None:
-            if self._row_moduli is not None:
-                nonzero = [m for m in self._row_moduli.values() if m]
-                rank = self.gens - len(nonzero)
-                self._canon = (rank, _invariant_chain(nonzero))
+            basis = self._echelon_basis()
+            # a column with pivot 1 only expresses its pivot generator in
+            # later ones, so single-entry columns carry all the torsion
+            if all(p == 1 or len(col) == 1 for _, p, col in basis):
+                self._canon = (self.gens - len(basis),
+                               _invariant_chain([p for _, p, _ in basis]))
             else:
-                dec = self._snf_data()
-                diag = dec.diagonal()
-                nonzero = [d for d in diag if d]
+                nonzero = [d for d in self._snf_data().diagonal() if d]
                 self._canon = (self.gens - len(nonzero),
                                tuple(d for d in nonzero if d > 1))
         return self._canon
@@ -144,23 +138,28 @@ class FpAbGroup:
         return math.prod(factors) if factors else 1
 
     def reduce(self, coords: IntMatrix) -> IntMatrix:
-        """Canonical representative of the coset coords + colspan(relations)."""
+        """Canonical representative of the coset coords + colspan(relations).
+
+        It is the one element of the coset whose entry at each pivot row of
+        the echelon basis lies in [0, pivot), so it depends on the lattice
+        alone, not on how it is presented.
+        """
         if coords.rows != self.gens or coords.cols != 1:
             raise DimensionMismatch("coordinate column has wrong shape")
-        if self._row_moduli is not None:
-            out = []
-            for i in range(self.gens):
-                m = self._row_moduli.get(i, 0)
-                x = coords.data[i][0]
-                out.append(x % m if m else x)
-            return IntMatrix._wrap(self.gens, 1, tuple((x,) for x in out))
-        dec = self._snf_data()
-        y = [row[0] for row in (dec.U * coords).data]
-        diag = dec.diagonal()
-        for i, d in enumerate(diag):
-            if d:
-                y[i] %= d
-        return dec.u_inv * IntMatrix._wrap(len(y), 1, tuple((x,) for x in y))
+        return self._reduce_columns(coords)
+
+    def _reduce_columns(self, m: IntMatrix) -> IntMatrix:
+        """Every column of m reduced as by reduce, in one forward pass."""
+        basis = self._echelon_basis()
+        if not basis:
+            return m
+        rows = list(m.data)
+        for r, p, col in basis:
+            qs = [x // p for x in rows[r]]
+            if any(qs):
+                for i, v in col.items():
+                    rows[i] = tuple(x - q * v for x, q in zip(rows[i], qs))
+        return IntMatrix._wrap(m.rows, m.cols, tuple(rows))
 
     def contains_zero(self, coords: IntMatrix) -> bool:
         return self.reduce(coords).is_zero()
@@ -174,36 +173,13 @@ class FpAbGroup:
         return Element(self, IntMatrix.zero(self.gens, 1))
 
     def elements(self) -> Iterable["Element"]:
-        """All elements of a finite group, in a deterministic order."""
+        """All elements of a finite group: the box of reduced coordinates,
+        last coordinate fastest."""
         if self.order() is None:
             raise ValueError("cannot enumerate an infinite group")
-        if self._row_moduli is not None:
-            ranges = [self._row_moduli.get(i, 1) for i in range(self.gens)]
-            # every row must carry a modulus or the group would be infinite
-            coords = [0] * self.gens
-            while True:
-                yield Element(self, IntMatrix.column(coords))
-                for i in range(self.gens - 1, -1, -1):
-                    coords[i] += 1
-                    if coords[i] < ranges[i]:
-                        break
-                    coords[i] = 0
-                else:
-                    return
-        else:
-            dec = self._snf_data()
-            diag = dec.diagonal()
-            ranges = [d if d > 1 else 1 for d in diag] + [1] * (self.gens - len(diag))
-            y = [0] * self.gens
-            while True:
-                yield Element(self, dec.u_inv * IntMatrix.column(y))
-                for i in range(self.gens - 1, -1, -1):
-                    y[i] += 1
-                    if y[i] < ranges[i]:
-                        break
-                    y[i] = 0
-                else:
-                    return
+        # a finite group has a pivot in every row
+        for coords in product(*(range(p) for _, p, _ in self._echelon_basis())):
+            yield Element(self, IntMatrix.column(coords))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FpAbGroup) and self.gens == other.gens
@@ -322,20 +298,10 @@ class FpAbHom:
         return Element(self.tgt, self.matrix * x.coords)
 
     def reduced_matrix(self) -> IntMatrix:
-        moduli = self.tgt._row_moduli
-        if moduli is not None:
-            # monomial relations: reduce entrywise, as reduce does per column
-            data = tuple(tuple(x % moduli[i] for x in row)
-                         if moduli.get(i) else row
-                         for i, row in enumerate(self.matrix.data))
-            return IntMatrix._wrap(self.matrix.rows, self.matrix.cols, data)
-        cols = [self.tgt.reduce(self.matrix.column_matrix(j)).col(0)
-                for j in range(self.matrix.cols)]
-        return IntMatrix.from_cols(cols, rows=self.tgt.gens)
+        return self.tgt._reduce_columns(self.matrix)
 
     def is_zero(self) -> bool:
-        return all(self.tgt.contains_zero(self.matrix.column_matrix(j))
-                   for j in range(self.matrix.cols))
+        return self.reduced_matrix().is_zero()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FpAbHom) and self.src == other.src
@@ -585,9 +551,9 @@ def minimized(group: FpAbGroup) -> Tuple[FpAbGroup, FpAbHom, FpAbHom]:
     Returns (small, to_small, from_small) with to_small ∘ from_small the
     identity on the small group and from_small ∘ to_small equal to the
     identity of the original group.  The torsion generators come first,
-    with monomial relations Z/d for the invariant factors d; the group's
-    own cached Smith form supplies the change of basis, so computing its
-    canonical form as well costs no second elimination.  Cohomology
+    with monomial relations Z/d for the invariant factors d; the Smith
+    form of the group's echelon basis, cached on the group, supplies the
+    change of basis.  Cohomology
     (resolution.cohomology_data) presents every H^n this way.
     """
     dec = group._snf_data()
@@ -595,7 +561,6 @@ def minimized(group: FpAbGroup) -> Tuple[FpAbGroup, FpAbHom, FpAbHom]:
     keep = [i for i, d in enumerate(diag) if d != 1]
     keep += list(range(len(diag), group.gens))
     moduli = [diag[i] if i < len(diag) else 0 for i in keep]
-    torsion = [i for i, m in enumerate(moduli) if m]
     order = sorted(range(len(keep)), key=lambda i: (0 if moduli[i] else 1, i))
     keep = [keep[i] for i in order]
     moduli = [moduli[i] for i in order]

@@ -281,19 +281,23 @@ def test_solve_mod_substitution_property():
             assert solve(rel, resid) is not None or resid.is_zero()
 
 
-def smith_in_span(m, b):
-    """Smith criterion for b in the column span of M, sharing no code with
-    the echelon solvers: with U M V = D, M y = b is solvable iff each
-    (U b)_i is divisible by d_i and vanishes past the rank."""
-    dec = snf(m)
-    diag = dec.diagonal()
-    ub = dec.U * b
-    for i in range(m.rows):
-        d = diag[i] if i < len(diag) else 0
-        c = ub.data[i][0]
-        if (c % d if d else c):
-            return False
-    return True
+def oracle_rank_and_gcd(m):
+    """(r, g): r is the largest size of a nonzero minor of M and g the gcd
+    of its r x r minors (1 when r = 0)."""
+    r, g = 0, 1
+    for k, gk in enumerate(oracle_minor_gcds([list(row) for row in m.data],
+                                             m.rows, m.cols), 1):
+        if gk:
+            r, g = k, gk
+    return r, g
+
+
+def in_span(m, b):
+    """Determinantal-divisor criterion for b in the column span L of M,
+    sharing no code with the echelon solvers or the Smith form: L and
+    L + Zb have the same rank r exactly when M and [M | b] do, and then
+    the index of L in L + Zb is the ratio of their gcds of r x r minors."""
+    return oracle_rank_and_gcd(m) == oracle_rank_and_gcd(hstack(m, b))
 
 
 @st.composite
@@ -323,12 +327,12 @@ def test_solve_mod_matches_smith_criterion(case):
     for j in range(bs.cols):
         b = bs.column_matrix(j)
         x = solve_mod(a, b, rel)
-        assert (x is None) == (not smith_in_span(hstack(a, rel), b))
+        assert (x is None) == (not in_span(hstack(a, rel), b))
         if x is not None:
             assert (x.rows, x.cols) == (a.cols, 1)
-            assert smith_in_span(rel, a * x - b)
+            assert in_span(rel, a * x - b)
         x = solve(a, b)
-        assert (x is None) == (not smith_in_span(a, b))
+        assert (x is None) == (not in_span(a, b))
         if x is not None:
             assert a * x == b
 
@@ -337,15 +341,15 @@ def test_solve_mod_matches_smith_criterion(case):
 @given(case=solve_mod_cases())
 def test_solve_matrix_fails_when_any_column_fails(case):
     a, rel, bs = case
-    ok = [smith_in_span(hstack(a, rel), bs.column_matrix(j))
+    ok = [in_span(hstack(a, rel), bs.column_matrix(j))
           for j in range(bs.cols)]
     x = ModSolver(a, rel).solve_matrix(bs)
     assert (x is None) == (not all(ok))
     if x is not None:
         assert (x.rows, x.cols) == (a.cols, bs.cols)
         for j in range(bs.cols):
-            assert smith_in_span(rel, a * x.column_matrix(j)
-                                 - bs.column_matrix(j))
+            assert in_span(rel, a * x.column_matrix(j)
+                           - bs.column_matrix(j))
 
 
 # ---------------------------------------------------------------- plumbing
@@ -505,13 +509,16 @@ def test_every_operation_keeps_the_matrix_invariant(case):
 def test_snf_invariant_products_are_minor_gcds(a):
     """d_1 ... d_k is the gcd of the k x k minors, and 0 past the rank."""
     diag = snf(a).diagonal()
-    r = rank(a)
-    product = 1
+    gcds = []
     for k in range(1, min(a.rows, a.cols) + 1):
         g = 0
         for ri in itertools.combinations(range(a.rows), k):
             for ci in itertools.combinations(range(a.cols), k):
                 g = math.gcd(g, det(a.take_rows(ri).take_cols(ci)))
+        gcds.append(g)
+    r = sum(1 for g in gcds if g)  # the k x k minors vanish exactly past the rank
+    product = 1
+    for k, g in enumerate(gcds, 1):
         product *= diag[k - 1]
         assert product == g
         assert (product == 0) == (k > r)

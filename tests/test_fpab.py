@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extcalc.exactint import IntMatrix, solve
+from extcalc.exactint import IntMatrix, hstack, solve
 from extcalc.fpab import (
     DimensionMismatch,
     Element,
@@ -147,7 +147,9 @@ def test_monomial_fast_path_matches_snf():
                 for j in range(g) if moduli[j]]
         rel = IntMatrix.from_cols(cols, rows=g)
         mono = make_group(g, rel)
-        assert mono._row_moduli is not None
+        # the echelon basis of a diagonal presentation is monomial, so the
+        # canonical form comes from its pivots without a Smith form
+        assert all(len(col) == 1 for _, _, col in mono._echelon_basis())
         # disguise: mix rows with a random unimodular transform
         u = IntMatrix.identity(g)
         for _ in range(4):
@@ -189,6 +191,30 @@ def test_element_reduction_is_canonical():
         assert g.reduce(x) == g.reduce(x + shift)
         # the reduction stays in the same coset
         assert g.contains_zero(g.reduce(x) - x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_coset_normal_form_depends_on_the_lattice_alone(rng):
+    # one lattice presented as R, as R*Q for a random unimodular Q, and as R
+    # plus a column that combines its columns
+    group = random_group(rng)
+    rel, k = group.relations, group.relations.cols
+    q = IntMatrix.identity(k)
+    for _ in range(5 if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        q = q * IntMatrix(k, k, [[1 if a == b else c if (a, b) == (j, i) else 0
+                                  for b in range(k)] for a in range(k)])
+    combo = rel * IntMatrix.column([rng.randint(-3, 3) for _ in range(k)])
+    x = IntMatrix.column([rng.randint(-30, 30) for _ in range(group.gens)])
+    y = group.reduce(x)
+    assert make_group(group.gens, rel * q).reduce(x) == y
+    assert make_group(group.gens, hstack(rel, combo)).reduce(x) == y
+    # the representative lies in the pivot box and in the coset of x
+    for r, p, _ in group._echelon_basis():
+        assert 0 <= y.entry(r, 0) < p
+    assert solve(rel, y - x) is not None
 
 
 def test_element_arithmetic():
@@ -235,8 +261,8 @@ def test_hom_equality_mod_relations():
 
 
 def test_reduced_matrix_reduces_each_column():
-    # monomial targets take an entrywise path, the others go through the
-    # Smith form; both must agree with reduce column by column
+    # reduced_matrix reduces the whole matrix in one forward pass against
+    # the target's echelon basis; it must agree with reduce column by column
     rng = random.Random(4107)
     targets = [from_invariants(1, [2, 6]), zmod(4), free_abelian(2),
                make_group(2, IntMatrix.from_rows([[2, 1], [4, 3]])),
