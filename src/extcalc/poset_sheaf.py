@@ -358,10 +358,14 @@ class FreePresheaf:
         return f"FreePresheaf(labels={self.labels})"
 
 
-def free_presheaf(site: FinitePoset, c: int) -> AbPresheaf:
-    """ZY(c): the integers on the principal down-set of c."""
+def _check_element(site: FinitePoset, c: int) -> None:
     if not 0 <= c < site.size:
         raise IllDefined(f"element {c} is not in the poset")
+
+
+def free_presheaf(site: FinitePoset, c: int) -> AbPresheaf:
+    """ZY(c): the integers on the principal down-set of c."""
+    _check_element(site, c)
     return FreePresheaf(site, (c,)).realize()
 
 
@@ -849,6 +853,7 @@ def internal_projectivity_witness(site: FinitePoset, c: int,
     epi at every element.  Absence over any family of epis is evidence,
     never a certificate.
     """
+    _check_element(site, c)
     if not is_epi(sigma):
         raise ValueError("sigma must be an epimorphism")
     for e in site.elements():
@@ -857,61 +862,66 @@ def internal_projectivity_witness(site: FinitePoset, c: int,
     return None
 
 
+# Stalk kinds 0, Z/2 and Z.  An epi out of kind k hits the kinds in
+# _EPI_KINDS[k]; the canonical map from k onto a nonzero one of them is the
+# unit, and every other canonical map is zero.
 _STALK_KINDS = (fpab.make_group(0), zmod(2), free_abelian(1))
-
-
-def _canonical_hom(src_kind: int, tgt_kind: int) -> IntMatrix:
-    # the one canonical choice per shape: unit map where one exists
-    if src_kind == 0 or tgt_kind == 0 or (src_kind, tgt_kind) == (1, 2):
-        return IntMatrix.zero(_STALK_KINDS[tgt_kind].gens,
-                              _STALK_KINDS[src_kind].gens)
-    return IntMatrix.from_rows([[1]])
-
-
-def _canonical_presheaves(site: FinitePoset):
-    """All functorial stalk assignments over {0, Z/2, Z} with unit maps."""
-    out = []
-    for kinds in itertools.product(range(3), repeat=site.size):
-        stalks = [_STALK_KINDS[k] for k in kinds]
-        res = {(d, c): FpAbHom(stalks[c], stalks[d],
-                               _canonical_hom(kinds[c], kinds[d]), check=False)
-               for (d, c) in site.strict_pairs()}
-        try:
-            out.append((kinds, AbPresheaf(site, stalks, res, check=True)))
-        except IllDefined:
-            continue
-    return out
-
-
-def _kind_epi(src_kind: int, tgt_kind: int) -> bool:
-    return tgt_kind == 0 or (src_kind, tgt_kind) in ((1, 1), (2, 1), (2, 2))
+_EPI_KINDS = ((0,), (0, 1), (0, 1, 2))
 
 
 def witness_search(site: FinitePoset,
                    c: int) -> Optional[Tuple[PresheafHom, int]]:
-    """Search the bounded canonical family of epis for a non-preserved one.
+    """First canonical epi f -> g that internal Hom(ZY(c), -) fails on.
 
-    The family: presheaves with stalks 0, Z/2, or Z, all restriction maps
-    and all epi components the canonical unit map for their shape.  The
-    first epi whose internal hom image fails stalkwise surjectivity is
-    returned with the failing stalk; None means the whole family is
-    preserved.
+    Returns it with its first failing stalk, or None.  Stalks have kind
+    0, Z/2 or Z and every map is canonical for its kinds, so each check
+    is decided once per kind pattern, by tables and a memo that live for
+    one call: functoriality over kind triples, naturality over (f_x, f_d,
+    g_x, g_d), and surjectivity at e on ↓c∩↓e and the kinds of f and g
+    there.  Pairs run in lexicographic order of f's kinds, then g's.
+    Only an e where ↓c∩↓e has no maximum m is asked: otherwise the
+    sections are the stalk at m, where the epi is onto.
     """
-    cands = _canonical_presheaves(site)
-    for kinds_f, f in cands:
-        for kinds_g, g in cands:
-            if not all(_kind_epi(kf, kg)
-                       for kf, kg in zip(kinds_f, kinds_g)):
+    _check_element(site, c)
+    meets = [(e, tuple(x for x in site.down_set(c) if site.leq[x][e]))
+             for e in site.elements() if _meet(site, c, e) is _NOT_PRINCIPAL]
+    if not meets:
+        return None
+    homs = [[FpAbHom(s, t, IntMatrix.from_rows([[1]]) if b in _EPI_KINDS[a][1:]
+                     else IntMatrix.zero(t.gens, s.gens), check=False)
+             for b, t in enumerate(_STALK_KINDS)]
+            for a, s in enumerate(_STALK_KINDS)]
+    kinds, pairs = range(3), site.strict_pairs()
+    composes = {(a, b, t): fpab.compose(homs[b][t], homs[a][b]) == homs[a][t]
+                for a in kinds for b in kinds for t in kinds}
+    natural = {(fx, fd, gx, gd): fpab.compose(homs[fd][gd], homs[fx][fd])
+               == fpab.compose(homs[gx][gd], homs[fx][gx])
+               for fx in kinds for fd in kinds for gx in kinds for gd in kinds}
+    triples = [(e, d, x) for (d, x) in pairs
+               for e in site.elements() if e != d and site.leq[e][d]]
+    cands = [k for k in itertools.product(kinds, repeat=site.size)
+             if all(composes[k[x], k[d], k[e]] for (e, d, x) in triples)]
+    functorial = set(cands)
+
+    def realize(kf, kg, check):
+        def presheaf(k):
+            res = {(d, x): homs[k[x]][k[d]] for (d, x) in pairs}
+            return AbPresheaf(site, [_STALK_KINDS[a] for a in k], res,
+                              check=check)
+        return PresheafHom(presheaf(kf), presheaf(kg),
+                           [homs[a][b] for a, b in zip(kf, kg)], check=check)
+
+    preserved: Dict[tuple, bool] = {}
+    for kf in cands:
+        for kg in itertools.product(*(_EPI_KINDS[k] for k in kf)):
+            if kg not in functorial or not all(
+                    natural[kf[x], kf[d], kg[x], kg[d]] for (d, x) in pairs):
                 continue
-            comps = [FpAbHom(f.stalk(e), g.stalk(e),
-                             _canonical_hom(kinds_f[e], kinds_g[e]),
-                             check=False)
-                     for e in site.elements()]
-            try:
-                sigma = PresheafHom(f, g, comps, check=True)
-            except IllDefined:
-                continue
-            stalk = internal_projectivity_witness(site, c, sigma)
-            if stalk is not None:
-                return sigma, stalk
+            for e, meet in meets:
+                key = (meet, tuple((kf[x], kg[x]) for x in meet))
+                if key not in preserved:
+                    preserved[key] = fpab.is_epi(
+                        _internal_hom_at(site, c, e, realize(kf, kg, False)))
+                if not preserved[key]:
+                    return realize(kf, kg, True), e
     return None

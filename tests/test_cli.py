@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -392,6 +393,25 @@ class TestExitCodes:
                            "--format", "machine")
         assert code == 0
         assert json.loads(out)["stalk"] in (3, 4)
+
+    def test_witness_search_at_the_cap_answers_in_budget(self, capsys,
+                                                         monkeypatch):
+        # the antichain at the cap, and five elements below two tops, the
+        # slowest poset of that size measured (its two tops meet in an
+        # antichain, so the scan asks about every pair of kinds there)
+        n = cli.WITNESS_POSET_SIZE_CAP
+        doc = json.dumps({"posets": {
+            "anti": {"size": n, "relations": []},
+            "wide": {"size": n, "relations": [[i, t] for t in (n - 2, n - 1)
+                                              for i in range(n - 2)]}}})
+        for poset, c in (("anti", 0), ("wide", n - 2)):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "witness-search", "--input", "-",
+                               "--poset", poset, "--c", str(c))
+            assert time.perf_counter() - start < 10
+            assert code == 0
+            assert "no witness found" in out
 
     def test_negative_degree_is_domain(self, capsys):
         code, _, err = run(capsys, "ext", "--B", "Z/4", "--A", "Z/6",

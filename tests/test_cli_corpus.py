@@ -80,7 +80,10 @@ DOCUMENTS = {
     },
     "bowtie": {
         "posets": {"B": {"size": 5, "relations": _BOWTIE_PAIRS[:6]},
-                   "C3": {"size": 3, "relations": [[0, 1], [1, 2]]}},
+                   "C3": {"size": 3, "relations": [[0, 1], [1, 2]]},
+                   # a second bowtie stacked on the first, tops 3 and 4
+                   "BB": {"size": 7, "relations": _BOWTIE_PAIRS[:6] + [
+                       [3, 5], [4, 5], [3, 6], [4, 6]]}},
         "presheaves": {
             "K": {"poset": "B", "stalks": ["Z/2"] * 5,
                   "res": {f"{d}<={c}": [[1]] for d, c in _BOWTIE_PAIRS}},
@@ -138,6 +141,7 @@ COMMANDS = [
     ("bowtie", ["global-sections", "--F", "K"], HUMAN),
     # the slowest command: its components show only in machine form
     ("bowtie", ["witness-search", "--poset", "B", "--c", "3"], ("machine",)),
+    ("bowtie", ["witness-search", "--poset", "BB", "--c", "3"], ("machine",)),
     ("bowtie", ["witness-search", "--poset", "C3", "--c", "2"], HUMAN),
     ("bowtie", ["witness-search", "--poset", "C3", "--c", "5"], HUMAN),
 ]

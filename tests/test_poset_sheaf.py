@@ -8,6 +8,7 @@ at the top, zero at the bottom); the fast and general sheaf Ext paths
 cross-check each other on every site where both apply.
 """
 
+import itertools
 import random
 
 import pytest
@@ -781,6 +782,18 @@ class TestFastPath:
         assert_paths_agree(random_tree_presheaf(rng, parents),
                            random_tree_presheaf(rng, parents), n)
 
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           parents=st.sampled_from([CHAIN4, TREE5, TREE6]))
+    def test_tree_sites_have_global_dimension_two(self, rng, parents):
+        # the Hasse diagram of a rooted tree is a tree, so its incidence
+        # algebra is a path algebra: hereditary over a field, of global
+        # dimension at most 2 over Z, and Ext^3 vanishes
+        b = random_tree_presheaf(rng, parents)
+        a = random_tree_presheaf(rng, parents)
+        for method in ("general", "fast"):
+            assert sheaf_ext(b, a, 3, method=method).presheaf.is_zero()
+
     def test_agreement_on_diamond(self):
         site = diamond()
         b = constant_presheaf(site, zmod(4))
@@ -813,6 +826,79 @@ def witness_through_hom_groups(site, c, sigma):
     return maps
 
 
+# The reference family for witness_search, built by brute force: every
+# kind assignment validated by AbPresheaf, every kind pair by PresheafHom.
+KINDS = (ZERO, zmod(2), free_abelian(1))
+
+
+def canonical_map(a, b):
+    """The unit map between kinds a and b where it is a hom, else zero."""
+    src, tgt = KINDS[a], KINDS[b]
+    if a and b and (a, b) != (1, 2):
+        return fpab.FpAbHom(src, tgt, IntMatrix.from_rows([[1]]))
+    return fpab.zero_hom(src, tgt)
+
+
+def canonical_presheaves(site):
+    out = []
+    for kinds in itertools.product(range(3), repeat=site.size):
+        res = {(d, c): canonical_map(kinds[c], kinds[d])
+               for (d, c) in site.strict_pairs()}
+        try:
+            out.append((kinds, AbPresheaf(site, [KINDS[k] for k in kinds],
+                                          res, check=True)))
+        except IllDefined:
+            continue
+    return out
+
+
+def canonical_epis_from(kinds_f, f, cands):
+    """The natural stalkwise epis out of f, in the order of cands."""
+    for kinds_g, g in cands:
+        comps = [canonical_map(a, b) for a, b in zip(kinds_f, kinds_g)]
+        if not all(fpab.is_epi(h) for h in comps):
+            continue
+        try:
+            yield PresheafHom(f, g, comps, check=True)
+        except IllDefined:
+            continue
+
+
+def reference_epis(site):
+    cands = canonical_presheaves(site)
+    return [sigma for kinds_f, f in cands
+            for sigma in canonical_epis_from(kinds_f, f, cands)]
+
+
+def reference_witness(site, c, epis):
+    """witness_search as a plain scan of every epi of the family in order."""
+    for sigma in epis:
+        stalk = internal_projectivity_witness(site, c, sigma)
+        if stalk is not None:
+            return sigma, stalk
+    return None
+
+
+def assert_search_matches_reference(site, elements=None):
+    epis = reference_epis(site)
+    for c in site.elements() if elements is None else elements:
+        assert witness_search(site, c) == reference_witness(site, c, epis)
+
+
+def labelled_posets(n):
+    """Every poset on elements 0..n-1, each once."""
+    pairs = [(d, c) for d in range(n) for c in range(n) if d != c]
+    seen = {}
+    for mask in range(1 << len(pairs)):
+        rels = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        try:
+            site = make_poset(n, rels)
+        except PosetError:
+            continue
+        seen.setdefault(site.leq, site)
+    return list(seen.values())
+
+
 @st.composite
 def canonical_epis(draw):
     """A poset of at most 4 elements, an element c and a canonical epi."""
@@ -821,19 +907,9 @@ def canonical_epis(draw):
     relations = (st.lists(st.sampled_from(pairs), unique=True) if pairs
                  else st.just([]))
     site = make_poset(size, draw(relations))
-    cands = ps._canonical_presheaves(site)
+    cands = canonical_presheaves(site)
     kinds_f, f = draw(st.sampled_from(cands))
-    epis = []
-    for kinds_g, g in cands:
-        if not all(ps._kind_epi(a, b) for a, b in zip(kinds_f, kinds_g)):
-            continue
-        comps = [fpab.FpAbHom(f.stalk(e), g.stalk(e),
-                              ps._canonical_hom(kinds_f[e], kinds_g[e]))
-                 for e in site.elements()]
-        try:
-            epis.append(PresheafHom(f, g, comps))
-        except IllDefined:
-            continue
+    epis = list(canonical_epis_from(kinds_f, f, cands))
     return site, draw(st.integers(0, size - 1)), draw(st.sampled_from(epis))
 
 
@@ -860,9 +936,42 @@ class TestProjectivityWitness:
                     == ref.tgt.canonical_form)
             at_e = ps._internal_hom_at(site, c, e, sigma)
             assert _forms(at_e) == _forms(ref)
+            if ps._meet(site, c, e) is not ps._NOT_PRINCIPAL:
+                # over a maximum m of the meet the sections are the stalk
+                # at m, so witness_search never asks here
+                assert fpab.is_epi(ref)
         first = next((e for e, ref in enumerate(reference)
                       if not fpab.is_epi(ref)), None)
         assert internal_projectivity_witness(site, c, sigma) == first
+
+    def test_search_matches_reference_on_every_small_poset(self):
+        for n in (1, 2, 3):
+            for site in labelled_posets(n):
+                assert_search_matches_reference(site)
+
+    @pytest.mark.parametrize("site", [
+        chain(4), diamond(), make_poset(4, [(0, 2), (1, 2), (1, 3)]),
+        make_poset(4, []), bowtie()],
+        ids=["chain4", "diamond", "N", "antichain4", "bowtie"])
+    def test_search_matches_reference(self, site):
+        assert_search_matches_reference(site)
+
+    def test_search_matches_reference_where_the_meet_splits(self):
+        # ↓3∩↓4 = {0 < 1} ⊔ {2} has no maximum, so the search asks there;
+        # every piece has one, so every canonical epi is preserved
+        site = make_poset(5, [(0, 1), (1, 3), (1, 4), (2, 3), (2, 4)])
+        assert_search_matches_reference(site, [3])
+        assert witness_search(site, 3) is None
+
+    @pytest.mark.parametrize("c", [-1, 5])
+    def test_element_outside_the_poset_is_rejected(self, c):
+        s = sierpinski()
+        f = constant_presheaf(s, free_abelian(1))
+        ident = PresheafHom(f, f, [identity_hom(free_abelian(1))] * 2)
+        with pytest.raises(IllDefined, match=f"element {c} is not in"):
+            witness_search(s, c)
+        with pytest.raises(IllDefined, match=f"element {c} is not in"):
+            internal_projectivity_witness(s, c, ident)
 
     def test_bowtie_search_finds_witness(self):
         found = witness_search(bowtie(), 3)
