@@ -5,10 +5,11 @@ and pullback, Baer sum, equivalence testing, Ext^1 as a computed group with
 class coordinates, and the two six-term exact sequences with an executable
 exactness report.
 
-Constructed extensions are carried by their cocycle (Mac Lane, Homology,
-III): a matrix α from the relation columns of B to A, realized in the
-normal form A -> (A ⊕ Z^gens(B)) / [[rel A, -α], [0, rel B]] -> B.  Pullbacks
-and Baer sums keep gens(A) + gens(B) middle generators however they nest.
+Every sequence holds its cocycle α (Mac Lane, Homology, III), a matrix
+from the relation columns of B to A.  Pushout (f·α), pullback (α·S), Baer
+sum (α_e + α_f) and class coordinates are arithmetic on α, and every
+construction returns the normal form of _extension, with gens(A) + gens(B)
+middle generators however they nest.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .exactint import (
     SnfSolver,
     block_diag,
     column_space_basis,
+    constrained_kernel,
     hstack,
     kron,
     solve_mod,
@@ -34,20 +36,17 @@ from .fpab import (
     FpAbHom,
     HomGroup,
     NotEpi,
+    _invariant_chain,
     _unvec,
     _vec,
     compose,
-    corestrict,
     describe,
-    direct_sum_many,
     free_abelian,
-    from_invariants,
     hom_group,
     identity_hom,
     induced_hom_group_map,
     is_epi,
     is_mono,
-    kernel,
     make_group,
 )
 
@@ -63,15 +62,39 @@ class NotExact(ValueError):
 class ShortExactSeq:
     """A --i--> E --p--> B with i mono, p epi, im(i) = ker(p).
 
-    The constructor trusts its maps: it serves the constructions below,
-    which are exact by design.  Sequences from outside go through
-    make_ses, which checks every axiom.
+    `pair` is (lift, α) along id_B: p·lift ≡ id mod rel(B) and
+    i·α ≡ lift·rel(B) mod rel(E).  A sequence is given by i and p (from
+    make_ses, which checks every axiom) or by its pair alone (a normal
+    form, exact by design); what is missing is built on first read.
     """
 
-    __slots__ = ("A", "E", "B", "i", "p")
+    __slots__ = ("A", "B", "E", "i", "p", "pair")
 
-    def __init__(self, i: FpAbHom, p: FpAbHom):
-        self.A, self.E, self.B, self.i, self.p = i.src, i.tgt, p.tgt, i, p
+    def __init__(self, a: FpAbGroup, b: FpAbGroup, i: Optional[FpAbHom] = None,
+                 p: Optional[FpAbHom] = None, pair=None):
+        self.A, self.B = a, b
+        if i is not None:
+            self.E, self.i, self.p = i.tgt, i, p
+        if pair is not None:
+            self.pair = pair
+
+    def __getattr__(self, name):
+        # reached only for a slot not yet set
+        if name not in ("E", "i", "p", "pair"):
+            raise AttributeError(name)
+        a, b = self.A, self.B
+        if name == "pair":
+            # id_B kills rel(B), so lift·rel(B) lies in ker p = im i
+            lift = ModSolver(self.p.matrix, b.relations).solve_matrix(IntMatrix.identity(b.gens))
+            self.pair = lift, ModSolver(self.i.matrix, self.E.relations).solve_matrix(
+                lift * b.relations)
+        else:
+            na, nb, zero = a.gens, b.gens, IntMatrix.zero
+            self.E = make_group(na + nb, hstack(vstack(a.relations, zero(nb, a.relations.cols)),
+                                                vstack(-self.pair[1], b.relations)))
+            self.i = FpAbHom(a, self.E, vstack(IntMatrix.identity(na), zero(nb, na)), check=False)
+            self.p = FpAbHom(self.E, b, hstack(zero(nb, na), IntMatrix.identity(nb)), check=False)
+        return getattr(self, name)
 
     def __repr__(self):
         return (f"ShortExactSeq({describe(self.A)} -> {describe(self.E)}"
@@ -88,38 +111,21 @@ def make_ses(i: FpAbHom, p: FpAbHom) -> ShortExactSeq:
         raise NotEpi("right map is not surjective")
     if not compose(p, i).is_zero():
         raise NotExact("composite p∘i is nonzero")
-    k, incl = kernel(p)
-    try:
-        corestrict(incl, i)
-    except ValueError:
-        raise NotExact("kernel of p is larger than the image of i") from None
-    return ShortExactSeq(i, p)
-
-
-def _cocycle(e: ShortExactSeq, g: IntMatrix,
-             rel: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
-    """(lift, α) with p·lift ≡ g mod rel(B) and i·α ≡ lift·rel mod rel(E).
-
-    g sends the columns of rel to zero in B, so lift·rel lies in ker p = im i.
-    """
-    lift = ModSolver(e.p.matrix, e.B.relations).solve_matrix(g)
-    return lift, ModSolver(e.i.matrix, e.E.relations).solve_matrix(lift * rel)
+    if not _exact_at(i, p):
+        raise NotExact("kernel of p is larger than the image of i")
+    return ShortExactSeq(i.src, p.tgt, i, p)
 
 
 def _extension(a: FpAbGroup, b: FpAbGroup, alpha: IntMatrix) -> ShortExactSeq:
     """A -> (A ⊕ Z^gens(B)) / [[rel A, -α], [0, rel B]] -> B, i and p the blocks.
 
-    Exact for a cocycle α (from _cocycle(e, g, rel(B)), a sum of such, or 0):
-    if x = rel(B)·y is zero in B then (a, x) ≡ (a + α·y, 0); rel(B)·y = 0
-    gives i·α·y ≡ lift·0, so α·y ≡ 0.  (e, b') ↦ (i⁻¹(e - lift·x), x), x
-    representing b', is an equivalence from the pullback of e along g.
+    Exact for a cocycle α: if x = rel(B)·y is zero in B then
+    (a, x) ≡ (a + α·y, 0), and rel(B)·y = 0 forces α·y ≡ 0.  Its pair is
+    ([0; I], α); (e, x) ↦ (i⁻¹(e - lift·x), x) maps any sequence with
+    cocycle α to it.  E, i and p are built only when read.
     """
-    na, nb, zero = a.gens, b.gens, IntMatrix.zero
-    mid = make_group(na + nb, hstack(vstack(a.relations, zero(nb, a.relations.cols)),
-                                     vstack(-alpha, b.relations)))
-    i = FpAbHom(a, mid, vstack(IntMatrix.identity(na), zero(nb, na)), check=False)
-    p = FpAbHom(mid, b, hstack(zero(nb, na), IntMatrix.identity(nb)), check=False)
-    return ShortExactSeq(i, p)
+    lift = vstack(IntMatrix.zero(a.gens, b.gens), IntMatrix.identity(b.gens))
+    return ShortExactSeq(a, b, pair=(lift, alpha))
 
 
 def split_ses(a: FpAbGroup, b: FpAbGroup) -> ShortExactSeq:
@@ -150,13 +156,8 @@ def morphism_between(e: ShortExactSeq, f: ShortExactSeq,
     sys_rows.append(kron(IntMatrix.identity(ee), f.p.matrix))
     rhs_rows.append(_vec(beta.matrix * e.p.matrix))
     mod_blocks.extend([f.B.relations] * ee)
-    big = vstack(*sys_rows)
-    rhs = vstack(*rhs_rows)
-    rel = block_diag(*mod_blocks)
-    x = solve_mod(big, rhs, rel)
-    if x is None:
-        return None
-    return FpAbHom(e.E, f.E, _unvec(x, fe, ee), check=False)
+    x = solve_mod(vstack(*sys_rows), vstack(*rhs_rows), block_diag(*mod_blocks))
+    return None if x is None else FpAbHom(e.E, f.E, _unvec(x, fe, ee), check=False)
 
 
 def are_equivalent(e: ShortExactSeq, f: ShortExactSeq) -> Optional[FpAbHom]:
@@ -178,11 +179,11 @@ def are_equivalent(e: ShortExactSeq, f: ShortExactSeq) -> Optional[FpAbHom]:
 def is_split(e: ShortExactSeq) -> Optional[FpAbHom]:
     """A section s with p∘s = id_B, when one exists, by one solve.
 
-    With (lift, α) the cocycle of e along id_B, the sections are lift - i·T
-    for T·rel(B) ≡ α mod rel(A); are_equivalent(e, split_ses(A, B)) is the oracle.
+    With (lift, α) the pair of e, the sections are lift - i·T for
+    T·rel(B) ≡ α mod rel(A); are_equivalent(e, split_ses(A, B)) is the oracle.
     """
     a, b = e.A, e.B
-    lift, alpha = _cocycle(e, IntMatrix.identity(b.gens), b.relations)
+    lift, alpha = e.pair
     t = solve_mod(kron(b.relations.transpose(), IntMatrix.identity(a.gens)),
                   _vec(alpha), block_diag(*[a.relations] * b.relations.cols))
     return None if t is None else \
@@ -190,48 +191,41 @@ def is_split(e: ShortExactSeq) -> Optional[FpAbHom]:
 
 
 def pushout_ses(f: FpAbHom, e: ShortExactSeq) -> ShortExactSeq:
-    """Pushout of e along f : A -> A'.
-
-    The middle group is (A' ⊕ E)/⟨(f(a), −i(a))⟩, presented directly by
-    adjoining those columns to the block relations.  The result is exact
-    whenever e is, so it is built unchecked.
-    """
+    """Pushout of e along f : A -> A', in normal form: its cocycle is f·α."""
     if f.src != e.A:
         raise DimensionMismatch("pushout map must start at the kernel group")
-    a2, mid = f.tgt, e.E
-    glue = vstack(f.matrix, -e.i.matrix)
-    pushed = make_group(a2.gens + mid.gens,
-                        hstack(block_diag(a2.relations, mid.relations), glue))
-    i2 = FpAbHom(a2, pushed,
-                 vstack(IntMatrix.identity(a2.gens),
-                        IntMatrix.zero(mid.gens, a2.gens)), check=False)
-    p2 = FpAbHom(pushed, e.B,
-                 hstack(IntMatrix.zero(e.B.gens, a2.gens), e.p.matrix),
-                 check=False)
-    return ShortExactSeq(i2, p2)
+    return _extension(f.tgt, e.B, f.matrix * e.pair[1])
 
 
 def pushout_middle_map(f: FpAbHom, e: ShortExactSeq,
                        pushed: ShortExactSeq) -> FpAbHom:
-    """The canonical E -> pushout middle map (second block inclusion)."""
-    return FpAbHom(e.E, pushed.E,
-                   vstack(IntMatrix.zero(f.tgt.gens, e.E.gens),
-                          IntMatrix.identity(e.E.gens)), check=False)
+    """The canonical map E -> pushed.E, for pushed = pushout_ses(f, e).
+
+    It is [f·σ; p] with i·σ ≡ id - lift·p mod rel(E), one solve (p kills
+    id - lift·p), so it sends i to i'∘f and commutes with the projections.
+    """
+    lift = e.pair[0]
+    rhs = IntMatrix.identity(e.E.gens) - lift * e.p.matrix
+    sigma = ModSolver(e.i.matrix, e.E.relations).solve_matrix(rhs)
+    return FpAbHom(e.E, pushed.E, vstack(f.matrix * sigma, e.p.matrix), check=False)
 
 
 def pullback_ses(g: FpAbHom, e: ShortExactSeq) -> ShortExactSeq:
-    """Pullback of e along g : B' -> B, in normal form over B'."""
+    """Pullback of e along g : B' -> B, in normal form: its cocycle is α·S.
+
+    One solve, rel(B)·S = g·rel(B'); then lift·g·rel(B') ≡ i·α·S.
+    """
     if g.tgt != e.B:
         raise DimensionMismatch("pullback map must land in the quotient group")
-    return _extension(e.A, g.src, _cocycle(e, g.matrix, g.src.relations)[1])
+    s = SnfSolver(e.B.relations).solve_matrix(g.matrix * g.src.relations)
+    return _extension(e.A, g.src, e.pair[1] * s)
 
 
 def baer_sum(e: ShortExactSeq, f: ShortExactSeq) -> ShortExactSeq:
     """Group law on extensions: cocycles along id_B add."""
     if e.A != f.A or e.B != f.B:
         raise DimensionMismatch("Baer sum needs matching endpoints")
-    ident, rel = IntMatrix.identity(e.B.gens), e.B.relations
-    return _extension(e.A, e.B, _cocycle(e, ident, rel)[1] + _cocycle(f, ident, rel)[1])
+    return _extension(e.A, e.B, e.pair[1] + f.pair[1])
 
 
 class Ext1Group:
@@ -243,7 +237,7 @@ class Ext1Group:
     and modulo A's own relations, all flattened to one presented group.
     """
 
-    __slots__ = ("B", "A", "group", "k_incl", "cover", "_base")
+    __slots__ = ("B", "A", "group", "k_incl", "cover", "_base", "_to_lattice")
 
     def __init__(self, b: FpAbGroup, a: FpAbGroup):
         self.B = b
@@ -256,29 +250,35 @@ class Ext1Group:
         rel_blocks = block_diag(*([a.relations] * kb)) if kb else IntMatrix.zero(0, 0)
         self.group = make_group(kb * na, hstack(rel_blocks, restriction))
         self._check_against_invariant_formula()
-        self._base = None
+        self._base = self._to_lattice = None
 
     def _check_against_invariant_formula(self):
-        predicted = []
+        # Ext¹(⊕ Z/d, A) = ⊕ A/dA, and A/dA = (Z/d)^ra ⊕ (⊕ Z/gcd(e, d))
         ra, fa = self.A.canonical_form
-        for d in self.B.invariant_factors:
-            # A/dA for A = Z^ra ⊕ (⊕ Z/e)
-            facs = [d] * ra + [math.gcd(e, d) for e in fa]
-            predicted.append(from_invariants(0, [x for x in facs if x > 1]))
-        total, _ = direct_sum_many(predicted)
-        if total.canonical_form != self.group.canonical_form:
+        facs = [x for d in self.B.invariant_factors
+                for x in [d] * ra + [math.gcd(e, d) for e in fa]]
+        if (0, _invariant_chain(facs)) != self.group.canonical_form:
             raise RuntimeError("Ext¹ presentation disagrees with the "
                                "invariant-factor formula")
+
+    def to_lattice(self) -> IntMatrix:
+        """S with rel(B)·S = k_incl, solved once: α·S is the cocycle on K."""
+        if self._to_lattice is None:
+            self._to_lattice = SnfSolver(self.B.relations).solve_matrix(self.k_incl)
+        return self._to_lattice
 
     def canonical_presentation(self) -> ShortExactSeq:
         """The reference sequence K -> F -> B for class coordinates; built once, shared.
 
         Exact by construction: K is a basis of the relation lattice of B.
+        Its pair is (id, T) with k_incl·T = rel(B).
         """
         if self._base is None:
             k_free = free_abelian(self.k_incl.cols)
             incl = FpAbHom(k_free, self.cover.src, self.k_incl, check=False)
-            self._base = ShortExactSeq(incl, self.cover)
+            t = SnfSolver(self.k_incl).solve_matrix(self.B.relations)
+            self._base = ShortExactSeq(k_free, self.B, incl, self.cover,
+                                       (self.cover.matrix, t))
         return self._base
 
     def class_element(self, coords: IntMatrix) -> "ExtClass":
@@ -328,20 +328,20 @@ def ext1_group(b: FpAbGroup, a: FpAbGroup) -> Ext1Group:
 def class_of(e: ShortExactSeq, g: Ext1Group) -> ExtClass:
     """Coordinates of a sequence's class in the computed Ext¹ group.
 
-    The coordinate vector is the matrix of the cocycle K -> A of e along
-    the canonical cover F -> B, on the relation lattice K.
+    The coordinate vector is the cocycle K -> A of e along the canonical
+    cover F -> B, on the relation lattice K: α·S for S = g.to_lattice().
     """
     if e.A != g.A or e.B != g.B:
         raise DimensionMismatch("sequence endpoints do not match the Ext group")
-    alpha = _cocycle(e, g.cover.matrix, g.k_incl)[1]
-    return ExtClass(g, Element(g.group, _vec(alpha)))
+    return ExtClass(g, Element(g.group, _vec(e.pair[1] * g.to_lattice())))
 
 
 def realize_class(cls: ExtClass) -> ShortExactSeq:
-    """Some sequence with the given class: pushout of the reference one.
+    """Some sequence with the given class: pushout of the reference one,
+    in normal form with cocycle ψ·T.
 
     Representatives are not canonical; only the class is, and
-    class_of(realize_class(c)) == c.
+    class_of(realize_class(c)) == c, since T·S = id on K.
     """
     g = cls.parent
     base = g.canonical_presentation()
@@ -391,12 +391,12 @@ class SixTermReport:
 
 
 def _exact_at(f_in: FpAbHom, f_out: FpAbHom) -> bool:
-    """im(f_in) = ker(f_out) inside their shared middle group."""
+    """im(f_in) = ker(f_out) inside their shared middle group: the
+    composite is zero and each generator of ker(f_out) lies in im(f_in)."""
     if not compose(f_out, f_in).is_zero():
         return False
-    k, incl = kernel(f_out)
-    mid = f_in.tgt
-    return ModSolver(f_in.matrix, mid.relations).solve_matrix(incl.matrix) is not None
+    gens = constrained_kernel(f_out.matrix, f_out.tgt.relations)
+    return ModSolver(f_in.matrix, f_in.tgt.relations).solve_matrix(gens) is not None
 
 
 def six_term(e: ShortExactSeq, m: FpAbGroup, variance: str

@@ -31,6 +31,7 @@ from extcalc.ses import (
     NotEpi,
     NotExact,
     NotMono,
+    _exact_at,
     are_equivalent,
     baer_sum,
     class_of,
@@ -41,6 +42,7 @@ from extcalc.ses import (
     make_ses,
     morphism_between,
     pullback_ses,
+    pushout_middle_map,
     pushout_ses,
     realize_class,
     six_term,
@@ -186,6 +188,14 @@ def test_ext1_formula_random():
             gens, k, [[rng.randint(-6, 6) for _ in range(k)] for _ in range(gens)]))
         a = random_finite(rng)
         ext1_group(b, a)
+
+
+def test_ext1_formula_check_rejects_a_wrong_group():
+    g = ext1_group(zmod(4), zmod(6))
+    g._check_against_invariant_formula()
+    g.group = zmod(3)  # Ext¹(Z/4, Z/6) is Z/2
+    with pytest.raises(RuntimeError, match="invariant-factor formula"):
+        g._check_against_invariant_formula()
 
 
 def test_ext1_additivity():
@@ -408,6 +418,72 @@ def test_baer_sum_and_pullback_on_relabelled_middles(rng):
     assert class_of(pulled, g2).coords == ext1_pullback(h, g, g2)(class_of(e, g).coords)
 
 
+def known_class_sequence(rng, g):
+    """(e, c): a sequence whose class c is known without reading its cocycle.
+
+    From make_ses (a relabelled realization, so its α is solved) or from
+    realize_class and baer_sum (α stored); c is the class asked for, or a
+    sum computed on coordinates.
+    """
+    x, y = random_class(rng, g), random_class(rng, g)
+    kind = rng.choice(("make_ses", "realized", "baer"))
+    if kind == "make_ses":
+        return relabel(rng, realize_class(x)), x
+    if kind == "realized":
+        return realize_class(x), x
+    return baer_sum(realize_class(x), realize_class(y)), x + y
+
+
+@settings(max_examples=50, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_pushout_class_is_the_pushforward(rng):
+    a, b, a2 = random_presented(rng), random_presented(rng), random_presented(rng)
+    g, g2 = ext1_group(b, a), ext1_group(b, a2)
+    e, c = known_class_sequence(rng, g)
+    f = random_linear_hom(rng, a, a2)
+    assert class_of(e, g) == c
+    assert class_of(pushout_ses(f, e), g2).coords == ext1_pushforward(f, g, g2)(c.coords)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_pullback_class_is_the_ext1_pullback(rng):
+    a, b, b2 = random_presented(rng), random_presented(rng), random_presented(rng)
+    g, g2 = ext1_group(b, a), ext1_group(b2, a)
+    e, c = known_class_sequence(rng, g)
+    h = random_linear_hom(rng, b2, b)
+    assert class_of(e, g) == c
+    assert class_of(pullback_ses(h, e), g2).coords == ext1_pullback(h, g, g2)(c.coords)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_class_survives_revalidation(rng):
+    # make_ses forgets how e was built and solves its cocycle from i and p
+    a, b = random_presented(rng), random_presented(rng)
+    g = ext1_group(b, a)
+    e, c = known_class_sequence(rng, g)
+    assert class_of(e, g) == class_of(make_ses(e.i, e.p), g) == c
+
+
+def test_pushout_middle_map_is_a_morphism_of_sequences():
+    rng = random.Random(3012)
+    g = ext1_group(zmod(4), zmod(6))
+    realized = realize_class(random_class(rng, g))
+    cases = [
+        (make_hom(Z, zmod(2), IntMatrix.from_rows([[1]])), seq_z_mult_quot(2)),
+        (random_linear_hom(rng, zmod(6), zmod(4)), realized),
+        (random_linear_hom(rng, zmod(6), zmod(2)), relabel(rng, realized)),
+        (identity_hom(zmod(6)), baer_sum(realized, realize_class(random_class(rng, g)))),
+    ]
+    for f, e in cases:
+        pushed = pushout_ses(f, e)
+        mu = pushout_middle_map(f, e, pushed)
+        FpAbHom(e.E, pushed.E, mu.matrix, check=True)
+        assert compose(mu, e.i) == compose(pushed.i, f)
+        assert compose(pushed.p, mu) == e.p
+
+
 def test_nested_baer_sums_keep_middle_size():
     a, b = from_invariants(0, [2, 4]), from_invariants(0, [2, 4])
     g = ext1_group(b, a)
@@ -535,3 +611,18 @@ def test_six_term_random_exactness():
         for variance in ("covariant", "contravariant"):
             _, _, report = six_term(e, m, variance)
             assert report.all_exact()
+
+
+@pytest.mark.parametrize("f_in, f_out, exact", [
+    (identity_hom(Z), identity_hom(Z), False),  # nonzero composite
+    (make_hom(Z, Z, IntMatrix.from_rows([[4]])),  # ker 2Z ⊋ im 4Z
+     make_hom(Z, zmod(2), IntMatrix.from_rows([[1]])), False),
+    (make_hom(Z, Z, IntMatrix.from_rows([[2]])),
+     make_hom(Z, zmod(2), IntMatrix.from_rows([[1]])), True),
+    (zero_hom(zmod(2), zmod(4)),  # middle with relations, ker {0, 2} ⊋ 0
+     make_hom(zmod(4), zmod(2), IntMatrix.from_rows([[1]])), False),
+    (make_hom(zmod(2), zmod(4), IntMatrix.from_rows([[2]])),
+     make_hom(zmod(4), zmod(2), IntMatrix.from_rows([[1]])), True),
+])
+def test_exact_at_verdicts(f_in, f_out, exact):
+    assert _exact_at(f_in, f_out) is exact
