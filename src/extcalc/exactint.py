@@ -290,7 +290,7 @@ def _column_reduce(a: IntMatrix, track_rows: int):
             continue
         live = [col for col in bucket if col.row is None and col.d.get(r)]
         while len(live) > 1:
-            live.sort(key=lambda col: (abs(col.d[r]), col.pos))
+            live.sort(key=lambda col: (abs(col.d[r]), len(col.d), col.pos))
             pcol = live[0]
             pv = pcol.d[r]
             pd = pcol.d
