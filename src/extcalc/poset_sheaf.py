@@ -4,7 +4,8 @@ A presheaf assigns a finitely presented abelian group to every element
 and a restriction hom to every related pair, downward.  Free presheaves
 are sums of representables ZY(c): the integers on the principal down-set
 of c.  Hom(ZY(c), F) is evaluation at c, which makes representables
-projective for the external theory and drives the resolution machinery.
+projective for the external theory; resolutions cover only the top of
+each stalk, what the restrictions from above do not reach.
 Limits (sections, global sections, presheaf hom groups) are one equalizer
 inside a direct sum.  By Yoneda, internal Hom(ZY(c), F) at e is the
 sections of F over ↓c∩↓e, which is how the projectivity witness reads it.
@@ -27,6 +28,7 @@ from .exactint import (
     IntMatrix,
     ModSolver,
     block_diag,
+    hstack,
 )
 from . import fpab
 from .fpab import (
@@ -55,32 +57,31 @@ class SiteMismatch(ValueError):
 class FinitePoset:
     """Elements 0..n-1 with a full order-relation matrix.
 
-    leq[d][c] records d <= c.  The three order laws are checked
-    exhaustively at construction and a violation names its witnesses.
+    leq[d][c] records d <= c.  With check (the default) the three order
+    laws are checked exhaustively at construction and a violation names
+    its witnesses; sub-relations of an order skip it.
     """
 
     __slots__ = ("size", "leq")
 
-    def __init__(self, leq: Sequence[Sequence[bool]]):
+    def __init__(self, leq: Sequence[Sequence[bool]], check: bool = True):
         rows = tuple(tuple(bool(x) for x in row) for row in leq)
         n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise PosetError("order relation matrix is not square")
-        for i in range(n):
-            if not rows[i][i]:
-                raise PosetError(f"reflexivity fails at element {i}")
-        for i in range(n):
-            for j in range(n):
+        if check:
+            if any(len(row) != n for row in rows):
+                raise PosetError("order relation matrix is not square")
+            for i in range(n):
+                if not rows[i][i]:
+                    raise PosetError(f"reflexivity fails at element {i}")
+            for i, j in itertools.product(range(n), repeat=2):
                 if i != j and rows[i][j] and rows[j][i]:
                     raise PosetError(f"antisymmetry fails at ({i}, {j})")
-        for i in range(n):
-            for j in range(n):
-                if not rows[i][j]:
-                    continue
-                for k in range(n):
-                    if rows[j][k] and not rows[i][k]:
-                        raise PosetError(
-                            f"transitivity fails at ({i}, {j}, {k})")
+            for i, j in itertools.product(range(n), repeat=2):
+                if rows[i][j]:
+                    for k in range(n):
+                        if rows[j][k] and not rows[i][k]:
+                            raise PosetError(
+                                f"transitivity fails at ({i}, {j}, {k})")
         self.size = n
         self.leq = rows
 
@@ -100,7 +101,8 @@ class FinitePoset:
 
     def induced(self, elems: Sequence[int]) -> "FinitePoset":
         elems = list(elems)
-        return FinitePoset([[self.leq[a][b] for b in elems] for a in elems])
+        return FinitePoset([[self.leq[a][b] for b in elems] for a in elems],
+                           check=False)
 
     def down_poset(self, c: int) -> Tuple["FinitePoset", Tuple[int, ...]]:
         """The sub-poset below c together with its global element list."""
@@ -146,7 +148,8 @@ def make_poset(n: int, relations: Sequence[Tuple[int, int]]) -> FinitePoset:
 
 
 def chain(n: int) -> FinitePoset:
-    return FinitePoset([[d <= c for c in range(n)] for d in range(n)])
+    return FinitePoset([[d <= c for c in range(n)] for d in range(n)],
+                       check=False)
 
 
 def bowtie() -> FinitePoset:
@@ -162,9 +165,10 @@ class AbPresheaf:
     """Per-element stalks plus one restriction hom per related pair.
 
     maps[(d, c)] is the restriction F(c) -> F(d) for each strict pair
-    d < c; the identity pairs are implicit.  Functoriality over every
-    composable triple is checked at construction, which removes any
-    path-composition ambiguity later.  free_labels marks presheaves
+    d < c; the identity pairs are implicit.  With check, every pair's
+    presence and endpoints and functoriality over every composable triple
+    are checked, which removes any path-composition ambiguity later;
+    presheaves the engine builds skip it.  free_labels marks presheaves
     realized from a sum of representables and records the summand list.
     """
 
@@ -186,14 +190,14 @@ class AbPresheaf:
                                      "the identity")
                 continue
             maps[(d, c)] = h
-        for (d, c) in site.strict_pairs():
-            if (d, c) not in maps:
-                raise IllDefined(f"missing restriction for ({d}, {c})")
-            h = maps[(d, c)]
-            if h.src != stalks[c] or h.tgt != stalks[d]:
-                raise IllDefined(f"restriction for ({d}, {c}) has wrong "
-                                 "endpoints")
         if check:
+            for (d, c) in site.strict_pairs():
+                if (d, c) not in maps:
+                    raise IllDefined(f"missing restriction for ({d}, {c})")
+                h = maps[(d, c)]
+                if h.src != stalks[c] or h.tgt != stalks[d]:
+                    raise IllDefined(f"restriction for ({d}, {c}) has wrong "
+                                     "endpoints")
             for (d, c) in site.strict_pairs():
                 for e in range(site.size):
                     if e != d and site.is_leq(e, d):
@@ -251,10 +255,10 @@ class PresheafHom:
         components = tuple(components)
         if len(components) != src.site.size:
             raise IllDefined("need exactly one component per element")
-        for c, h in enumerate(components):
-            if h.src != src.stalk(c) or h.tgt != tgt.stalk(c):
-                raise IllDefined(f"component at {c} has wrong endpoints")
         if check:
+            for c, h in enumerate(components):
+                if h.src != src.stalk(c) or h.tgt != tgt.stalk(c):
+                    raise IllDefined(f"component at {c} has wrong endpoints")
             for (d, c) in src.site.strict_pairs():
                 lhs = fpab.compose(components[d], src.res(d, c))
                 rhs = fpab.compose(tgt.res(d, c), components[c])
@@ -336,13 +340,10 @@ class FreePresheaf:
             stalks = [free_abelian(len(s)) for s in sups]
             res = {}
             for (d, c) in site.strict_pairs():
-                rows = []
-                for i in sups[d]:
-                    rows.append([1 if i == j else 0 for j in sups[c]])
-                res[(d, c)] = FpAbHom(stalks[c], stalks[d],
-                                      IntMatrix.from_rows(rows,
-                                                          cols=len(sups[c])),
-                                      check=False)
+                rows = tuple(tuple(int(i == j) for j in sups[c])
+                             for i in sups[d])
+                res[(d, c)] = FpAbHom(stalks[c], stalks[d], IntMatrix._wrap(
+                    len(sups[d]), len(sups[c]), rows), check=False)
             self._realized = AbPresheaf(site, stalks, res, check=False,
                                         free_labels=self.labels)
         return self._realized
@@ -560,29 +561,38 @@ class PresheafContext(ModuleContext):
         raise NotFree("object is not a sum of representables")
 
     def epi_cover(self, b) -> Tuple[FreePresheaf, PresheafHom]:
-        # one representable per generator of each stalk B(c), its Yoneda
-        # unit sent to that generator
+        # Cover only the top of each stalk: L_c, spanned by rel(B(c)) and
+        # the images of restrictions into c, has an echelon basis whose
+        # pivot-1 rows r give e_r = -sum_{i>r} v_i e_i mod L_c.  Each other
+        # generator e_j gets a representable at c with unit e_j; onto by
+        # downward induction on r and on c.  Pivot rows and values depend
+        # on L_c alone, so the cover does not depend on the pivot rule.
         b = self._obj(b)
+        site = self.site
         labels, units = [], []
-        for c in self.site.elements():
-            ident = IntMatrix.identity(b.stalk(c).gens)
-            for j in range(ident.cols):
-                labels.append(c)
-                units.append(ident.column_matrix(j))
-        free = FreePresheaf(self.site, tuple(labels))
+        for c in site.elements():
+            stalk = b.stalk(c)
+            images = [b.maps[(c, l)].matrix for l in site.elements()
+                      if l != c and site.leq[c][l]]
+            lattice = FpAbGroup(stalk.gens, hstack(stalk.relations, *images))
+            spare = {r for r, p, _ in lattice._echelon_basis() if p == 1}
+            ident = IntMatrix.identity(stalk.gens)
+            keep = [j for j in range(stalk.gens) if j not in spare]
+            labels += [c] * len(keep)
+            units += [ident.column_matrix(j) for j in keep]
+        free = FreePresheaf(site, tuple(labels))
         return free, self.extend_units(free, b, units)
 
     def kernel(self, f: PresheafHom) -> Tuple[AbPresheaf, PresheafHom]:
         site = self.site
         parts = [fpab.kernel(f.components[c]) for c in site.elements()]
-        stalks = [k for (k, _) in parts]
         res = {}
         for (d, c) in site.strict_pairs():
             moved = fpab.compose(f.src.res(d, c), parts[c][1])
             res[(d, c)] = fpab.corestrict(moved, parts[d][1])
         # restrictions are corestrictions of f.src's along the stalkwise
         # monos, so they compose as f.src's do and incl is natural
-        k = AbPresheaf(site, stalks, res, check=False)
+        k = AbPresheaf(site, [k for (k, _) in parts], res, check=False)
         incl = PresheafHom(k, f.src, [incl for (_, incl) in parts],
                            check=False)
         return k, incl
@@ -592,9 +602,8 @@ class PresheafContext(ModuleContext):
 
     def identity(self, obj) -> PresheafHom:
         obj = self._obj(obj)
-        return PresheafHom(obj, obj,
-                           [identity_hom(obj.stalk(c))
-                            for c in self.site.elements()], check=False)
+        return PresheafHom(obj, obj, [identity_hom(s) for s in obj.stalks],
+                           check=False)
 
     def is_zero_hom(self, f: PresheafHom) -> bool:
         return all(comp.is_zero() for comp in f.components)
@@ -636,15 +645,15 @@ class PresheafContext(ModuleContext):
     def extend_units(self, free, a: AbPresheaf, units) -> PresheafHom:
         """Yoneda extension: at d, each unit above d restricts to A(d)."""
         src = self._obj(free)
-        comps = []
+        leq, vecs, comps = self.site.leq, [u.col(0) for u in units], []
         for d in self.site.elements():
-            cols = [(a.res(d, l).matrix * u).col(0)
-                    for l, u in zip(src.free_labels, units)
-                    if self.site.is_leq(d, l)]
+            cols = tuple(u if d == l else
+                         tuple(sum(x * y for x, y in zip(row, u))
+                               for row in a.maps[(d, l)].matrix.data)
+                         for l, u in zip(src.free_labels, vecs) if leq[d][l])
+            matrix = IntMatrix._wrap(len(cols), a.stalk(d).gens, cols)
             comps.append(FpAbHom(src.stalk(d), a.stalk(d),
-                                 IntMatrix.from_cols(cols,
-                                                     rows=a.stalk(d).gens),
-                                 check=False))
+                                 matrix.transpose(), check=False))
         return PresheafHom(src, a, comps, check=False)
 
     def induced_precompose(self, hg_src: FreeHomGroup, hg_tgt: FreeHomGroup,
@@ -725,16 +734,14 @@ def _sheaf_ext_general(b: AbPresheaf, a: AbPresheaf,
     per = {}
     for c in site.elements():
         sub, elems = site.down_poset(c)
-        ctx = presheaf_context(sub)
-        bc = b.restrict(elems)
-        ac = a.restrict(elems)
+        ctx, bc = presheaf_context(sub), b.restrict(elems)
         res = resolution.free_resolution(ctx, bc, n + 1)
-        data = resolution.cohomology_data(resolution.hom_complex(res, ac), n)
-        per[c] = (sub, elems, ctx, bc, res, data)
+        cx = resolution.hom_complex(res, a.restrict(elems))
+        per[c] = (elems, ctx, bc, res, resolution.cohomology_data(cx, n))
     maps = {}
     for (d, c) in site.strict_pairs():
-        sub_c, elems_c, _, bc, res_c, data_c = per[c]
-        sub_d, elems_d, ctx_d, bd, res_d, data_d = per[d]
+        elems_c, _, _, res_c, data_c = per[c]
+        elems_d, ctx_d, bd, res_d, data_d = per[d]
         keep = [elems_c.index(e) for e in elems_d]
         q_objs = [res_c.free(k).realize().restrict(keep)
                   for k in range(n + 2)]
@@ -756,9 +763,9 @@ def _sheaf_ext_general(b: AbPresheaf, a: AbPresheaf,
             [a.stalk(l) for l in labels_c], [a.stalk(l) for l in labels_d],
             terms)
         maps[(d, c)] = _class_map(data_c, data_d, transport)
-    stalks = [per[c][5].group for c in site.elements()]
+    stalks = [per[c][4].group for c in site.elements()]
     presheaf = AbPresheaf(site, stalks, maps, check=True)
-    return SheafExtResult(presheaf, {c: per[c][4] for c in site.elements()})
+    return SheafExtResult(presheaf, {c: per[c][3] for c in site.elements()})
 
 
 def _sheaf_ext_fast(b: AbPresheaf, a: AbPresheaf, n: int) -> SheafExtResult:
