@@ -137,19 +137,16 @@ class FpAbGroup:
             return None
         return math.prod(factors) if factors else 1
 
-    def reduce(self, coords: IntMatrix) -> IntMatrix:
-        """Canonical representative of the coset coords + colspan(relations).
+    def reduce(self, m: IntMatrix) -> IntMatrix:
+        """Canonical representative of each coset column + colspan(relations).
 
         It is the one element of the coset whose entry at each pivot row of
         the echelon basis lies in [0, pivot), so it depends on the lattice
-        alone, not on how it is presented.
+        alone, not on how it is presented.  One forward pass serves every
+        column.
         """
-        if coords.rows != self.gens or coords.cols != 1:
-            raise DimensionMismatch("coordinate column has wrong shape")
-        return self._reduce_columns(coords)
-
-    def _reduce_columns(self, m: IntMatrix) -> IntMatrix:
-        """Every column of m reduced as by reduce, in one forward pass."""
+        if m.rows != self.gens:
+            raise DimensionMismatch("coordinate columns have wrong height")
         basis = self._echelon_basis()
         if not basis:
             return m
@@ -298,7 +295,7 @@ class FpAbHom:
         return Element(self.tgt, self.matrix * x.coords)
 
     def reduced_matrix(self) -> IntMatrix:
-        return self.tgt._reduce_columns(self.matrix)
+        return self.tgt.reduce(self.matrix)
 
     def is_zero(self) -> bool:
         return self.reduced_matrix().is_zero()

@@ -623,11 +623,11 @@ class PresheafContext(ModuleContext):
             raise NotFree("lifts need a source that is a sum of "
                           "representables")
         free = FreePresheaf(self.site, labels)
+        solvers = {l: ModSolver(p.components[l].matrix,
+                                p.tgt.stalk(l).relations) for l in set(labels)}
         units = []
         for i, l in enumerate(labels):
-            solver = ModSolver(p.components[l].matrix,
-                               p.tgt.stalk(l).relations)
-            x = solver.solve(IntMatrix.column(_unit_image(g, free, i)))
+            x = solvers[l].solve(IntMatrix.column(_unit_image(g, free, i)))
             if x is None:
                 raise NotEpi("map does not reach a unit image")
             units.append(x)
@@ -645,12 +645,15 @@ class PresheafContext(ModuleContext):
     def extend_units(self, free, a: AbPresheaf, units) -> PresheafHom:
         """Yoneda extension: at d, each unit above d restricts to A(d)."""
         src = self._obj(free)
-        leq, vecs, comps = self.site.leq, [u.col(0) for u in units], []
+        vecs = [u.col(0) for u in units]
+        nonzero = [[(k, x) for k, x in enumerate(u) if x] for u in vecs]
+        leq, comps = self.site.leq, []
         for d in self.site.elements():
             cols = tuple(u if d == l else
-                         tuple(sum(x * y for x, y in zip(row, u))
+                         tuple(sum(row[k] * x for k, x in nz)
                                for row in a.maps[(d, l)].matrix.data)
-                         for l, u in zip(src.free_labels, vecs) if leq[d][l])
+                         for l, u, nz in zip(src.free_labels, vecs, nonzero)
+                         if leq[d][l])
             matrix = IntMatrix._wrap(len(cols), a.stalk(d).gens, cols)
             comps.append(FpAbHom(src.stalk(d), a.stalk(d),
                                  matrix.transpose(), check=False))
@@ -720,11 +723,7 @@ def principal_intersection_check(site: FinitePoset) -> bool:
 
 def _class_map(src_data, tgt_data, transport: IntMatrix) -> FpAbHom:
     """Map on cohomology induced by a cocycle-level transport matrix."""
-    cols = []
-    for j in range(src_data.group.gens):
-        rep = src_data.lattice.column_matrix(j)
-        cols.append(tgt_data.coords_of(transport * rep).coords.col(0))
-    m = IntMatrix.from_cols(cols, rows=tgt_data.group.gens)
+    m = tgt_data.classes_of(transport * src_data.lattice)
     return FpAbHom(src_data.group, tgt_data.group, m, check=True)
 
 

@@ -270,12 +270,18 @@ class CohomologyData:
 
     def coords_of(self, cocycle: IntMatrix) -> fpab.Element:
         """Class of a cocycle given in C^n generator coordinates."""
+        if cocycle.cols != 1:
+            raise DimensionMismatch("a cocycle is one column")
+        return fpab.Element(self.group, self.classes_of(cocycle))
+
+    def classes_of(self, cocycles: IntMatrix) -> IntMatrix:
+        """Reduced class coordinates of every column of cocycles."""
         if self._solver is None:
             self._solver = ModSolver(self._cocycles, self._boundary)
-        x = self._solver.solve(cocycle)
+        x = self._solver.solve_matrix(cocycles)
         if x is None:
             raise ValueError("column is not a cocycle for this complex degree")
-        return fpab.Element(self.group, self._to_group * x)
+        return self.group.reduce(self._to_group * x)
 
 
 def cohomology_data(c: FpAbComplex, n: int) -> CohomologyData:
