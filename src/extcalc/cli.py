@@ -47,6 +47,12 @@ WITNESS_POSET_SIZE_CAP = 7
 # the eliminations of its resolution build, and separately the kernel of
 # its top coboundary beside the relations above it; refused before either.
 COHOMOLOGY_CELL_CAP = 1_000_000
+# Work cap, in matrix cells, of a sheaf-ext or external-ext request on the
+# full-site resolution P of B, whose build it checks before each kernel:
+# the stalkwise kernels, rank P_k(c) * gens(ker d_k at c) over k and c, plus
+# gens(C^n) * (gens(C^(n-1)) + gens(C^(n+1))) in C = Hom(P, A) for each
+# requested degree n.  sheaf-ext does that work once per poset element.
+PRESHEAF_CELL_CAP = 3_000_000
 
 _SECTIONS = ("groups", "matrices", "homs", "sequences", "finite_groups",
              "gmodules", "posets", "presheaves")
@@ -586,6 +592,31 @@ def _is_total_order(site: poset_sheaf.FinitePoset) -> bool:
                for d in site.elements() for c in site.elements())
 
 
+def _check_presheaf_work(b: poset_sheaf.AbPresheaf,
+                         a: poset_sheaf.AbPresheaf, degrees: List[int],
+                         readings: int) -> None:
+    if b.site != a.site or min(degrees) < 0:
+        return  # the library call names the fault
+    ctx, cells = poset_sheaf.presheaf_context(b.site), 0
+    free, epi = ctx.epi_cover(b)
+    gens = [0, sum(a.stalk(l).gens for l in free.labels)]
+    for _ in range(max(degrees) + 1):
+        cells += readings * sum(len(free.support(c)) * epi.tgt.stalk(c).gens
+                                for c in b.site.elements())
+        _check_cells(cells)
+        free, epi = ctx.epi_cover(ctx.kernel(epi)[0])
+        gens.append(sum(a.stalk(l).gens for l in free.labels))
+    _check_cells(cells + readings * sum(gens[n + 1] * (gens[n] + gens[n + 2])
+                                        for n in degrees))
+
+
+def _check_cells(cells: int) -> None:
+    if cells > PRESHEAF_CELL_CAP:
+        raise CliDomainError(
+            f"presheaf Ext work is capped at {PRESHEAF_CELL_CAP} matrix "
+            f"cells; this request needs at least {cells}")
+
+
 def _presheaf_result(p: poset_sheaf.AbPresheaf) -> dict:
     out = {
         "stalks": [fpab.describe(s) for s in p.stalks],
@@ -608,6 +639,7 @@ def _cmd_sheaf_ext(args, doc: Document) -> dict:
         "method": args.method,
     }
     degrees = _degree_list(args)
+    _check_presheaf_work(b, a, degrees, b.site.size)
     if args.max_deg is not None:
         out["max_deg"] = args.max_deg
         out["degrees"] = {
@@ -625,8 +657,10 @@ def _cmd_external_ext(args, doc: Document) -> dict:
     b = _need(doc.presheaves, args.B, "presheaf")
     a = _need(doc.presheaves, args.A, "presheaf")
     _check_poset_size(b.site)
+    degrees = _degree_list(args)
+    _check_presheaf_work(b, a, degrees, 1)
     forms = {n: fpab.describe(poset_sheaf.external_ext(b, a, n))
-             for n in _degree_list(args)}
+             for n in degrees}
     return _put_degrees({"command": "external-ext", "B": args.B,
                          "A": args.A}, args, forms)
 

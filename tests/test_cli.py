@@ -325,6 +325,24 @@ class TestExitCodes:
         assert code == cli.EXIT_VALIDATION
         assert "skew" in err
 
+    @pytest.mark.parametrize("res,message", [
+        ({"0<=1": [[1]], "1<=2": [[1]]}, "missing restriction for (0, 2)"),
+        ({"0<=1": [[1]], "1<=2": [[1]], "0<=2": [[1]], "1<=1": [[2]]},
+         "restriction at (1, 1) is not the identity"),
+    ])
+    def test_incomplete_presheaf_is_validation_and_named(
+            self, capsys, monkeypatch, res, message):
+        doc = json.dumps({
+            "posets": {"c3": {"size": 3, "relations": [[0, 1], [1, 2]]}},
+            "presheaves": {"holey": {"poset": "c3", "stalks": ["Z"] * 3,
+                                     "res": res}},
+        })
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, _, err = run(capsys, "sheaf-ext", "--input", "-",
+                           "--B", "holey", "--A", "holey", "--n", "1")
+        assert code == cli.EXIT_VALIDATION
+        assert "holey" in err and message in err
+
     def test_degree_cap_is_domain(self, capsys):
         code, _, err = run(capsys, "group-cohomology", "--input", C2,
                            "--G", "C2", "--n", "7")
@@ -365,6 +383,55 @@ class TestExitCodes:
                            "--G", "C2", "--M", "M", "--n", "1")
         assert code == cli.EXIT_DOMAIN
         assert "cohomology work is capped at 10 matrix cells" in err
+
+    def test_presheaf_work_is_sized_on_the_resolution(self, capsys,
+                                                      monkeypatch):
+        # Sierpinski quot resolves as ZY(1), ZY(0)+ZY(1), ZY(0), 0: its
+        # stalkwise kernels take 1 + 3 + 1 cells, and Hom into y0 is
+        # 0, Z, Z, 0, so reading H^2 takes 1 * (1 + 0) more; sheaf-ext
+        # does it all at both elements
+        monkeypatch.setattr(cli, "PRESHEAF_CELL_CAP", 11)
+        code, _, err = run(capsys, "sheaf-ext", "--input", SIERPINSKI,
+                           "--B", "quot", "--A", "y0", "--n", "2")
+        assert code == cli.EXIT_DOMAIN
+        assert "capped at 11 matrix cells; this request needs at least 12" \
+            in err
+        code, out, _ = run(capsys, "external-ext", "--input", SIERPINSKI,
+                           "--B", "quot", "--A", "y0", "--n", "2")
+        assert code == 0 and "= Z/2" in out
+        monkeypatch.setattr(cli, "PRESHEAF_CELL_CAP", 5)
+        code, _, err = run(capsys, "external-ext", "--input", SIERPINSKI,
+                           "--B", "quot", "--A", "y0", "--n", "2")
+        assert code == cli.EXIT_DOMAIN
+        assert "needs at least 6" in err
+
+    def test_presheaf_work_cap_refuses_or_finishes(self, capsys,
+                                                   monkeypatch):
+        # Z^k stalks with zero restrictions on six levels of two elements,
+        # each below both elements of the next level: at k = 16 sheaf-ext
+        # at n = 6 took 13.5 s before the cap and is refused while its
+        # resolution is built; at k = 4 it answers in about a second
+        below = [(d, c) for d in range(12) for c in range(12)
+                 if d // 2 < c // 2]
+
+        def doc(k):
+            zero = [[0] * k for _ in range(k)]
+            return json.dumps({
+                "posets": {"crown": {"size": 12, "relations": below}},
+                "presheaves": {"B": {
+                    "poset": "crown", "stalks": [f"Z^{k}"] * 12,
+                    "res": {f"{d}<={c}": zero for d, c in below}}}})
+
+        for k, cmd, n, expect in ((16, "sheaf-ext", 6, cli.EXIT_DOMAIN),
+                                  (16, "external-ext", 1, cli.EXIT_DOMAIN),
+                                  (4, "sheaf-ext", 6, 0)):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(doc(k)))
+            start = time.perf_counter()
+            code, _, err = run(capsys, cmd, "--input", "-", "--B", "B",
+                               "--A", "B", "--n", str(n))
+            assert time.perf_counter() - start < 10
+            assert code == expect
+            assert ("capped" in err) == (expect == cli.EXIT_DOMAIN)
 
     def test_poset_size_cap_is_domain(self, capsys, monkeypatch):
         doc = '{"posets": {"long": {"size": 13, "relations": []}}}'
