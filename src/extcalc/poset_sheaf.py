@@ -59,7 +59,7 @@ class FinitePoset:
 
     leq[d][c] records d <= c.  With check (the default) the three order
     laws are checked exhaustively at construction and a violation names
-    its witnesses; sub-relations of an order skip it.
+    its witnesses; induced sub-posets, which inherit them, skip it.
     """
 
     __slots__ = ("size", "leq")
