@@ -843,8 +843,8 @@ class TestTopOfStalkCover:
     @given(rng=st.randoms(use_true_random=False))
     def test_tree_resolutions_stop_at_degree_two(self, rng):
         # the incidence algebra of a tree is hereditary over a field, so
-        # over Z the second syzygy is already projective and covered
-        # exactly by its top
+        # over Z the second syzygy is projective; covering it from the top
+        # of each stalk leaves no kernel
         size = rng.randint(1, 8)
         parents = [None] + [rng.randrange(i) for i in range(1, size)]
         b = random_tree_presheaf(rng, parents)
