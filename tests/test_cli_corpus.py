@@ -134,9 +134,15 @@ COMMANDS = [
                 "--method", "auto"], BOTH),
     ("bowtie", ["sheaf-ext", "--B", "K", "--A", "K", "--n", "1",
                 "--method", "fast"], HUMAN),
+    ("bowtie", ["sheaf-ext", "--B", "K", "--A", "K", "--max-deg", "2",
+                "--method", "general"], BOTH),
+    ("bowtie", ["sheaf-ext", "--B", "K", "--A", "K", "--max-deg", "2",
+                "--method", "auto"], BOTH),
     ("tree", ["external-ext", "--B", "F", "--A", "G", "--max-deg", "2"],
      BOTH),
     ("sierpinski", ["external-ext", "--B", "quot", "--A", "y0"], HUMAN),
+    ("sierpinski", ["external-ext", "--B", "quot", "--A", "y0",
+                    "--max-deg", "3"], BOTH),
     ("tree", ["global-sections", "--F", "G"], BOTH),
     ("bowtie", ["global-sections", "--F", "K"], HUMAN),
     # the slowest command: its components show only in machine form
