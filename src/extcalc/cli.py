@@ -416,7 +416,8 @@ def _degree_list(args, default: int = 1) -> List[int]:
     return [args.n if args.n is not None else default]
 
 
-def _put_degrees(out: dict, args, forms: Dict[int, str]) -> dict:
+def _put_degrees(out: dict, args, table: dict) -> dict:
+    forms = {n: fpab.describe(data.group) for n, data in table.items()}
     if args.max_deg is not None:
         out["max_deg"] = args.max_deg
         out["results"] = {str(n): f for n, f in forms.items()}
@@ -430,18 +431,14 @@ def _put_degrees(out: dict, args, forms: Dict[int, str]) -> dict:
 def _cmd_ext(args, doc: Document) -> dict:
     b = group_from_desc(args.B, doc, "ext B")
     a = group_from_desc(args.A, doc, "ext A")
-    ctx = resolution.z_context()
-    forms = {}
-    for n in _degree_list(args):
-        group = resolution.ext_n(ctx, b, a, n)
-        forms[n] = fpab.describe(group)
-        if n == 1:
-            cross = ses.ext1_group(b, a).group
-            if cross.canonical_form != group.canonical_form:
-                raise RuntimeError("resolution Ext^1 disagrees with the "
-                                   "presentation-level computation")
+    table = resolution.ext_table(resolution.z_context(), b, a,
+                                 _degree_list(args))
+    if 1 in table and (ses.ext1_group(b, a).group.canonical_form
+                       != table[1].group.canonical_form):
+        raise RuntimeError("resolution Ext^1 disagrees with the "
+                           "presentation-level computation")
     return _put_degrees({"command": "ext", "B": args.B, "A": args.A},
-                        args, forms)
+                        args, table)
 
 
 def _parse_coords(text: str, gens: int, what: str) -> IntMatrix:
@@ -555,7 +552,6 @@ def _cmd_group_cohomology(args, doc: Document) -> dict:
         module_name = args.M
     if top < 0:
         raise CliDomainError("cohomology degree must be nonnegative")
-    # one resolution and hom complex serve the whole table
     res = groupring.greedy_resolution(g, top + 1, COHOMOLOGY_CELL_CAP)
     r, r_up = res.free(top).rank, res.free(top + 1).rank
     gens, rels = module.M.gens, module.M.relations.cols
@@ -564,10 +560,9 @@ def _cmd_group_cohomology(args, doc: Document) -> dict:
         raise CliDomainError(
             f"cohomology work is capped at {COHOMOLOGY_CELL_CAP} matrix "
             f"cells; H^{top} here needs about {cells}")
-    cx = resolution.hom_complex(res, module)
-    forms = {n: fpab.describe(resolution.cohomology(cx, n)) for n in degrees}
     return _put_degrees({"command": "group-cohomology", "G": args.G,
-                         "M": module_name}, args, forms)
+                         "M": module_name}, args,
+                        resolution.cohomology_table(res, module, degrees))
 
 
 def _cmd_fixed_points(args, doc: Document) -> dict:
@@ -585,11 +580,6 @@ def _check_poset_size(site: poset_sheaf.FinitePoset,
     if site.size > cap:
         raise CliDomainError(f"poset size is capped at {cap}; "
                              f"got {site.size}")
-
-
-def _is_total_order(site: poset_sheaf.FinitePoset) -> bool:
-    return all(site.is_leq(d, c) or site.is_leq(c, d)
-               for d in site.elements() for c in site.elements())
 
 
 def _check_presheaf_work(b: poset_sheaf.AbPresheaf,
@@ -623,7 +613,8 @@ def _presheaf_result(p: poset_sheaf.AbPresheaf) -> dict:
         "restrictions": {f"{d}<={c}": _matrix_rows(h.matrix)
                          for (d, c), h in sorted(p.maps.items())},
     }
-    if _is_total_order(p.site):
+    if all(p.site.is_leq(d, c) or p.site.is_leq(c, d)
+           for d in p.site.elements() for c in p.site.elements()):
         out["chain_form"] = " <- ".join(fpab.describe(s) for s in p.stalks)
     return out
 
@@ -632,25 +623,16 @@ def _cmd_sheaf_ext(args, doc: Document) -> dict:
     b = _need(doc.presheaves, args.B, "presheaf")
     a = _need(doc.presheaves, args.A, "presheaf")
     _check_poset_size(b.site)
-    out = {
-        "command": "sheaf-ext",
-        "B": args.B,
-        "A": args.A,
-        "method": args.method,
-    }
     degrees = _degree_list(args)
     _check_presheaf_work(b, a, degrees, b.site.size)
+    table = {n: _presheaf_result(r.presheaf) for n, r in
+             poset_sheaf.sheaf_ext_table(b, a, degrees, args.method).items()}
+    out = {"command": "sheaf-ext", "B": args.B, "A": args.A,
+           "method": args.method}
     if args.max_deg is not None:
-        out["max_deg"] = args.max_deg
-        out["degrees"] = {
-            str(n): _presheaf_result(
-                poset_sheaf.sheaf_ext(b, a, n, method=args.method).presheaf)
-            for n in degrees}
-    else:
-        out["n"] = degrees[0]
-        result = poset_sheaf.sheaf_ext(b, a, degrees[0], method=args.method)
-        out.update(_presheaf_result(result.presheaf))
-    return out
+        return dict(out, max_deg=args.max_deg,
+                    degrees={str(n): r for n, r in table.items()})
+    return dict(out, n=degrees[0], **table[degrees[0]])
 
 
 def _cmd_external_ext(args, doc: Document) -> dict:
@@ -659,10 +641,9 @@ def _cmd_external_ext(args, doc: Document) -> dict:
     _check_poset_size(b.site)
     degrees = _degree_list(args)
     _check_presheaf_work(b, a, degrees, 1)
-    forms = {n: fpab.describe(poset_sheaf.external_ext(b, a, n))
-             for n in degrees}
     return _put_degrees({"command": "external-ext", "B": args.B,
-                         "A": args.A}, args, forms)
+                         "A": args.A}, args,
+                        poset_sheaf.external_ext_table(b, a, degrees))
 
 
 def _cmd_global_sections(args, doc: Document) -> dict:
@@ -718,14 +699,13 @@ def _render_human(result: dict) -> str:
             "fixed-points": f"({result.get('M')})^G",
         }[cmd]
         lines.append(f"{label} = {result['result']}")
-    elif cmd in ("ext", "external-ext"):
-        sym = "Ext" if cmd == "ext" else "eExt"
-        pair = f"({result['B']}, {result['A']})"
-        if "results" in result:
-            for n in sorted(result["results"], key=int):
-                lines.append(f"{sym}^{n}{pair} = {result['results'][n]}")
-        else:
-            lines.append(f"{sym}^{result['n']}{pair} = {result['result']}")
+    elif cmd in ("ext", "external-ext", "group-cohomology"):
+        sym = {"ext": "Ext", "external-ext": "eExt"}.get(cmd, "H")
+        pair = (f"({result['G']}; {result['M']})" if sym == "H"
+                else f"({result['B']}, {result['A']})")
+        forms = result.get("results") or {result["n"]: result["result"]}
+        for n in sorted(forms, key=int):
+            lines.append(f"{sym}^{n}{pair} = {forms[n]}")
     elif cmd == "baer":
         lines.append(f"Ext^1({result['B']}, {result['A']}) "
                      f"= {result['ext1']}")
@@ -750,21 +730,12 @@ def _render_human(result: dict) -> str:
                                         else "NO"))
         lines.append("all exact: " + ("yes" if result["all_exact"]
                                       else "NO"))
-    elif cmd == "group-cohomology":
-        pair = f"({result['G']}; {result['M']})"
-        if "results" in result:
-            for n in sorted(result["results"], key=int):
-                lines.append(f"H^{n}{pair} = {result['results'][n]}")
-        else:
-            lines.append(f"H^{result['n']}{pair} = {result['result']}")
     elif cmd == "sheaf-ext":
         pair = f"({result['B']}, {result['A']})"
-        blocks = (sorted(((n, d) for n, d in result["degrees"].items()),
-                         key=lambda kv: int(kv[0]))
-                  if "degrees" in result
-                  else [(str(result["n"]), result)])
-        for n, data in blocks:
+        blocks = result.get("degrees") or {result["n"]: result}
+        for n in sorted(blocks, key=int):
             lines.append(f"sheaf Ext^{n}{pair} stalks:")
+            data = blocks[n]
             for c, s in enumerate(data["stalks"]):
                 lines.append(f"  element {c}: {s}")
             if "chain_form" in data:
@@ -806,7 +777,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "finite posets.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, configure, needs_doc=True):
+    def add(name, configure):
         p = sub.add_parser(name)
         p.add_argument("--input", default=None,
                        help="JSON document path, or - for stdin")
@@ -830,11 +801,11 @@ def _build_parser() -> argparse.ArgumentParser:
         grp.add_argument("--max-deg", type=int, default=None,
                          help="compute every degree from 0 up to this")
 
-    def ext_args(p):
+    def pair_args(p):
         p.add_argument("--B", required=True)
         p.add_argument("--A", required=True)
         degree_flags(p)
-    add("ext", ext_args)
+    add("ext", pair_args)
 
     def baer_args(p):
         p.add_argument("--B", required=True)
@@ -861,18 +832,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add("fixed-points", lambda p: p.add_argument("--M", required=True))
 
     def sheaf_args(p):
-        p.add_argument("--B", required=True)
-        p.add_argument("--A", required=True)
-        degree_flags(p)
+        pair_args(p)
         p.add_argument("--method", choices=("general", "fast", "auto"),
                        default="general")
     add("sheaf-ext", sheaf_args)
 
-    def ee_args(p):
-        p.add_argument("--B", required=True)
-        p.add_argument("--A", required=True)
-        degree_flags(p)
-    add("external-ext", ee_args)
+    add("external-ext", pair_args)
 
     add("global-sections", lambda p: p.add_argument("--F", required=True))
 

@@ -720,7 +720,7 @@ def group_cohomology(G: FiniteGroup, M: GModule, n: int) -> FpAbGroup:
     if M.G != G:
         raise IllDefined("module is over a different group")
     res = greedy_resolution(G, n + 1)
-    return resolution.cohomology(resolution.hom_complex(res, M), n)
+    return resolution.cohomology_table(res, M, [n])[n].group
 
 
 def fixed_points(m: GModule) -> Tuple[FpAbGroup, FpAbHom]:

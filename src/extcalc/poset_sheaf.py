@@ -268,9 +268,6 @@ class PresheafHom:
         self.tgt = tgt
         self.components = components
 
-    def component(self, c: int) -> FpAbHom:
-        return self.components[c]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, PresheafHom) and self.src == other.src
                 and self.tgt == other.tgt
@@ -287,13 +284,6 @@ def _compose(f: PresheafHom, g: PresheafHom) -> PresheafHom:
     return PresheafHom(g.src, f.tgt,
                        [fpab.compose(f.components[c], g.components[c])
                         for c in range(f.src.site.size)], check=False)
-
-
-def _restrict_hom(h: PresheafHom, elems: Sequence[int], src: AbPresheaf,
-                  tgt: AbPresheaf) -> PresheafHom:
-    """h on the elements elems, between presheaves already restricted there."""
-    return PresheafHom(src, tgt, [h.components[e] for e in elems],
-                       check=False)
 
 
 def is_epi(h: PresheafHom) -> bool:
@@ -671,11 +661,17 @@ def presheaf_context(site: FinitePoset) -> PresheafContext:
     return PresheafContext(site)
 
 
-def external_ext(b: AbPresheaf, a: AbPresheaf, n: int) -> FpAbGroup:
-    """Ext of presheaves via a full-site resolution by representables."""
+def external_ext_table(b: AbPresheaf, a: AbPresheaf, degrees: Sequence[int]
+                       ) -> Dict[int, resolution.CohomologyData]:
+    """external_ext data in each listed degree, from one resolution of B."""
     if b.site != a.site:
         raise SiteMismatch("Ext needs presheaves on one site")
-    return resolution.ext_n(presheaf_context(b.site), b, a, n)
+    return resolution.ext_table(presheaf_context(b.site), b, a, degrees)
+
+
+def external_ext(b: AbPresheaf, a: AbPresheaf, n: int) -> FpAbGroup:
+    """Ext of presheaves via a full-site resolution by representables."""
+    return external_ext_table(b, a, [n])[n].group
 
 
 # ------------------------------------------------------------ sheaf Ext
@@ -721,53 +717,76 @@ def principal_intersection_check(site: FinitePoset) -> bool:
                for l in site.elements() for c in site.elements())
 
 
-def _class_map(src_data, tgt_data, transport: IntMatrix) -> FpAbHom:
-    """Map on cohomology induced by a cocycle-level transport matrix."""
-    m = tgt_data.classes_of(transport * src_data.lattice)
-    return FpAbHom(src_data.group, tgt_data.group, m, check=True)
+def _restricted(res: FreeResolution, elems: Sequence[int], ctx, target,
+                frees: Sequence) -> FreeResolution:
+    """res on elems, over frees realizing its terms there: every map keeps
+    its components at elems."""
+    objs = [ctx._obj(f) for f in frees]
+    diffs = [PresheafHom(objs[k], objs[k - 1], [
+        res.diff(k).components[e] for e in elems], check=False)
+        for k in range(1, len(objs))]
+    aug = PresheafHom(objs[0], target, [
+        res.augmentation.components[e] for e in elems], check=False)
+    return FreeResolution(ctx, target, frees, diffs, aug, dd_verified=True)
+
+
+def _assemble(a: AbPresheaf, degrees: Sequence[int], resolutions,
+              transport) -> Dict[int, SheafExtResult]:
+    """The Ext presheaf in each degree, stalks read off the down-set
+    resolutions.  For d < c, transport(d, c, live) yields a cocycle
+    transport per degree in live, where both stalks are nonzero, and the
+    restriction is its class map; every other restriction is zero."""
+    site = a.site
+    data = {c: resolution.cohomology_table(res, a.restrict(
+        site.down_set(c)), degrees) for c, res in resolutions.items()}
+    maps = {n: {} for n in degrees}
+    for (d, c) in site.strict_pairs():
+        live = [n for n in degrees
+                if data[c][n].group.gens and data[d][n].group.gens]
+        moved = dict(zip(live, transport(d, c, live))) if live else {}
+        for n in degrees:
+            src, tgt = data[c][n], data[d][n]
+            maps[n][(d, c)] = (FpAbHom(src.group, tgt.group, tgt.classes_of(
+                moved[n] * src.lattice)) if n in moved
+                               else fpab.zero_hom(src.group, tgt.group))
+    return {n: SheafExtResult(AbPresheaf(
+                site, [data[c][n].group for c in site.elements()], maps[n],
+                check=True), resolutions) for n in degrees}
 
 
 def _sheaf_ext_general(b: AbPresheaf, a: AbPresheaf,
-                       n: int) -> SheafExtResult:
-    site = b.site
-    per = {}
+                       degrees: Sequence[int]) -> Dict[int, SheafExtResult]:
+    site, top = b.site, max(degrees)
+    downs, resolutions = {}, {}
     for c in site.elements():
-        sub, elems = site.down_poset(c)
-        ctx, bc = presheaf_context(sub), b.restrict(elems)
-        res = resolution.free_resolution(ctx, bc, n + 1)
-        cx = resolution.hom_complex(res, a.restrict(elems))
-        per[c] = (elems, ctx, bc, res, resolution.cohomology_data(cx, n))
-    maps = {}
-    for (d, c) in site.strict_pairs():
-        elems_c, _, _, res_c, data_c = per[c]
-        elems_d, ctx_d, bd, res_d, data_d = per[d]
-        keep = [elems_c.index(e) for e in elems_d]
-        q_objs = [res_c.free(k).realize().restrict(keep)
-                  for k in range(n + 2)]
-        q_diffs = [_restrict_hom(res_c.diff(k), keep,
-                                 src=q_objs[k], tgt=q_objs[k - 1])
-                   for k in range(1, n + 2)]
-        q_aug = _restrict_hom(res_c.augmentation, keep,
-                              src=q_objs[0], tgt=bd)
-        q = FreeResolution(ctx_d, bd, q_objs, q_diffs, q_aug,
-                           dd_verified=True)
-        chain_maps = resolution.lift_chain_map(res_d, q, ctx_d.identity(bd))
-        # cochain transport: restrict a cochain on P^c_n to the smaller
-        # down-set, then precompose with the lift P^d_n -> P^c_n there
-        labels_c = [elems_c[l] for l in res_c.free(n).labels]
-        labels_d = [elems_d[l] for l in res_d.free(n).labels]
-        terms = _precompose_terms(a, labels_c, labels_d, chain_maps[n],
-                                  res_d.free(n))
-        transport = resolution.unit_block_matrix(
-            [a.stalk(l) for l in labels_c], [a.stalk(l) for l in labels_d],
-            terms)
-        maps[(d, c)] = _class_map(data_c, data_d, transport)
-    stalks = [per[c][4].group for c in site.elements()]
-    presheaf = AbPresheaf(site, stalks, maps, check=True)
-    return SheafExtResult(presheaf, {c: per[c][3] for c in site.elements()})
+        sub, downs[c] = site.down_poset(c)
+        resolutions[c] = resolution.free_resolution(
+            presheaf_context(sub), b.restrict(downs[c]), top + 1)
+
+    def transport(d, c, live):
+        res_c, res_d = resolutions[c], resolutions[d]
+        keep = [downs[c].index(e) for e in downs[d]]
+        # res_c below d, as deep as the highest live degree
+        q = _restricted(res_c, keep, res_d.ctx, res_d.target, [
+            res_c.free(k).realize().restrict(keep)
+            for k in range(max(live) + 1)])
+        lift = resolution.lift_chain_map(res_d, q,
+                                         res_d.ctx.identity(res_d.target))
+        for n in live:
+            # restrict a cochain on P^c_n to the smaller down-set, then
+            # precompose with the lift P^d_n -> P^c_n there
+            labels_c = [downs[c][l] for l in res_c.free(n).labels]
+            labels_d = [downs[d][l] for l in res_d.free(n).labels]
+            yield resolution.unit_block_matrix(
+                [a.stalk(l) for l in labels_c], [a.stalk(l) for l in labels_d],
+                _precompose_terms(a, labels_c, labels_d, lift[n],
+                                  res_d.free(n)))
+
+    return _assemble(a, degrees, resolutions, transport)
 
 
-def _sheaf_ext_fast(b: AbPresheaf, a: AbPresheaf, n: int) -> SheafExtResult:
+def _sheaf_ext_fast(b: AbPresheaf, a: AbPresheaf,
+                    degrees: Sequence[int]) -> Dict[int, SheafExtResult]:
     """One full-site resolution, restricted to every down-set.
 
     Sound whenever principal_intersection_check holds: ZY(l) restricted
@@ -777,64 +796,64 @@ def _sheaf_ext_fast(b: AbPresheaf, a: AbPresheaf, n: int) -> SheafExtResult:
     a cochain from c to d < c is a cochain map between the restricted hom
     complexes, read off A.res(l∧d, l∧c) summand by summand.
     """
-    site = b.site
-    res = resolution.free_resolution(presheaf_context(site), b, n + 1)
+    site, top = b.site, max(degrees)
+    res = resolution.free_resolution(presheaf_context(site), b, top + 1)
     meet = [[_meet(site, l, c) for c in site.elements()]
             for l in site.elements()]
-    resolutions, data, meets = {}, {}, {}
+    resolutions, kept = {}, {}
     for c in site.elements():
         sub, elems = site.down_poset(c)
         local = {e: i for i, e in enumerate(elems)}
         # (summand, l∧c) for the summands of each P_k that meet ↓c
-        kept = [[(i, meet[l][c]) for i, l in enumerate(res.free(k).labels)
-                 if meet[l][c] is not None] for k in range(n + 2)]
-        frees = [FreePresheaf(sub, [local[m] for _, m in ks]) for ks in kept]
-        objs = [f.realize() for f in frees]
-        diffs = [_restrict_hom(res.diff(k), elems, src=objs[k],
-                               tgt=objs[k - 1]) for k in range(1, n + 2)]
-        bc = b.restrict(elems)
-        aug = _restrict_hom(res.augmentation, elems, src=objs[0], tgt=bc)
-        resolutions[c] = FreeResolution(presheaf_context(sub), bc, frees,
-                                        diffs, aug, dd_verified=True)
-        data[c] = resolution.cohomology_data(
-            resolution.hom_complex(resolutions[c], a.restrict(elems)), n)
-        meets[c] = kept[n]
-    maps = {}
-    for (d, c) in site.strict_pairs():
-        # a summand that meets ↓d meets ↓c too
-        col = {i: (j, m) for j, (i, m) in enumerate(meets[c])}
-        terms = [(t, col[i][0], 1, a.res(m, col[i][1]).matrix)
-                 for t, (i, m) in enumerate(meets[d])]
-        transport = resolution.unit_block_matrix(
-            [a.stalk(m) for _, m in meets[c]],
-            [a.stalk(m) for _, m in meets[d]], terms)
-        maps[(d, c)] = _class_map(data[c], data[d], transport)
-    stalks = [data[c].group for c in site.elements()]
-    presheaf = AbPresheaf(site, stalks, maps, check=True)
-    return SheafExtResult(presheaf, resolutions)
+        kept[c] = [[(i, meet[l][c]) for i, l in enumerate(res.free(k).labels)
+                    if meet[l][c] is not None] for k in range(top + 2)]
+        resolutions[c] = _restricted(
+            res, elems, presheaf_context(sub), b.restrict(elems),
+            [FreePresheaf(sub, [local[m] for _, m in ks]) for ks in kept[c]])
+
+    def transport(d, c, live):
+        for n in live:
+            # a summand that meets ↓d meets ↓c too
+            col = {i: (j, m) for j, (i, m) in enumerate(kept[c][n])}
+            terms = [(t, col[i][0], 1, a.res(m, col[i][1]).matrix)
+                     for t, (i, m) in enumerate(kept[d][n])]
+            yield resolution.unit_block_matrix(
+                [a.stalk(m) for _, m in kept[c][n]],
+                [a.stalk(m) for _, m in kept[d][n]], terms)
+
+    return _assemble(a, degrees, resolutions, transport)
 
 
-def sheaf_ext(b: AbPresheaf, a: AbPresheaf, n: int,
-              method: str = "general") -> SheafExtResult:
-    """The Ext presheaf: at c, Ext over the down-set below c.
+def sheaf_ext_table(b: AbPresheaf, a: AbPresheaf, degrees: Sequence[int],
+                    method: str = "general") -> Dict[int, SheafExtResult]:
+    """The Ext presheaf in each listed degree: at c, Ext over the down-set
+    below c.
 
     method "general" resolves every down-set separately and connects the
     stalks by comparison lifts; "fast" restricts one full-site resolution
     to every down-set, valid on sites passing
     principal_intersection_check; "auto" takes the fast path wherever it
-    is valid.
+    is valid.  Each resolution is built once, to the top degree + 1, and
+    shared by the results; each comparison lift runs once per pair, and
+    not at all for a pair whose stalks are zero in every listed degree.
     """
     if b.site != a.site:
         raise SiteMismatch("sheaf Ext needs presheaves on one site")
-    if n < 0:
+    if min(degrees) < 0:
         raise ValueError("Ext degree must be nonnegative")
     if method not in ("general", "fast", "auto"):
         raise ValueError(f"unknown method {method!r}")
     if method != "general" and principal_intersection_check(b.site):
-        return _sheaf_ext_fast(b, a, n)
+        return _sheaf_ext_fast(b, a, degrees)
     if method == "fast":
         raise ValueError("fast path needs principal down-set intersections")
-    return _sheaf_ext_general(b, a, n)
+    return _sheaf_ext_general(b, a, degrees)
+
+
+def sheaf_ext(b: AbPresheaf, a: AbPresheaf, n: int,
+              method: str = "general") -> SheafExtResult:
+    """The Ext presheaf in degree n; see sheaf_ext_table."""
+    return sheaf_ext_table(b, a, [n], method)[n]
 
 
 # ------------------------------------------------- projectivity witness

@@ -9,7 +9,7 @@ abelian presheaves on a finite poset.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .exactint import (
     DimensionMismatch,
@@ -323,12 +323,27 @@ def hom_complex(p: FreeResolution, a) -> FpAbComplex:
     return FpAbComplex([hg.group for hg in hgs], maps, verified=True)
 
 
+def cohomology_table(p: FreeResolution, a,
+                     degrees: Sequence[int]) -> Dict[int, CohomologyData]:
+    """cohomology_data of one Hom(P, A) in each listed degree: that is
+    Ext^n(target(P), A) for every n below p.max_deg, so a whole degree
+    table is read off one resolution to its top degree + 1."""
+    cx = hom_complex(p, a)
+    return {n: cohomology_data(cx, n) for n in degrees}
+
+
+def ext_table(ctx: ModuleContext, b, a,
+              degrees: Sequence[int]) -> Dict[int, CohomologyData]:
+    """Ext^n(B, A) data for each listed n, from one free resolution of B."""
+    if min(degrees) < 0:
+        raise ValueError("Ext degree must be nonnegative")
+    return cohomology_table(free_resolution(ctx, b, max(degrees) + 1), a,
+                            degrees)
+
+
 def ext_n(ctx: ModuleContext, b, a, n: int) -> FpAbGroup:
     """Ext^n(B, A) over the context, via a free resolution of B."""
-    if n < 0:
-        raise ValueError("Ext degree must be nonnegative")
-    res = free_resolution(ctx, b, n + 1)
-    return cohomology(hom_complex(res, a), n)
+    return ext_table(ctx, b, a, [n])[n].group
 
 
 def lift_chain_map(p: FreeResolution, q: FreeResolution, f) -> List:

@@ -424,8 +424,8 @@ def test_criterion_10_projectivity_witness():
         hg_g = poset_sheaf.presheaf_hom_group(yc, g_r)
         cols = []
         for phi in hg_f.basis:
-            comps = [fpab.compose(sigma.component(elems[k]),
-                                  phi.component(k))
+            comps = [fpab.compose(sigma.components[elems[k]],
+                                  phi.components[k])
                      for k in range(len(elems))]
             psi = poset_sheaf.PresheafHom(yc, g_r, comps)
             cols.append(hg_g.coords_of(psi).coords.col(0))

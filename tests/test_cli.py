@@ -11,11 +11,23 @@ from pathlib import Path
 
 import pytest
 
-from extcalc import cli, groupring
+from extcalc import cli, groupring, resolution
 
 SIERPINSKI = str(files("extcalc").joinpath("fixtures/sierpinski.json"))
 C2 = str(files("extcalc").joinpath("fixtures/c2_cohomology.json"))
 SIX_TERM = str(files("extcalc").joinpath("fixtures/six_term.json"))
+
+
+def crown_document(k):
+    """Z^k stalks with zero restrictions on six levels of two elements,
+    each below both elements of the next level."""
+    below = [(d, c) for d in range(12) for c in range(12) if d // 2 < c // 2]
+    zero = [[0] * k for _ in range(k)]
+    return json.dumps({
+        "posets": {"crown": {"size": 12, "relations": below}},
+        "presheaves": {"B": {
+            "poset": "crown", "stalks": [f"Z^{k}"] * 12,
+            "res": {f"{d}<={c}": zero for d, c in below}}}})
 
 
 def run(capsys, *argv):
@@ -407,25 +419,13 @@ class TestExitCodes:
 
     def test_presheaf_work_cap_refuses_or_finishes(self, capsys,
                                                    monkeypatch):
-        # Z^k stalks with zero restrictions on six levels of two elements,
-        # each below both elements of the next level: at k = 16 sheaf-ext
-        # at n = 6 took 13.5 s before the cap and is refused while its
-        # resolution is built; at k = 4 it answers in about a second
-        below = [(d, c) for d in range(12) for c in range(12)
-                 if d // 2 < c // 2]
-
-        def doc(k):
-            zero = [[0] * k for _ in range(k)]
-            return json.dumps({
-                "posets": {"crown": {"size": 12, "relations": below}},
-                "presheaves": {"B": {
-                    "poset": "crown", "stalks": [f"Z^{k}"] * 12,
-                    "res": {f"{d}<={c}": zero for d, c in below}}}})
-
+        # on the crown, at k = 16 sheaf-ext at n = 6 took 13.5 s before the
+        # cap and is refused while its resolution is built; at k = 4 it
+        # answers in about a second
         for k, cmd, n, expect in ((16, "sheaf-ext", 6, cli.EXIT_DOMAIN),
                                   (16, "external-ext", 1, cli.EXIT_DOMAIN),
                                   (4, "sheaf-ext", 6, 0)):
-            monkeypatch.setattr(sys, "stdin", io.StringIO(doc(k)))
+            monkeypatch.setattr(sys, "stdin", io.StringIO(crown_document(k)))
             start = time.perf_counter()
             code, _, err = run(capsys, cmd, "--input", "-", "--B", "B",
                                "--A", "B", "--n", str(n))
@@ -490,6 +490,80 @@ class TestExitCodes:
                            "--i", "1,1", "--j", "1")
         assert code == cli.EXIT_DOMAIN
         assert "entries" in err
+
+
+TREE = json.dumps({
+    "posets": {"T": {"size": 4, "relations": [[0, 1], [0, 2], [1, 3]]}},
+    "presheaves": {
+        "F": {"poset": "T", "stalks": ["Z/4", "Z/2", "Z", "Z/2"],
+              "res": {"0<=1": [[2]], "0<=2": [[1]], "1<=3": [[1]],
+                      "0<=3": [[2]]}},
+        "G": {"poset": "T", "stalks": ["Z", "Z/3 + Z", "Z/6", "Z^2"],
+              "res": {"0<=1": [[0, 2]], "0<=2": [[0]],
+                      "1<=3": [[1, 1], [0, 3]], "0<=3": [[0, 6]]}}}})
+
+
+class TestDegreeTables:
+    """A --max-deg table builds each resolution once, to its top degree
+    + 1, and lifts each comparison map at most once."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls, orig = [], getattr(resolution, name)
+
+        def count(*args):
+            calls.append(args)
+            return orig(*args)
+        monkeypatch.setattr(resolution, name, count)
+        return calls
+
+    @pytest.mark.parametrize("method,builds", [("general", 4), ("fast", 1)])
+    def test_one_resolution_per_down_set_or_site(self, capsys, monkeypatch,
+                                                 method, builds):
+        # the work check covers kernels itself and is not counted here
+        calls = self.counted(monkeypatch, "free_resolution")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(TREE))
+        code, out, _ = run(capsys, "sheaf-ext", "--input", "-", "--B", "F",
+                           "--A", "G", "--max-deg", "3", "--method", method)
+        assert code == 0 and "sheaf Ext^3(F, G)" in out
+        assert [depth for (_, _, depth) in calls] == [4] * builds
+
+    def test_external_table_builds_one_resolution(self, capsys, monkeypatch):
+        calls = self.counted(monkeypatch, "free_resolution")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(TREE))
+        code, _, _ = run(capsys, "external-ext", "--input", "-", "--B", "F",
+                         "--A", "G", "--max-deg", "3")
+        assert code == 0
+        assert [depth for (_, _, depth) in calls] == [4]
+
+    def test_lifts_stop_at_the_highest_nonzero_degree(self, capsys,
+                                                       monkeypatch):
+        # Ext^3 vanishes on trees, so no lift of a 0..3 table on one goes
+        # past degree 2; the Sierpinski Ext^2 stalk at the bottom is zero,
+        # so its one pair is not lifted
+        lifts = self.counted(monkeypatch, "lift_chain_map")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(TREE))
+        code, _, _ = run(capsys, "sheaf-ext", "--input", "-", "--B", "F",
+                         "--A", "G", "--max-deg", "3")
+        assert code == 0 and lifts
+        assert max(q.max_deg for (_, q, _) in lifts) <= 2
+        lifts.clear()
+        code, out, _ = run(capsys, "sheaf-ext", "--input", SIERPINSKI,
+                           "--B", "quot", "--A", "y0", "--n", "2")
+        assert code == 0 and "element 1: Z/2" in out
+        assert lifts == []
+
+    def test_zero_stalks_need_no_lift(self, capsys, monkeypatch):
+        # every stalk of Ext^6 on the crown is zero, so no pair is lifted;
+        # the table through degree 6 lifts each of the 60 pairs once
+        lifts = self.counted(monkeypatch, "lift_chain_map")
+        for flag, count in (("--n", 0), ("--max-deg", 60)):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(crown_document(1)))
+            code, _, _ = run(capsys, "sheaf-ext", "--input", "-", "--B", "B",
+                             "--A", "B", flag, "6")
+            assert code == 0
+            assert len(lifts) == count
+            lifts.clear()
 
 
 class TestDeterminism:

@@ -687,6 +687,16 @@ def test_greedy_cohomology_matches_normalized_bar(rng):
             == resolution.cohomology(bar, n).canonical_form, n
 
 
+@settings(max_examples=20, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_greedy_cohomology_table_is_the_single_degrees(rng):
+    G = rng.choice(list(SMALL_GROUPS.values()))
+    m = random_gmodule(rng, G)
+    table = resolution.cohomology_table(greedy_resolution(G, 4), m, range(4))
+    for n in range(4):
+        assert table[n].group == group_cohomology(G, m, n), n
+
+
 class TestGroupCohomology:
     def test_cyclic2_trivial_z_matches_periodic_oracle(self):
         G = cyclic(2)

@@ -36,6 +36,7 @@ from extcalc.poset_sheaf import (
     bowtie,
     chain,
     external_ext,
+    external_ext_table,
     free_presheaf,
     global_sections,
     internal_hom,
@@ -46,6 +47,7 @@ from extcalc.poset_sheaf import (
     principal_intersection_check,
     sections,
     sheaf_ext,
+    sheaf_ext_table,
     witness_search,
     zero_presheaf,
 )
@@ -819,6 +821,70 @@ class TestFastPath:
         a = free_presheaf(site, 1)
         for n in (0, 1, 2):
             assert_paths_agree(b, a, n)
+
+
+def assert_same_result(got, want):
+    """Equal stalk presentations and restriction matrices, as printed."""
+    assert got.presheaf.stalks == want.presheaf.stalks
+    assert ({pair: h.matrix for pair, h in got.presheaf.maps.items()}
+            == {pair: h.matrix for pair, h in want.presheaf.maps.items()})
+
+
+class TestDegreeTables:
+    """A table reads every degree off one set of resolutions, and each of
+    its degrees is exactly what a single-degree request gives."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           k=st.sampled_from([1, 2, 3]),
+           method=st.sampled_from(["general", "fast"]))
+    def test_tree_table_is_the_single_degrees(self, rng, k, method):
+        size = rng.randint(1, 6)
+        parents = [None] + [rng.randrange(i) for i in range(1, size)]
+        b = random_tree_presheaf(rng, parents)
+        a = random_tree_presheaf(rng, parents)
+        table = sheaf_ext_table(b, a, range(k + 1), method)
+        assert list(table) == list(range(k + 1))
+        for n in range(k + 1):
+            assert_same_result(table[n], sheaf_ext(b, a, n, method))
+
+    @settings(max_examples=15, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           k=st.sampled_from([1, 2]))
+    def test_bowtie_table_is_the_single_degrees(self, rng, k):
+        b = random_cokernel_presheaf(rng, bowtie())
+        a = random_cokernel_presheaf(rng, bowtie())
+        table = sheaf_ext_table(b, a, range(k + 1), "general")
+        for n in range(k + 1):
+            assert_same_result(table[n], sheaf_ext(b, a, n, "general"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           k=st.sampled_from([1, 2, 3]))
+    def test_external_table_is_the_single_degrees(self, rng, k):
+        size = rng.randint(1, 6)
+        parents = [None] + [rng.randrange(i) for i in range(1, size)]
+        b = random_tree_presheaf(rng, parents)
+        a = random_tree_presheaf(rng, parents)
+        table = external_ext_table(b, a, range(k + 1))
+        for n in range(k + 1):
+            assert table[n].group == external_ext(b, a, n)
+
+    def test_results_share_their_resolutions(self):
+        b = sierpinski_quotient()
+        a = free_presheaf(sierpinski(), 0)
+        table = sheaf_ext_table(b, a, [0, 2], "general")
+        assert table[0].resolutions is table[2].resolutions
+        assert all(res.max_deg == 3 for res in table[0].resolutions.values())
+
+    def test_table_validation(self):
+        b = sierpinski_quotient()
+        with pytest.raises(ValueError, match="nonnegative"):
+            sheaf_ext_table(b, b, [2, -1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            external_ext_table(b, b, [-1, 0])
+        with pytest.raises(SiteMismatch):
+            external_ext_table(b, constant_presheaf(chain(3), zmod(2)), [0])
 
 
 class TestTopOfStalkCover:

@@ -50,6 +50,7 @@ from extcalc.resolution import (
     cohomology,
     cohomology_data,
     ext_n,
+    ext_table,
     free_resolution,
     hom_complex,
     lift_chain_map,
@@ -222,6 +223,22 @@ def test_ext_n_matches_invariant_factor_formula(rng):
     for n in range(4):
         assert (ext_n(CTX, b, a, n).canonical_form
                 == invariant_factor_formula(b, a, n)), n
+
+
+@settings(max_examples=30, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_ext_table_is_the_single_degrees(rng):
+    # one resolution to degree 4 answers every degree below it exactly
+    # as its own resolution does, presentation included
+    b, a = random_group(rng), random_group(rng)
+    table = ext_table(CTX, b, a, range(4))
+    for n in range(4):
+        assert table[n].group == ext_n(CTX, b, a, n), n
+
+
+def test_ext_table_rejects_negative_degrees():
+    with pytest.raises(ValueError, match="nonnegative"):
+        ext_table(CTX, zmod(2), zmod(2), [1, -1])
 
 
 def test_ext_n_presentation_independent():
