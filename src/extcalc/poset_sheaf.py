@@ -746,9 +746,10 @@ def _assemble(a: AbPresheaf, degrees: Sequence[int], resolutions,
         moved = dict(zip(live, transport(d, c, live))) if live else {}
         for n in degrees:
             src, tgt = data[c][n], data[d][n]
-            maps[n][(d, c)] = (FpAbHom(src.group, tgt.group, tgt.classes_of(
-                moved[n] * src.lattice)) if n in moved
-                               else fpab.zero_hom(src.group, tgt.group))
+            maps[n][(d, c)] = (
+                FpAbHom(src.group, tgt.group,
+                        tgt.classes_of(moved[n] * src.lattice))
+                if n in moved else fpab.zero_hom(src.group, tgt.group))
     return {n: SheafExtResult(AbPresheaf(
                 site, [data[c][n].group for c in site.elements()], maps[n],
                 check=True), resolutions) for n in degrees}
