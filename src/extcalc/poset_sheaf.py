@@ -12,11 +12,11 @@ sections of F over ↓c∩↓e, which is how the projectivity witness reads it.
 
 Sheaf Ext is computed stalkwise: the stalk at c is Ext over the down-set
 below c, and the restriction maps come from comparison lifts between the
-down-set resolutions.  On sites where principal down-sets intersect in
-principal down-sets (chains, trees) restricted representables stay free,
-so one full-site resolution, restricted to every down-set, computes the
-same presheaf with plain cochain restriction between the stalks; both
-paths are exposed and cross-checked.
+down-set resolutions.  On sites whose principal down-sets meet in
+principal down-sets (chains, trees) one full-site resolution, restricted
+to every down-set, gives the same presheaf with plain cochain restriction
+between the stalks.  Both paths, cross-checked, answer a degree table
+from resolutions built once, to its top degree + 1 (sheaf_ext_table).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 A module context packages what a concrete module category must provide for
 resolution-based computations: free objects, epi covers, kernels, lifts,
 and hom-groups out of frees as presented abelian groups.  The same engine
-then serves plain abelian groups, modules over a finite group ring, and
-abelian presheaves on a finite poset.
+serves abelian groups, modules over a finite group ring and presheaves on
+a finite poset, and cohomology_table reads a degree table off one resolution.
 """
 
 from __future__ import annotations
