@@ -1,12 +1,13 @@
 """Finite groups, modules over their integral group rings, group cohomology.
 
 A module over ZG is a finitely presented abelian group with a G-action by
-automorphisms.  Free modules ZG^r are held compactly, because the bar
-resolutions of the trivial module have rank |G|^n, or (|G|-1)^n when
-normalized, in degree n and their differentials would be hopeless as
-dense integer matrices; they are stored as sparse columns over the group
-ring and expanded only against coefficient modules.  Group cohomology is
-Ext over the group-ring context through greedy_resolution (rank one in
+automorphisms.  The free module ZG^r is the one GModule subclass
+FreeGModule, stored as just the group and the rank: the bar resolutions
+of the trivial module have rank |G|^n, or (|G|-1)^n when normalized, in
+degree n, so their terms build their underlying group and action only
+when one is read, and their differentials are sparse columns over the
+group ring, expanded only against coefficient modules.  Group cohomology
+is Ext over the group-ring context through greedy_resolution (rank one in
 every degree for a cyclic group), cross-checked by the normalized and
 unnormalized bar resolutions, the 2-periodic resolution for cyclic
 groups, and crossed homomorphisms in degree one.
@@ -171,16 +172,14 @@ class GModule:
     ρ(s)∘ρ(th) = ρ(sth), so they form a submonoid, and in a finite group
     the submonoid generated by S is G.  The laws make every action an
     automorphism, since ρ(g)∘ρ(g⁻¹) = ρ(e) = id.  Constructions inside
-    the engine whose laws hold by design pass check=False.  zg_rank marks
-    modules materialized from a free ZG^r and records the block layout
-    equivariant lifts rely on.
+    the engine whose laws hold by design pass check=False.  The free
+    modules, the only ones equivariant lifts start from, are FreeGModule.
     """
 
-    __slots__ = ("G", "M", "action", "zg_rank")
+    __slots__ = ("G", "M", "action")
 
     def __init__(self, G: FiniteGroup, M: FpAbGroup,
-                 action: Sequence[FpAbHom], check: bool = True,
-                 zg_rank: Optional[int] = None):
+                 action: Sequence[FpAbHom], check: bool = True):
         action = tuple(action)
         if len(action) != G.order:
             raise IllDefined("need exactly one action hom per group element")
@@ -204,7 +203,6 @@ class GModule:
         self.G = G
         self.M = M
         self.action = action
-        self.zg_rank = zg_rank
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GModule) and self.G == other.G
@@ -249,28 +247,39 @@ class GModuleHom:
         return f"GModuleHom({self.src!r} -> {self.tgt!r})"
 
 
-class FreeGModule:
-    """ZG^r held compactly as just the group and the rank.
+class FreeGModule(GModule):
+    """ZG^r, stored as just the group and the rank.
 
     The Z-basis is indexed (block, group element) at block*|G| + element,
-    and left translation by g carries (j, h) to (j, gh).  dense() expands
-    to the permutation-action module; resolution machinery only does that
-    at the ranks where kernels are actually taken.
+    and left translation by g carries (j, h) to (j, gh).  M and action,
+    the permutation-action module, are built the first time either is
+    read; equality and hashing use (G, rank) alone, so the compact
+    resolution machinery never builds the large ranks.
     """
 
-    __slots__ = ("G", "rank", "_dense")
+    __slots__ = ("rank",)
 
     def __init__(self, G: FiniteGroup, rank: int):
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         self.G = G
         self.rank = rank
-        self._dense = None
 
-    def dense(self) -> GModule:
-        if self._dense is None:
-            self._dense = group_ring_module(self.G, self.rank)
-        return self._dense
+    def __getattr__(self, name):
+        # reached only for a slot not yet set
+        if name not in ("M", "action"):
+            raise AttributeError(name)
+        n, r = self.G.order, self.rank
+        self.M = m = free_abelian(n * r)
+        action = []
+        for row_g in self.G.table:
+            cols = [[0] * (n * r) for _ in range(n * r)]
+            for j in range(r):
+                for h in range(n):
+                    cols[j * n + h][j * n + row_g[h]] = 1
+            action.append(FpAbHom(m, m, _from_cols(cols, n * r), check=False))
+        self.action = tuple(action)
+        return getattr(self, name)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FreeGModule) and self.G == other.G
@@ -330,7 +339,7 @@ class ZGFreeHom:
         if self._expanded is None:
             G = self.G
             n = G.order
-            src, tgt = self.src.dense(), self.tgt.dense()
+            src, tgt = self.src, self.tgt
             height = n * self.tgt.rank
             cols = []
             for j in range(self.src.rank):
@@ -365,28 +374,9 @@ def _compose_free(f: ZGFreeHom, g: ZGFreeHom) -> ZGFreeHom:
     return ZGFreeHom(f.G, g.src, f.tgt, out)
 
 
-def group_ring_module(G: FiniteGroup, r: int) -> GModule:
-    """ZG^r: free abelian on r copies of G, acted on by left translation.
-
-    The basis element (j, h) sits at index j*|G| + h, and g sends it to
-    (j, gh): the unit of a block lands in the gh slot of the same block.
-    """
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
-    n = G.order
-    m = free_abelian(n * r)
-    action = []
-    for g in range(n):
-        row_g = G.table[g]
-        cols = []
-        for j in range(r):
-            for h in range(n):
-                col = [0] * (n * r)
-                col[j * n + row_g[h]] = 1
-                cols.append(col)
-        action.append(FpAbHom(m, m, IntMatrix.from_cols(cols, rows=n * r),
-                              check=False))
-    return GModule(G, m, action, check=False, zg_rank=r)
+def group_ring_module(G: FiniteGroup, r: int) -> FreeGModule:
+    """ZG^r: free abelian on r copies of G, acted on by left translation."""
+    return FreeGModule(G, r)
 
 
 def trivial_module(G: FiniteGroup, M: FpAbGroup) -> GModule:
@@ -409,13 +399,12 @@ def _zg_columns(d) -> tuple:
     """Sparse group-ring columns of a map between free modules."""
     if isinstance(d, ZGFreeHom):
         return d.cols
-    r_src, r_tgt = d.src.zg_rank, d.tgt.zg_rank
-    if r_src is None or r_tgt is None:
-        raise ValueError("differential endpoints are not marked as free")
+    if not (isinstance(d.src, FreeGModule) and isinstance(d.tgt, FreeGModule)):
+        raise ValueError("differential endpoints are not free")
     n = d.src.G.order
     e = d.src.G.identity
     cols = []
-    for j in range(r_src):
+    for j in range(d.src.rank):
         terms = []
         for idx, c in enumerate(d.ab.matrix.col(j * n + e)):
             if c:
@@ -427,11 +416,11 @@ def _zg_columns(d) -> tuple:
 class GModuleContext(ModuleContext):
     """Modules over ZG for one fixed finite group.
 
-    Free objects stay compact and compose symbolically; anything passing
-    through a kernel or a corestriction gets materialized, which is fine
-    at the ranks where those actually happen.  Epis are underlying epis,
-    and lifts out of frees solve for the block units only, then extend
-    equivariantly.
+    Free objects are FreeGModule and compose symbolically; one passing
+    through a kernel or a corestriction builds its underlying group,
+    which is fine at the ranks where those actually happen.  Epis are
+    underlying epis, and lifts out of frees solve for the block units
+    only, then extend equivariantly.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -443,22 +432,16 @@ class GModuleContext(ModuleContext):
     def __hash__(self) -> int:
         return hash((type(self), self.G))
 
-    def _obj(self, x) -> GModule:
-        return x.dense() if isinstance(x, FreeGModule) else x
-
     def _hom(self, f) -> GModuleHom:
         return f.dense() if isinstance(f, ZGFreeHom) else f
 
     def free_rank(self, f) -> int:
         if isinstance(f, FreeGModule):
             return f.rank
-        if isinstance(f, GModule) and f.zg_rank is not None:
-            return f.zg_rank
         raise NotFree("object is not a free module")
 
     def epi_cover(self, b) -> Tuple[FreeGModule, GModuleHom]:
         # one block per generator of B, its unit sent to that generator
-        b = self._obj(b)
         f = FreeGModule(self.G, b.M.gens)
         ident = IntMatrix.identity(b.M.gens)
         units = [ident.column_matrix(j) for j in range(b.M.gens)]
@@ -507,10 +490,9 @@ class GModuleContext(ModuleContext):
     def lift_through(self, p, g) -> GModuleHom:
         """Equivariant lift: solve for the block units, extend by linearity."""
         pd, gd = self._hom(p), self._hom(g)
-        r = gd.src.zg_rank
-        if r is None:
+        if not isinstance(gd.src, FreeGModule):
             raise NotFree("equivariant lifts need a free source")
-        n = self.G.order
+        r, n = gd.src.rank, self.G.order
         e = self.G.identity
         solver = ModSolver(pd.ab.matrix, pd.tgt.M.relations)
         x = solver.solve_matrix(
@@ -521,19 +503,15 @@ class GModuleContext(ModuleContext):
         return self.extend_units(gd.src, pd.src, units)
 
     def hom_group(self, f, a) -> FreeHomGroup:
-        if isinstance(f, GModule):
-            if f.zg_rank is None:
-                raise NotFree("hom_group source must be free")
-            f = FreeGModule(self.G, f.zg_rank)
-        a = self._obj(a)
+        if not isinstance(f, FreeGModule):
+            raise NotFree("hom_group source must be free")
         return FreeHomGroup(self, f, a, [a.M] * f.rank)
 
     def extend_units(self, free, a: GModule, units) -> GModuleHom:
         """Equivariant extension: the (j, h) basis element goes to h·units[j]."""
-        src = self._obj(free)
         cols = [(act.matrix * u).col(0) for u in units for act in a.action]
         mat = IntMatrix.from_cols(cols, rows=a.M.gens)
-        return GModuleHom(src, a, FpAbHom(src.M, a.M, mat, check=False),
+        return GModuleHom(free, a, FpAbHom(free.M, a.M, mat, check=False),
                           check=False)
 
     def induced_precompose(self, hg_src: FreeHomGroup, hg_tgt: FreeHomGroup,
@@ -568,7 +546,7 @@ def _index_of(t: Sequence[int], base: int) -> int:
 
 def _resolution_of_z(G: FiniteGroup, frees, diffs) -> FreeResolution:
     """Trivial Z resolved by frees and diffs, augmented by summing."""
-    src, triv = frees[0].dense(), trivial_module(G, free_abelian(1))
+    src, triv = frees[0], trivial_module(G, free_abelian(1))
     mat = IntMatrix.from_rows([[1] * G.order], cols=G.order)
     aug = GModuleHom(src, triv, FpAbHom(src.M, triv.M, mat, check=False),
                      check=False)

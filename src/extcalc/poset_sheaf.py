@@ -2,8 +2,9 @@
 
 A presheaf assigns a finitely presented abelian group to every element
 and a restriction hom to every related pair, downward.  Free presheaves
-are sums of representables ZY(c): the integers on the principal down-set
-of c.  Hom(ZY(c), F) is evaluation at c, which makes representables
+are sums of representables ZY(c), the integers on the principal down-set
+of c: the one AbPresheaf subclass FreePresheaf, which also keeps its
+label list.  Hom(ZY(c), F) is evaluation at c, which makes representables
 projective for the external theory; resolutions cover only the top of
 each stalk, what the restrictions from above do not reach.
 Limits (sections, global sections, presheaf hom groups) are one equalizer
@@ -168,15 +169,14 @@ class AbPresheaf:
     d < c; the identity pairs are implicit.  With check, every pair's
     presence and endpoints and functoriality over every composable triple
     are checked, which removes any path-composition ambiguity later;
-    presheaves the engine builds skip it.  free_labels marks presheaves
-    realized from a sum of representables and records the summand list.
+    presheaves the engine builds skip it.  Sums of representables, the
+    free objects, are FreePresheaf.
     """
 
-    __slots__ = ("site", "stalks", "maps", "free_labels")
+    __slots__ = ("site", "stalks", "maps")
 
     def __init__(self, site: FinitePoset, stalks: Sequence[FpAbGroup],
-                 res: Dict[Tuple[int, int], FpAbHom], check: bool = True,
-                 free_labels: Optional[Tuple[int, ...]] = None):
+                 res: Dict[Tuple[int, int], FpAbHom], check: bool = True):
         stalks = tuple(stalks)
         if len(stalks) != site.size:
             raise IllDefined("need exactly one stalk per element")
@@ -209,7 +209,6 @@ class AbPresheaf:
         self.site = site
         self.stalks = stalks
         self.maps = maps
-        self.free_labels = free_labels
 
     def stalk(self, c: int) -> FpAbGroup:
         return self.stalks[c]
@@ -296,54 +295,37 @@ def is_mono(h: PresheafHom) -> bool:
 
 
 def zero_presheaf(site: FinitePoset) -> AbPresheaf:
-    return FreePresheaf(site, ()).realize()
+    return FreePresheaf(site, ())
 
 
-class FreePresheaf:
-    """A formal sum of representables ZY(c), one per entry of labels.
+class FreePresheaf(AbPresheaf):
+    """A sum of representables ZY(c), one per entry of labels.
 
-    The stalk at d of the realization is Z^k on the summands whose label
-    lies above d, with coordinate order inherited from the label order;
-    restrictions are coordinate inclusions since the supports shrink
-    going up.
+    The stalk at d is Z^k on the summands whose label lies above d, with
+    coordinate order inherited from the label order; restrictions are
+    coordinate inclusions since the supports shrink going up.  Equality
+    is that of the presheaf, whatever the labels.
     """
 
-    __slots__ = ("site", "labels", "_realized")
+    __slots__ = ("labels",)
 
     def __init__(self, site: FinitePoset, labels: Sequence[int]):
-        labels = tuple(labels)
-        for l in labels:
+        self.site, self.labels = site, tuple(labels)
+        for l in self.labels:
             if not 0 <= l < site.size:
                 raise IllDefined(f"label {l} is not a poset element")
-        self.site = site
-        self.labels = labels
-        self._realized = None
+        sups = [self.support(d) for d in site.elements()]
+        stalks = [free_abelian(len(s)) for s in sups]
+        res = {}
+        for (d, c) in site.strict_pairs():
+            rows = tuple(tuple(int(i == j) for j in sups[c]) for i in sups[d])
+            res[(d, c)] = FpAbHom(stalks[c], stalks[d], IntMatrix._wrap(
+                len(sups[d]), len(sups[c]), rows), check=False)
+        super().__init__(site, stalks, res, check=False)
 
     def support(self, d: int) -> List[int]:
         return [i for i, l in enumerate(self.labels)
                 if self.site.is_leq(d, l)]
-
-    def realize(self) -> AbPresheaf:
-        if self._realized is None:
-            site = self.site
-            sups = [self.support(d) for d in site.elements()]
-            stalks = [free_abelian(len(s)) for s in sups]
-            res = {}
-            for (d, c) in site.strict_pairs():
-                rows = tuple(tuple(int(i == j) for j in sups[c])
-                             for i in sups[d])
-                res[(d, c)] = FpAbHom(stalks[c], stalks[d], IntMatrix._wrap(
-                    len(sups[d]), len(sups[c]), rows), check=False)
-            self._realized = AbPresheaf(site, stalks, res, check=False,
-                                        free_labels=self.labels)
-        return self._realized
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FreePresheaf) and self.site == other.site
-                and self.labels == other.labels)
-
-    def __hash__(self) -> int:
-        return hash((self.site, self.labels))
 
     def __repr__(self) -> str:
         return f"FreePresheaf(labels={self.labels})"
@@ -357,7 +339,7 @@ def _check_element(site: FinitePoset, c: int) -> None:
 def free_presheaf(site: FinitePoset, c: int) -> AbPresheaf:
     """ZY(c): the integers on the principal down-set of c."""
     _check_element(site, c)
-    return FreePresheaf(site, (c,)).realize()
+    return FreePresheaf(site, (c,))
 
 
 # ---------------------------------------------------------------- limits
@@ -526,9 +508,9 @@ def _precompose_terms(a: AbPresheaf, src_labels: Sequence[int],
 class PresheafContext(ModuleContext):
     """Presheaves of abelian groups over one fixed finite poset.
 
-    Free objects are label lists of representables; epis and kernels are
-    stalkwise; lifts out of frees solve at the Yoneda units and extend
-    along restrictions.
+    Free objects are FreePresheaf, sums of representables that keep
+    their labels; epis and kernels are stalkwise; lifts out of frees
+    solve at the Yoneda units and extend along restrictions.
     """
 
     def __init__(self, site: FinitePoset):
@@ -540,14 +522,9 @@ class PresheafContext(ModuleContext):
     def __hash__(self) -> int:
         return hash((type(self), self.site))
 
-    def _obj(self, x) -> AbPresheaf:
-        return x.realize() if isinstance(x, FreePresheaf) else x
-
     def free_rank(self, f) -> int:
         if isinstance(f, FreePresheaf):
             return len(f.labels)
-        if isinstance(f, AbPresheaf) and f.free_labels is not None:
-            return len(f.free_labels)
         raise NotFree("object is not a sum of representables")
 
     def epi_cover(self, b) -> Tuple[FreePresheaf, PresheafHom]:
@@ -557,7 +534,6 @@ class PresheafContext(ModuleContext):
         # generator e_j gets a representable at c with unit e_j; onto by
         # downward induction on r and on c.  Pivot rows and values depend
         # on L_c alone, so the cover does not depend on the pivot rule.
-        b = self._obj(b)
         site = self.site
         labels, units = [], []
         for c in site.elements():
@@ -591,7 +567,6 @@ class PresheafContext(ModuleContext):
         return _compose(f, g)
 
     def identity(self, obj) -> PresheafHom:
-        obj = self._obj(obj)
         return PresheafHom(obj, obj, [identity_hom(s) for s in obj.stalks],
                            check=False)
 
@@ -608,11 +583,11 @@ class PresheafContext(ModuleContext):
 
     def lift_through(self, p: PresheafHom, g: PresheafHom) -> PresheafHom:
         """Solve at the Yoneda units of g's free source, extend downward."""
-        labels = g.src.free_labels
-        if labels is None:
+        free = g.src
+        if not isinstance(free, FreePresheaf):
             raise NotFree("lifts need a source that is a sum of "
                           "representables")
-        free = FreePresheaf(self.site, labels)
+        labels = free.labels
         solvers = {l: ModSolver(p.components[l].matrix,
                                 p.tgt.stalk(l).relations) for l in set(labels)}
         units = []
@@ -621,20 +596,16 @@ class PresheafContext(ModuleContext):
             if x is None:
                 raise NotEpi("map does not reach a unit image")
             units.append(x)
-        return self.extend_units(g.src, p.src, units)
+        return self.extend_units(free, p.src, units)
 
     def hom_group(self, f, a) -> FreeHomGroup:
-        if isinstance(f, AbPresheaf):
-            if f.free_labels is None:
-                raise NotFree("hom_group source must be a sum of "
-                              "representables")
-            f = FreePresheaf(self.site, f.free_labels)
-        a = self._obj(a)
+        if not isinstance(f, FreePresheaf):
+            raise NotFree("hom_group source must be a sum of "
+                          "representables")
         return FreeHomGroup(self, f, a, [a.stalk(l) for l in f.labels])
 
     def extend_units(self, free, a: AbPresheaf, units) -> PresheafHom:
         """Yoneda extension: at d, each unit above d restricts to A(d)."""
-        src = self._obj(free)
         vecs = [u.col(0) for u in units]
         nonzero = [[(k, x) for k, x in enumerate(u) if x] for u in vecs]
         leq, comps = self.site.leq, []
@@ -642,12 +613,12 @@ class PresheafContext(ModuleContext):
             cols = tuple(u if d == l else
                          tuple(sum(row[k] * x for k, x in nz)
                                for row in a.maps[(d, l)].matrix.data)
-                         for l, u, nz in zip(src.free_labels, vecs, nonzero)
+                         for l, u, nz in zip(free.labels, vecs, nonzero)
                          if leq[d][l])
             matrix = IntMatrix._wrap(len(cols), a.stalk(d).gens, cols)
-            comps.append(FpAbHom(src.stalk(d), a.stalk(d),
+            comps.append(FpAbHom(free.stalk(d), a.stalk(d),
                                  matrix.transpose(), check=False))
-        return PresheafHom(src, a, comps, check=False)
+        return PresheafHom(free, a, comps, check=False)
 
     def induced_precompose(self, hg_src: FreeHomGroup, hg_tgt: FreeHomGroup,
                            d: PresheafHom) -> FpAbHom:
@@ -719,13 +690,12 @@ def principal_intersection_check(site: FinitePoset) -> bool:
 
 def _restricted(res: FreeResolution, elems: Sequence[int], ctx, target,
                 frees: Sequence) -> FreeResolution:
-    """res on elems, over frees realizing its terms there: every map keeps
+    """res on elems, over frees holding its terms there: every map keeps
     its components at elems."""
-    objs = [ctx._obj(f) for f in frees]
-    diffs = [PresheafHom(objs[k], objs[k - 1], [
+    diffs = [PresheafHom(frees[k], frees[k - 1], [
         res.diff(k).components[e] for e in elems], check=False)
-        for k in range(1, len(objs))]
-    aug = PresheafHom(objs[0], target, [
+        for k in range(1, len(frees))]
+    aug = PresheafHom(frees[0], target, [
         res.augmentation.components[e] for e in elems], check=False)
     return FreeResolution(ctx, target, frees, diffs, aug, dd_verified=True)
 
@@ -769,7 +739,7 @@ def _sheaf_ext_general(b: AbPresheaf, a: AbPresheaf,
         keep = [downs[c].index(e) for e in downs[d]]
         # res_c below d, as deep as the highest live degree
         q = _restricted(res_c, keep, res_d.ctx, res_d.target, [
-            res_c.free(k).realize().restrict(keep)
+            res_c.free(k).restrict(keep)
             for k in range(max(live) + 1)])
         lift = resolution.lift_chain_map(res_d, q,
                                          res_d.ctx.identity(res_d.target))

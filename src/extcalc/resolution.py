@@ -9,7 +9,7 @@ a finite poset, and cohomology_table reads a degree table off one resolution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .exactint import (
     DimensionMismatch,
@@ -189,14 +189,13 @@ class FreeResolution:
                                    f"{k + 2} and {k}")
         self.dd_verified = True
 
-    def validate(self, up_to: Optional[int] = None) -> None:
+    def validate(self) -> None:
         """Check d∘d = 0 and exactness at every internal degree."""
         ctx = self.ctx
         self.verify_dd()
-        top = self.max_deg if up_to is None else up_to
         if not ctx.is_epi(self.augmentation):
             raise RuntimeError("augmentation is not epi")
-        for n in range(1, top + 1):
+        for n in range(1, self.max_deg + 1):
             below = self.augmentation if n == 1 else self.diff(n - 1)
             _, i_n = ctx.kernel(below)
             if not ctx.is_epi(ctx.corestrict(self.diff(n), i_n)):

@@ -411,7 +411,7 @@ class TestGModuleContext:
         ctx = gmodule_context(G)
         free = FreeGModule(G, 2)
         assert ctx.free_rank(free) == 2
-        assert ctx.free_rank(free.dense()) == 2
+        assert ctx.free_rank(group_ring_module(G, 2)) == 2
         ident = ctx.identity(free)
         assert isinstance(ident, ZGFreeHom)
         assert not ctx.is_zero_hom(ident)
@@ -600,6 +600,44 @@ def test_context_kernels_pass_the_validating_constructors(rng):
         assert fpab.is_mono(incl.ab)
         assert fpab.compose(f.ab, incl.ab).is_zero()
         assert fpab.kernel(f.ab)[0].canonical_form == k.M.canonical_form
+
+
+@settings(max_examples=32, deadline=None)
+@given(name=st.sampled_from(sorted(SMALL_GROUPS)), r=st.integers(0, 3))
+def test_free_modules_pass_the_validating_constructor(name, r):
+    # FreeGModule builds its underlying group and action unchecked
+    G = SMALL_GROUPS[name]
+    f = FreeGModule(G, r)
+    GModule(G, f.M, f.action, check=True)
+    n = G.order
+    for g in range(n):
+        for j in range(r):
+            for h in range(n):
+                image = j * n + G.table[g][h]
+                assert f.action[g].matrix.col(j * n + h) == tuple(
+                    int(i == image) for i in range(n * r))
+
+
+def test_compact_operations_never_build_a_free_module(monkeypatch):
+    # the degree-4 bar term for S3 is ZG^1296: its underlying group has
+    # 7776 generators and six 7776 x 7776 action matrices
+    G = symmetric3()
+    bar = bar_resolution(G, 4)
+
+    def refuse(self, name):
+        if name in ("M", "action"):
+            pytest.fail(f"{self!r} built its {name}")
+        raise AttributeError(name)
+
+    monkeypatch.setattr(FreeGModule, "__getattr__", refuse)
+    big, ctx = bar.free(4), bar.ctx
+    assert big == FreeGModule(G, 6 ** 4) and big != bar.free(3)
+    assert hash(big) == hash(FreeGModule(G, 6 ** 4))
+    assert ctx.free_rank(big) == 6 ** 4
+    assert ctx.hom_group(big, trivial_module(G, zmod(2))).group.gens == 6 ** 4
+    assert _compose_free(bar.diff(3), bar.diff(4)).is_zero()
+    cx = resolution.hom_complex(bar, trivial_module(G, free_abelian(1)))
+    assert [g.gens for g in cx.groups] == [6 ** k for k in range(5)]
 
 
 @settings(max_examples=40, deadline=None)

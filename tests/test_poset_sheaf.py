@@ -127,7 +127,7 @@ def random_cokernel_presheaf(rng, site):
     src = FreePresheaf(site, [rng.randrange(site.size)
                               for _ in range(rng.randint(0, 4))])
     tgt = FreePresheaf(site, [rng.randrange(site.size)
-                              for _ in range(rng.randint(1, 4))]).realize()
+                              for _ in range(rng.randint(1, 4))])
     units = [IntMatrix.column([rng.randint(-3, 3)
                                for _ in range(tgt.stalk(l).gens)])
              for l in src.labels]
@@ -299,16 +299,29 @@ class TestFreePresheaves:
         assert f.support(0) == [0, 1, 2]
         assert f.support(1) == [0, 2]
         assert f.support(3) == [0]
-        r = f.realize()
-        assert r.free_labels == (3, 0, 4)
+        assert f.labels == (3, 0, 4)
         # restriction from m1 to z drops nothing here, includes coordinates
-        m = r.res(0, 1)
+        m = f.res(0, 1)
         assert m.matrix.col(0) == (1, 0, 0)
         assert m.matrix.col(1) == (0, 0, 1)
 
     def test_zero_presheaf(self):
         z = zero_presheaf(bowtie())
         assert z.is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_free_presheaves_pass_the_validating_constructor(self, rng):
+        # FreePresheaf builds its stalks and restrictions unchecked
+        size = rng.randint(1, 6)
+        parents = [None] + [rng.randrange(i) for i in range(1, size)]
+        site = rng.choice([bowtie(), make_poset(size, [
+            (p, i) for i, p in enumerate(parents) if p is not None])])
+        f = FreePresheaf(site, [rng.randrange(site.size)
+                                for _ in range(rng.randint(0, 4))])
+        AbPresheaf(site, f.stalks, f.maps, check=True)
+        for d in site.elements():
+            assert f.stalk(d).canonical_form == (len(f.support(d)), ())
 
 
 class TestHomGroups:
@@ -337,7 +350,7 @@ class TestHomGroups:
             labels = tuple(rng.randrange(5) for _ in range(3))
             free = FreePresheaf(site, labels)
             via_eval = ctx.hom_group(free, a).group
-            via_kernel = presheaf_hom_group(free.realize(), a).group
+            via_kernel = presheaf_hom_group(free, a).group
             assert via_eval.canonical_form == via_kernel.canonical_form
 
     def test_hom_into_zero(self):

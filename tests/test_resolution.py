@@ -475,7 +475,7 @@ def _presheaf_case(rng):
     # Yoneda: the unit of P at l may go anywhere in F(l)
     units = [IntMatrix.column([rng.randint(-2, 2) for _ in f.support(l)])
              for l in p.labels]
-    d = ctx.extend_units(p, f.realize(), units)
+    d = ctx.extend_units(p, f, units)
     d = PresheafHom(d.src, d.tgt, d.components, check=True)
 
     def at_units(h):
