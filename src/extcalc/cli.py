@@ -31,7 +31,7 @@ import sys
 from typing import Dict, List, Optional
 
 from . import fpab, groupring, poset_sheaf, resolution, ses
-from .exactint import DimensionMismatch, IntMatrix, snf
+from .exactint import DimensionMismatch, IntMatrix, snf, work_cap
 from .fpab import FpAbGroup, FpAbHom, IllDefined, NotEpi, NotFree
 
 EXIT_OK = 0
@@ -43,16 +43,11 @@ DEGREE_CAP = 6
 POSET_SIZE_CAP = 12
 # slowest 7-element poset measured, 5 below 2 tops: 2.7 s on a 2-core VM
 WITNESS_POSET_SIZE_CAP = 7
-# Work cap, in matrix cells, of a group-cohomology request: the sum over
-# the eliminations of its resolution build, and separately the kernel of
-# its top coboundary beside the relations above it; refused before either.
-COHOMOLOGY_CELL_CAP = 1_000_000
-# Work cap, in matrix cells, of a sheaf-ext or external-ext request on the
-# full-site resolution P of B, whose build it checks before each kernel:
-# the stalkwise kernels, rank P_k(c) * gens(ker d_k at c) over k and c, plus
-# gens(C^n) * (gens(C^(n-1)) + gens(C^(n+1))) in C = Hom(P, A) for each
-# requested degree n.  sheaf-ext does that work once per poset element.
-PRESHEAF_CELL_CAP = 3_000_000
+# Work cap, in matrix cells, of a group-cohomology, sheaf-ext or
+# external-ext request, metered by exactint.work_cap: the largest accepted
+# request measured (README) meters 58.8 million, and every request
+# measured past the cap stops within 6.5 s on a 2-core VM.
+WORK_CELL_CAP = 60_000_000
 
 _SECTIONS = ("groups", "matrices", "homs", "sequences", "finite_groups",
              "gmodules", "posets", "presheaves")
@@ -408,12 +403,13 @@ def _cmd_hom(args, doc: Document) -> dict:
     }
 
 
-def _degree_list(args, default: int = 1) -> List[int]:
-    if getattr(args, "max_deg", None) is not None:
-        if args.max_deg < 0:
-            raise CliDomainError("--max-deg must be nonnegative")
+def _degree_list(args) -> List[int]:
+    for flag, k in (("--n", args.n), ("--max-deg", args.max_deg)):
+        if k is not None and k < 0:
+            raise CliDomainError(f"{flag} must be nonnegative")
+    if args.max_deg is not None:
         return list(range(args.max_deg + 1))
-    return [args.n if args.n is not None else default]
+    return [1 if args.n is None else args.n]
 
 
 def _put_degrees(out: dict, args, table: dict) -> dict:
@@ -550,19 +546,11 @@ def _cmd_group_cohomology(args, doc: Document) -> dict:
             raise CliDomainError(f"gmodule {args.M!r} is over a different "
                                  "group")
         module_name = args.M
-    if top < 0:
-        raise CliDomainError("cohomology degree must be nonnegative")
-    res = groupring.greedy_resolution(g, top + 1, COHOMOLOGY_CELL_CAP)
-    r, r_up = res.free(top).rank, res.free(top + 1).rank
-    gens, rels = module.M.gens, module.M.relations.cols
-    cells = r_up * gens * (r * gens + r_up * rels)
-    if cells > COHOMOLOGY_CELL_CAP:
-        raise CliDomainError(
-            f"cohomology work is capped at {COHOMOLOGY_CELL_CAP} matrix "
-            f"cells; H^{top} here needs about {cells}")
+    with work_cap(WORK_CELL_CAP):
+        table = resolution.cohomology_table(
+            groupring.greedy_resolution(g, top + 1), module, degrees)
     return _put_degrees({"command": "group-cohomology", "G": args.G,
-                         "M": module_name}, args,
-                        resolution.cohomology_table(res, module, degrees))
+                         "M": module_name}, args, table)
 
 
 def _cmd_fixed_points(args, doc: Document) -> dict:
@@ -582,31 +570,6 @@ def _check_poset_size(site: poset_sheaf.FinitePoset,
                              f"got {site.size}")
 
 
-def _check_presheaf_work(b: poset_sheaf.AbPresheaf,
-                         a: poset_sheaf.AbPresheaf, degrees: List[int],
-                         readings: int) -> None:
-    if b.site != a.site or min(degrees) < 0:
-        return  # the library call names the fault
-    ctx, cells = poset_sheaf.presheaf_context(b.site), 0
-    free, epi = ctx.epi_cover(b)
-    gens = [0, sum(a.stalk(l).gens for l in free.labels)]
-    for _ in range(max(degrees) + 1):
-        cells += readings * sum(len(free.support(c)) * epi.tgt.stalk(c).gens
-                                for c in b.site.elements())
-        _check_cells(cells)
-        free, epi = ctx.epi_cover(ctx.kernel(epi)[0])
-        gens.append(sum(a.stalk(l).gens for l in free.labels))
-    _check_cells(cells + readings * sum(gens[n + 1] * (gens[n] + gens[n + 2])
-                                        for n in degrees))
-
-
-def _check_cells(cells: int) -> None:
-    if cells > PRESHEAF_CELL_CAP:
-        raise CliDomainError(
-            f"presheaf Ext work is capped at {PRESHEAF_CELL_CAP} matrix "
-            f"cells; this request needs at least {cells}")
-
-
 def _presheaf_result(p: poset_sheaf.AbPresheaf) -> dict:
     out = {
         "stalks": [fpab.describe(s) for s in p.stalks],
@@ -624,9 +587,9 @@ def _cmd_sheaf_ext(args, doc: Document) -> dict:
     a = _need(doc.presheaves, args.A, "presheaf")
     _check_poset_size(b.site)
     degrees = _degree_list(args)
-    _check_presheaf_work(b, a, degrees, b.site.size)
-    table = {n: _presheaf_result(r.presheaf) for n, r in
-             poset_sheaf.sheaf_ext_table(b, a, degrees, args.method).items()}
+    with work_cap(WORK_CELL_CAP):
+        results = poset_sheaf.sheaf_ext_table(b, a, degrees, args.method)
+    table = {n: _presheaf_result(r.presheaf) for n, r in results.items()}
     out = {"command": "sheaf-ext", "B": args.B, "A": args.A,
            "method": args.method}
     if args.max_deg is not None:
@@ -640,10 +603,10 @@ def _cmd_external_ext(args, doc: Document) -> dict:
     a = _need(doc.presheaves, args.A, "presheaf")
     _check_poset_size(b.site)
     degrees = _degree_list(args)
-    _check_presheaf_work(b, a, degrees, 1)
+    with work_cap(WORK_CELL_CAP):
+        table = poset_sheaf.external_ext_table(b, a, degrees)
     return _put_degrees({"command": "external-ext", "B": args.B,
-                         "A": args.A}, args,
-                        poset_sheaf.external_ext_table(b, a, degrees))
+                         "A": args.A}, args, table)
 
 
 def _cmd_global_sections(args, doc: Document) -> dict:

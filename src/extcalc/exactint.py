@@ -9,10 +9,14 @@ the solvers read each right-hand side off its pivot columns by forward
 substitution, and `snf` alternates the reduction on a matrix and on its
 transpose.  Determinism matters for canonical forms, so pivot choices follow a
 fixed rule: the minimal absolute value wins, the smallest index breaking ties.
+
+`work_cap(cells)` is the one work meter: it bounds the matrix work of whatever
+runs inside it, and outside one it costs a single `is None` test per site.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import chain
 from operator import index
 from typing import Iterable, Optional, Sequence
@@ -20,6 +24,47 @@ from typing import Iterable, Optional, Sequence
 
 class DimensionMismatch(ValueError):
     """Raised when matrix shapes do not line up.  Distinct from 'no solution'."""
+
+
+class WorkCapped(ValueError):
+    """Raised when the matrix work inside a work_cap block passes its cap."""
+
+
+# [cells spent, cap] of the innermost work_cap block (one per process), or None
+_meter: Optional[list] = None
+# Cells charged per entry an elimination step rewrites and per pivot a
+# solve passes: on a 2-core VM with Python 3.11 either costs 2 to 7 times
+# a cell of a dense build.
+_STEP_CELLS = 4
+
+
+@contextmanager
+def work_cap(cells: int):
+    """Meter the matrix work inside the block: WorkCapped ("capped") once
+    the running total passes `cells`.
+
+    `_column_reduce` charges rows x cols of its input and _STEP_CELLS per
+    entry each elimination step rewrites, `ModSolver.solve_matrix`
+    _STEP_CELLS per pivot and right-hand side column, and `IntMatrix.zero`,
+    `identity`, `__mul__`, `block_diag`, `kron`, `snf` and
+    `resolution.unit_block_matrix` rows x cols of each dense matrix they
+    size from a shape.  Every charge comes before its work.  The enclosing
+    meter, or none, is back in force when the block exits, however it exits.
+    """
+    global _meter
+    outer, _meter = _meter, [0, cells]
+    try:
+        yield
+    finally:
+        _meter = outer
+
+
+def _charge(cells: int) -> None:
+    """Add cells to the running meter; callers test `_meter is not None`."""
+    _meter[0] += cells
+    if _meter[0] > _meter[1]:
+        raise WorkCapped(f"matrix work is capped at {_meter[1]} cells; "
+                         f"this request needs at least {_meter[0]}")
 
 
 class IntMatrix:
@@ -72,12 +117,16 @@ class IntMatrix:
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative dimension")
+        if _meter is not None:
+            _charge(rows * cols)
         return cls._wrap(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         if n < 0:
             raise DimensionMismatch("negative dimension")
+        if _meter is not None:
+            _charge(n * n)
         return cls._wrap(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
@@ -120,6 +169,8 @@ class IntMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         ocols = other.cols
+        if _meter is not None:
+            _charge(self.rows * ocols)
         out = []
         for arow in self.data:
             acc = [0] * ocols
@@ -189,6 +240,8 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
 def block_diag(*mats: IntMatrix) -> IntMatrix:
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
+    if _meter is not None:
+        _charge(rows * cols)
     out = []
     c0 = 0
     for m in mats:
@@ -202,6 +255,8 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Kronecker product, consistent with column-major vec: vec(AXB) = (B^T (x) A) vec(X)."""
     rows = a.rows * b.rows
     cols = a.cols * b.cols
+    if _meter is not None:
+        _charge(rows * cols)
     out = []
     for i in range(a.rows):
         for ib in range(b.rows):
@@ -267,6 +322,8 @@ def _column_reduce(a: IntMatrix, track_rows: int):
     sparse for dense sweeps.
     """
     m, n = a.rows, a.cols
+    if _meter is not None:
+        _charge(m * n)
     order = []
     for j in range(n):
         col = _ReducedCol()
@@ -295,6 +352,8 @@ def _column_reduce(a: IntMatrix, track_rows: int):
             pv = pcol.d[r]
             pd = pcol.d
             pw = pcol.w
+            if _meter is not None:
+                _charge(_STEP_CELLS * (len(live) - 1) * (len(pd) + len(pw)))
             for col in live[1:]:
                 q = col.d[r] // pv
                 if not q:
@@ -407,6 +466,8 @@ class ModSolver:
         if b.rows != self.rows:
             raise DimensionMismatch(
                 f"right-hand side has {b.rows} rows, expected {self.rows}")
+        if _meter is not None:
+            _charge(_STEP_CELLS * b.cols * len(self._pivots))
         xs = []
         for j in range(b.cols):
             resid = {i: row[j] for i, row in enumerate(b.data) if row[j]}
@@ -512,6 +573,8 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     gcd pass of 2x2 unimodular steps makes each divide the next.
     """
     m, n = a.rows, a.cols
+    if _meter is not None:
+        _charge(m * m + m * n + n * n)
     order, r = _column_reduce(a, track_rows=n)
     pivots = order[:r]
     v = [col.w for col in order]  # columns of V

@@ -506,9 +506,8 @@ def direct_sum(a: FpAbGroup, b: FpAbGroup) -> DirectSum:
 def direct_sum_many(groups: Sequence[FpAbGroup]) -> Tuple[FpAbGroup, List[int]]:
     """Block direct sum; returns the group and generator offsets per summand.
 
-    Injections and projections for the summands are intentionally not
-    materialized here; at large summand counts they would dwarf the group
-    itself.  Use summand_injection / summand_projection when needed.
+    No injections or projections: at large summand counts they would dwarf
+    the group itself.
     """
     offsets = []
     total = 0
@@ -517,29 +516,6 @@ def direct_sum_many(groups: Sequence[FpAbGroup]) -> Tuple[FpAbGroup, List[int]]:
         total += g.gens
     rel = block_diag(*(g.relations for g in groups)) if groups else IntMatrix.zero(0, 0)
     return FpAbGroup(total, rel), offsets
-
-
-def summand_injection(total: FpAbGroup, groups: Sequence[FpAbGroup],
-                      offsets: Sequence[int], i: int) -> FpAbHom:
-    g = groups[i]
-    rows = []
-    for k in range(total.gens):
-        row = [0] * g.gens
-        if offsets[i] <= k < offsets[i] + g.gens:
-            row[k - offsets[i]] = 1
-        rows.append(tuple(row))
-    return FpAbHom(g, total, IntMatrix._wrap(total.gens, g.gens, tuple(rows)), check=False)
-
-
-def summand_projection(total: FpAbGroup, groups: Sequence[FpAbGroup],
-                       offsets: Sequence[int], i: int) -> FpAbHom:
-    g = groups[i]
-    rows = []
-    for k in range(g.gens):
-        row = [0] * total.gens
-        row[offsets[i] + k] = 1
-        rows.append(tuple(row))
-    return FpAbHom(total, g, IntMatrix._wrap(g.gens, total.gens, tuple(rows)), check=False)
 
 
 def minimized(group: FpAbGroup) -> Tuple[FpAbGroup, FpAbHom, FpAbHom]:

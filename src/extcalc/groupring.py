@@ -15,7 +15,7 @@ groups, and crossed homomorphisms in degree one.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exactint import (
     DimensionMismatch,
@@ -640,8 +640,7 @@ def _from_cols(cols, height: int) -> IntMatrix:
                            tuple(zip(*cols)) or ((),) * height)
 
 
-def greedy_resolution(G: FiniteGroup, max_deg: int,
-                      max_cells: Optional[int] = None) -> FreeResolution:
+def greedy_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
     """A small free resolution of the trivial module Z over ZG (Ellis 2004).
 
     Degree k+1 covers the kernel of the dense matrix of d_k (of the
@@ -649,29 +648,19 @@ def greedy_resolution(G: FiniteGroup, max_deg: int,
     sum first to keep coefficients small, becomes a generator unless it
     lies in the Z-span of the G-translates of those kept before.  The
     translates then span the kernel, so the resolution is exact by
-    construction, and they are the dense matrix of d_{k+1}.  ValueError
-    comes before an elimination that takes the build past max_cells.
+    construction, and they are the dense matrix of d_{k+1}.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
     n, table = G.order, G.table
-    frees, diffs, spent = [FreeGModule(G, 1)], [], 0
-
-    def charge(m: IntMatrix) -> IntMatrix:
-        nonlocal spent
-        spent += m.rows * m.cols
-        if max_cells is not None and spent > max_cells:
-            raise ValueError(f"resolution work is capped at {max_cells} matrix"
-                             f" cells; degree {len(frees)} goes past it")
-        return m
-
+    frees, diffs = [FreeGModule(G, 1)], []
     dense = IntMatrix.from_rows([[1] * n], cols=n)
     for _ in range(max_deg):
-        ker, height = kernel_basis(charge(dense)), dense.cols
+        ker, height = kernel_basis(dense), dense.cols
         kept, span, solver = [], [], None
         for v in sorted(ker.transpose().data, key=lambda v: sum(map(abs, v))):
             if kept:
-                solver = solver or SnfSolver(charge(_from_cols(span, height)))
+                solver = solver or SnfSolver(_from_cols(span, height))
                 if solver.solve(_from_cols([v], height)) is not None:
                     continue
             solver = None

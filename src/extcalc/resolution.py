@@ -18,7 +18,7 @@ from .exactint import (
     constrained_kernel,
     hstack,
 )
-from . import fpab
+from . import exactint, fpab
 from .fpab import Element, FpAbGroup, FpAbHom, NotFree, free_abelian, make_group
 
 
@@ -142,6 +142,8 @@ def unit_block_matrix(src_stalks: Sequence[FpAbGroup],
     for s in tgt_stalks:
         row_offs.append(height)
         height += s.gens
+    if exactint._meter is not None:
+        exactint._charge(height * width)
     rows = [[0] * width for _ in range(height)]
     for (t, i, c, m) in terms:
         roff, coff = row_offs[t], col_offs[i]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from extcalc import cli, groupring, resolution
+from extcalc import cli, exactint, groupring, poset_sheaf, resolution
 
 SIERPINSKI = str(files("extcalc").joinpath("fixtures/sierpinski.json"))
 C2 = str(files("extcalc").joinpath("fixtures/c2_cohomology.json"))
@@ -363,16 +363,17 @@ class TestExitCodes:
 
     def test_cohomology_work_cap_refuses_or_finishes(self, capsys,
                                                      monkeypatch):
-        # a resolution of (Z/2)^5 runs past a million cells of elimination
-        # by degree 3: refused mid-build, before that elimination runs;
-        # H^5(S3; Z) and H^3(C6; Z) are well inside the cap and answer
+        # a resolution of (Z/2)^5 runs past the cap by degree 3: refused
+        # mid-build; H^5(S3; Z) and H^3(C6; Z) are well inside and answer
         c2_5 = [[i ^ j for j in range(32)] for i in range(32)]
         doc = json.dumps({"finite_groups": {
             "S3": {"table": [list(r) for r in groupring.symmetric3().table]},
             "C6": "cyclic 6", "C2^5": {"table": c2_5}}})
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        start = time.perf_counter()
         code, _, err = run(capsys, "group-cohomology", "--input", "-",
                            "--G", "C2^5", "--n", "3")
+        assert time.perf_counter() - start < 10
         assert code == cli.EXIT_DOMAIN
         assert "capped" in err
         for g, n, form in (("S3", 5, "0"), ("C6", 3, "0")):
@@ -382,46 +383,57 @@ class TestExitCodes:
             assert code == 0
             assert out == f"H^{n}({g}; trivial Z) = {form}\n"
 
-    def test_top_coboundary_is_sized_before_the_hom_complex(
-            self, capsys, monkeypatch):
-        # the C2 build to degree 2 eliminates 6 cells; the coboundary of
-        # H^1 with three Z/2 summands needs 1*3*(1*3 + 1*3) = 18
-        monkeypatch.setattr(cli, "COHOMOLOGY_CELL_CAP", 10)
+    @pytest.mark.parametrize("argv,cells", [
+        # H^1(C2; (Z/2)^3): the resolution of Z to degree 2, the Hom
+        # complex and its cohomology
+        (["group-cohomology", "--input", "-", "--G", "C2", "--M", "M",
+          "--n", "1"], 228),
+        # Sierpinski quot resolves as ZY(1), ZY(0)+ZY(1), ZY(0), 0
+        (["sheaf-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
+          "--n", "2"], 67),
+        (["external-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
+          "--n", "2"], 67),
+    ], ids=["group-cohomology", "sheaf-ext", "external-ext"])
+    def test_work_cap_is_the_metered_total(self, capsys, monkeypatch, argv,
+                                           cells):
+        # a request answers at a cap of exactly the cells it meters and is
+        # refused one cell below, whatever part of the work crosses it
         doc = json.dumps({"finite_groups": {"C2": "cyclic 2"}, "gmodules": {
             "M": {"group": "C2", "module": "Z/2 + Z/2 + Z/2",
                   "action": {"1": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}}})
+        monkeypatch.setattr(cli, "WORK_CELL_CAP", cells)
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
-        code, _, err = run(capsys, "group-cohomology", "--input", "-",
-                           "--G", "C2", "--M", "M", "--n", "1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "Z/2" in out
+        monkeypatch.setattr(cli, "WORK_CELL_CAP", cells - 1)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, _, err = run(capsys, *argv)
         assert code == cli.EXIT_DOMAIN
-        assert "cohomology work is capped at 10 matrix cells" in err
+        assert f"capped at {cells - 1} cells" in err
 
-    def test_presheaf_work_is_sized_on_the_resolution(self, capsys,
-                                                      monkeypatch):
-        # Sierpinski quot resolves as ZY(1), ZY(0)+ZY(1), ZY(0), 0: its
-        # stalkwise kernels take 1 + 3 + 1 cells, and Hom into y0 is
-        # 0, Z, Z, 0, so reading H^2 takes 1 * (1 + 0) more; sheaf-ext
-        # does it all at both elements
-        monkeypatch.setattr(cli, "PRESHEAF_CELL_CAP", 11)
-        code, _, err = run(capsys, "sheaf-ext", "--input", SIERPINSKI,
+    def test_the_meter_leaves_no_state(self, capsys, monkeypatch):
+        # a refused request neither refuses the next one nor caps a
+        # library call made after it
+        monkeypatch.setattr(cli, "WORK_CELL_CAP", 100)
+        code, _, err = run(capsys, "group-cohomology", "--input", C2,
+                           "--G", "C2", "--M", "signZ", "--max-deg", "6")
+        assert code == cli.EXIT_DOMAIN and "capped" in err
+        code, out, _ = run(capsys, "sheaf-ext", "--input", SIERPINSKI,
                            "--B", "quot", "--A", "y0", "--n", "2")
-        assert code == cli.EXIT_DOMAIN
-        assert "capped at 11 matrix cells; this request needs at least 12" \
-            in err
-        code, out, _ = run(capsys, "external-ext", "--input", SIERPINSKI,
-                           "--B", "quot", "--A", "y0", "--n", "2")
-        assert code == 0 and "= Z/2" in out
-        monkeypatch.setattr(cli, "PRESHEAF_CELL_CAP", 5)
-        code, _, err = run(capsys, "external-ext", "--input", SIERPINSKI,
-                           "--B", "quot", "--A", "y0", "--n", "2")
-        assert code == cli.EXIT_DOMAIN
-        assert "needs at least 6" in err
+        assert code == 0 and "element 1: Z/2" in out
+        assert exactint._meter is None
+        b = cli.parse_document(crown_document(2)).presheaves["B"]
+        with pytest.raises(exactint.WorkCapped):
+            with exactint.work_cap(100):
+                poset_sheaf.sheaf_ext(b, b, 1)
+        assert poset_sheaf.sheaf_ext(b, b, 1).stalk(0).canonical_form \
+            == (0, ())
 
     def test_presheaf_work_cap_refuses_or_finishes(self, capsys,
                                                    monkeypatch):
         # on the crown, at k = 16 sheaf-ext at n = 6 took 13.5 s before the
-        # cap and is refused while its resolution is built; at k = 4 it
-        # answers in about a second
+        # cap and is refused while it works; at k = 4 it answers in under
+        # a second
         for k, cmd, n, expect in ((16, "sheaf-ext", 6, cli.EXIT_DOMAIN),
                                   (16, "external-ext", 1, cli.EXIT_DOMAIN),
                                   (4, "sheaf-ext", 6, 0)):
@@ -480,10 +492,17 @@ class TestExitCodes:
             assert code == 0
             assert "no witness found" in out
 
-    def test_negative_degree_is_domain(self, capsys):
-        code, _, err = run(capsys, "ext", "--B", "Z/4", "--A", "Z/6",
-                           "--n", "-1")
+    @pytest.mark.parametrize("argv", [
+        ["ext", "--B", "Z/4", "--A", "Z/6"],
+        ["group-cohomology", "--input", C2, "--G", "C2"],
+        ["sheaf-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0"],
+        ["external-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flag", ["--n", "--max-deg"])
+    def test_negative_degree_is_domain(self, capsys, argv, flag):
+        code, _, err = run(capsys, *argv, flag, "-1")
         assert code == cli.EXIT_DOMAIN
+        assert f"{flag} must be nonnegative" in err
 
     def test_bad_class_coordinates_are_domain(self, capsys):
         code, _, err = run(capsys, "baer", "--B", "Z/2", "--A", "Z/2",
@@ -517,24 +536,37 @@ class TestDegreeTables:
         monkeypatch.setattr(resolution, name, count)
         return calls
 
-    @pytest.mark.parametrize("method,builds", [("general", 4), ("fast", 1)])
-    def test_one_resolution_per_down_set_or_site(self, capsys, monkeypatch,
-                                                 method, builds):
-        # the work check covers kernels itself and is not counted here
-        calls = self.counted(monkeypatch, "free_resolution")
-        monkeypatch.setattr(sys, "stdin", io.StringIO(TREE))
-        code, out, _ = run(capsys, "sheaf-ext", "--input", "-", "--B", "F",
-                           "--A", "G", "--max-deg", "3", "--method", method)
-        assert code == 0 and "sheaf Ext^3(F, G)" in out
-        assert [depth for (_, _, depth) in calls] == [4] * builds
+    @staticmethod
+    def full_site_covers(monkeypatch):
+        # epi_cover calls on the whole site: a resolution to depth k
+        # makes k + 1 of them, and nothing else in a request makes any
+        sizes, orig = [], poset_sheaf.PresheafContext.epi_cover
 
-    def test_external_table_builds_one_resolution(self, capsys, monkeypatch):
+        def count(ctx, b):
+            sizes.append(ctx.site.size)
+            return orig(ctx, b)
+        monkeypatch.setattr(poset_sheaf.PresheafContext, "epi_cover", count)
+        return lambda: sizes.count(4)  # TREE has four elements
+
+    @pytest.mark.parametrize("argv,sizes,covers", [
+        (["sheaf-ext", "--method", "general"], [3, 2, 1, 2], 0),
+        (["sheaf-ext", "--method", "fast"], [4], 5),
+        (["external-ext"], [4], 5),
+    ], ids=["general", "fast", "external-ext"])
+    def test_one_resolution_per_down_set_or_site(self, capsys, monkeypatch,
+                                                 argv, sizes, covers):
+        # general resolves the four down-sets of the tree, and none of
+        # them is the whole site; fast and external-ext resolve the site
+        # once, to degree 4
         calls = self.counted(monkeypatch, "free_resolution")
+        full = self.full_site_covers(monkeypatch)
         monkeypatch.setattr(sys, "stdin", io.StringIO(TREE))
-        code, _, _ = run(capsys, "external-ext", "--input", "-", "--B", "F",
-                         "--A", "G", "--max-deg", "3")
-        assert code == 0
-        assert [depth for (_, _, depth) in calls] == [4]
+        code, out, _ = run(capsys, *argv, "--input", "-", "--B", "F",
+                           "--A", "G", "--max-deg", "3")
+        assert code == 0 and "Ext^3(F, G)" in out
+        assert sorted(b.site.size for (_, b, _) in calls) == sorted(sizes)
+        assert [depth for (_, _, depth) in calls] == [4] * len(sizes)
+        assert full() == covers
 
     def test_lifts_stop_at_the_highest_nonzero_degree(self, capsys,
                                                        monkeypatch):

@@ -6,6 +6,7 @@ The oracle uses its own recursive determinant so it shares no code with the
 implementation under test.
 """
 
+import inspect
 import itertools
 import math
 import random
@@ -13,10 +14,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extcalc import exactint, fpab, resolution
 from extcalc.exactint import (
     DimensionMismatch,
     IntMatrix,
     ModSolver,
+    SmithDecomposition,
+    SnfSolver,
+    WorkCapped,
+    _column_reduce,
     block_diag,
     column_space_basis,
     constrained_kernel,
@@ -29,6 +35,7 @@ from extcalc.exactint import (
     solve,
     solve_mod,
     vstack,
+    work_cap,
 )
 
 
@@ -522,3 +529,84 @@ def test_snf_invariant_products_are_minor_gcds(a):
         product *= diag[k - 1]
         assert product == g
         assert (product == 0) == (k > r)
+
+
+# ------------------------------------------------------------ work meter
+
+_A = IntMatrix.from_rows([[1, 2], [3, 4]])
+_SOLVER = ModSolver(_A, IntMatrix.zero(2, 0))
+
+# Every builder that sizes a dense matrix from a shape (snf: U, D and V),
+# and the one elimination under kernels, solvers and the Smith form: each
+# charges the meter before it starts.
+CHARGED = {
+    "IntMatrix.zero": lambda: IntMatrix.zero(2, 2),
+    "IntMatrix.identity": lambda: IntMatrix.identity(2),
+    "IntMatrix.__mul__": lambda: _A * _A,
+    "block_diag": lambda: block_diag(_A, _A),
+    "kron": lambda: kron(_A, _A),
+    "_column_reduce": lambda: _column_reduce(_A, 0),
+    "snf": lambda: snf(_A),
+    "ModSolver.solve_matrix": lambda: _SOLVER.solve_matrix(_A),
+    "resolution.unit_block_matrix": lambda: resolution.unit_block_matrix(
+        [fpab.zmod(2)], [fpab.zmod(2)], [(0, 0, 1, IntMatrix.identity(1))]),
+}
+# The rest copy or read entries they are given, run _column_reduce or
+# solve_matrix, or (diagonal) validate outside input with no caller in the
+# engine.
+UNCHARGED = {
+    "IntMatrix.__init__", "IntMatrix._wrap", "IntMatrix.from_rows",
+    "IntMatrix.from_cols", "IntMatrix.diagonal", "IntMatrix.column",
+    "IntMatrix.entry", "IntMatrix.row", "IntMatrix.col",
+    "IntMatrix.column_matrix", "IntMatrix.transpose", "IntMatrix.take_cols",
+    "IntMatrix.take_rows", "IntMatrix.__add__", "IntMatrix.__sub__",
+    "IntMatrix.__neg__", "IntMatrix.scale", "IntMatrix.is_zero",
+    "IntMatrix.__eq__", "IntMatrix.__hash__", "IntMatrix.__repr__",
+    "work_cap", "_charge", "hstack", "vstack", "det", "_from_sparse_cols",
+    "kernel_basis", "constrained_kernel", "column_space_basis", "rank",
+    "solve", "solve_mod", "_combine", "_xgcd", "ModSolver.__init__",
+    "ModSolver.solve", "SnfSolver.__init__", "SnfSolver.solve",
+    "SnfSolver.solve_matrix", "SmithDecomposition.__init__",
+    "SmithDecomposition.diagonal",
+}
+
+
+def test_every_exactint_builder_is_metered_or_exempt():
+    # a builder added later must join one of the two lists above
+    names = {f"{cls.__name__}.{n}"
+             for cls in (IntMatrix, ModSolver, SnfSolver, SmithDecomposition)
+             for n, v in vars(cls).items()
+             if callable(v) or isinstance(v, classmethod)}
+    names |= {n for n, v in vars(exactint).items()
+              if inspect.isfunction(v) and v.__module__ == exactint.__name__}
+    assert names == (set(CHARGED) | UNCHARGED) - {
+        "resolution.unit_block_matrix"}
+
+
+@pytest.mark.parametrize("name", sorted(CHARGED))
+def test_metered_builders_raise_under_a_zero_cell_meter(name):
+    with pytest.raises(WorkCapped, match="capped at 0 cells"):
+        with work_cap(0):
+            CHARGED[name]()
+    CHARGED[name]()  # and run unmetered once the block is left
+
+
+def test_elimination_charges_its_input_and_the_entries_it_rewrites():
+    # 4 input cells, then column 1 minus 2 * column 0 rewrites the 2
+    # entries of column 0's data, at _STEP_CELLS each
+    with work_cap(12):
+        _column_reduce(_A, 0)
+    with pytest.raises(WorkCapped, match="needs at least 12"):
+        with work_cap(11):
+            _column_reduce(_A, 0)
+
+
+def test_work_cap_is_a_running_total_and_restores_the_outer_meter():
+    with work_cap(8):
+        IntMatrix.zero(2, 2)
+        with work_cap(4):
+            IntMatrix.identity(2)
+        IntMatrix.identity(2)
+        with pytest.raises(WorkCapped, match="needs at least 9"):
+            IntMatrix.zero(1, 1)
+    assert exactint._meter is None

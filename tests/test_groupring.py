@@ -13,8 +13,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extcalc import fpab, groupring, resolution
-from extcalc.exactint import IntMatrix
+from extcalc import exactint, fpab, groupring, resolution
+from extcalc.exactint import IntMatrix, work_cap
 from extcalc.fpab import describe, free_abelian, identity_hom, zmod
 from extcalc.groupring import (
     FiniteGroup,
@@ -695,8 +695,11 @@ class TestGreedyResolution:
             == ["Z/6", "0", "Z/2"]
 
     def test_work_cap_is_a_running_total_of_eliminations(self, monkeypatch):
-        # every kernel and membership solver counts its input cells once
-        total = []
+        # with elimination steps and solves left uncharged, the meter
+        # charges the input cells of every kernel and membership solver
+        # once, plus the 1x1 identity of the target Z
+        monkeypatch.setattr(exactint, "_STEP_CELLS", 0)
+        total = [1]
 
         def counted(fn):
             def run(a):
@@ -709,9 +712,11 @@ class TestGreedyResolution:
                                 counted(getattr(groupring, name)))
         greedy_resolution(klein_four(), 6)
         cells = sum(total)
-        assert greedy_resolution(klein_four(), 6, max_cells=cells).max_deg == 6
+        with work_cap(cells):
+            assert greedy_resolution(klein_four(), 6).max_deg == 6
         with pytest.raises(ValueError, match="capped"):
-            greedy_resolution(klein_four(), 6, max_cells=cells - 1)
+            with work_cap(cells - 1):
+                greedy_resolution(klein_four(), 6)
 
 
 @settings(max_examples=30, deadline=None)
