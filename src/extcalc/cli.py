@@ -43,10 +43,9 @@ DEGREE_CAP = 6
 POSET_SIZE_CAP = 12
 # slowest 7-element poset measured, 5 below 2 tops: 2.7 s on a 2-core VM
 WITNESS_POSET_SIZE_CAP = 7
-# Work cap, in matrix cells, of a group-cohomology, sheaf-ext or
-# external-ext request, metered by exactint.work_cap: the largest accepted
-# request measured (README) meters 58.8 million, and every request
-# measured past the cap stops within 6.5 s on a 2-core VM.
+# Work cap, in matrix cells, of every request, metered by exactint.work_cap:
+# the largest accepted request measured (README) meters 58.8 million, and
+# every request measured past the cap stops within 8 s on a 2-core VM.
 WORK_CELL_CAP = 60_000_000
 
 _SECTIONS = ("groups", "matrices", "homs", "sequences", "finite_groups",
@@ -546,9 +545,8 @@ def _cmd_group_cohomology(args, doc: Document) -> dict:
             raise CliDomainError(f"gmodule {args.M!r} is over a different "
                                  "group")
         module_name = args.M
-    with work_cap(WORK_CELL_CAP):
-        table = resolution.cohomology_table(
-            groupring.greedy_resolution(g, top + 1), module, degrees)
+    table = resolution.cohomology_table(
+        groupring.greedy_resolution(g, top + 1), module, degrees)
     return _put_degrees({"command": "group-cohomology", "G": args.G,
                          "M": module_name}, args, table)
 
@@ -587,8 +585,7 @@ def _cmd_sheaf_ext(args, doc: Document) -> dict:
     a = _need(doc.presheaves, args.A, "presheaf")
     _check_poset_size(b.site)
     degrees = _degree_list(args)
-    with work_cap(WORK_CELL_CAP):
-        results = poset_sheaf.sheaf_ext_table(b, a, degrees, args.method)
+    results = poset_sheaf.sheaf_ext_table(b, a, degrees, args.method)
     table = {n: _presheaf_result(r.presheaf) for n, r in results.items()}
     out = {"command": "sheaf-ext", "B": args.B, "A": args.A,
            "method": args.method}
@@ -603,8 +600,7 @@ def _cmd_external_ext(args, doc: Document) -> dict:
     a = _need(doc.presheaves, args.A, "presheaf")
     _check_poset_size(b.site)
     degrees = _degree_list(args)
-    with work_cap(WORK_CELL_CAP):
-        table = poset_sheaf.external_ext_table(b, a, degrees)
+    table = poset_sheaf.external_ext_table(b, a, degrees)
     return _put_degrees({"command": "external-ext", "B": args.B,
                          "A": args.A}, args, table)
 
@@ -832,7 +828,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         doc = _load(args)
-        result = _HANDLERS[args.cmd](args, doc)
+        with work_cap(WORK_CELL_CAP):
+            result = _HANDLERS[args.cmd](args, doc)
     except CliParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

@@ -473,15 +473,18 @@ class ModSolver:
             resid = {i: row[j] for i, row in enumerate(b.data) if row[j]}
             x = [0] * self.cols
             for r, p, below, w in self._pivots:
+                if not resid:
+                    break
                 q, rem = divmod(resid.pop(r, 0), p)
                 if rem:
                     return None
                 if q:
                     for i, v in below.items():
-                        resid[i] = resid.get(i, 0) - q * v
+                        if t := resid.pop(i, 0) - q * v:
+                            resid[i] = t
                     for i, v in w.items():
                         x[i] += q * v
-            if any(resid.values()):
+            if resid:
                 return None
             xs.append(x)
         data = tuple(zip(*xs)) if xs else ((),) * self.cols

@@ -12,12 +12,13 @@ inside a direct sum.  By Yoneda, internal Hom(ZY(c), F) at e is the
 sections of F over ↓c∩↓e, which is how the projectivity witness reads it.
 
 Sheaf Ext is computed stalkwise: the stalk at c is Ext over the down-set
-below c, and the restriction maps come from comparison lifts between the
-down-set resolutions.  On sites whose principal down-sets meet in
-principal down-sets (chains, trees) one full-site resolution, restricted
-to every down-set, gives the same presheaf with plain cochain restriction
-between the stalks.  Both paths, cross-checked, answer a degree table
-from resolutions built once, to its top degree + 1 (sheaf_ext_table).
+below c, the restrictions along Hasse covers come from comparison lifts
+between the down-set resolutions, and longer ones compose them.  On
+sites whose principal down-sets meet in principal down-sets (chains,
+trees) one full-site resolution, restricted to every down-set, gives the
+same presheaf with plain cochain restriction between the stalks.  Both
+paths, cross-checked, answer a degree table from resolutions built once,
+to its top degree + 1 (sheaf_ext_table).
 """
 
 from __future__ import annotations
@@ -703,20 +704,29 @@ def _restricted(res: FreeResolution, elems: Sequence[int], ctx, target,
 def _assemble(a: AbPresheaf, degrees: Sequence[int], resolutions,
               transport) -> Dict[int, SheafExtResult]:
     """The Ext presheaf in each degree, stalks read off the down-set
-    resolutions.  For d < c, transport(d, c, live) yields a cocycle
+    resolutions.  For a cover d ⋖ c, transport(d, c, live) yields a cocycle
     transport per degree in live, where both stalks are nonzero, and the
-    restriction is its class map; every other restriction is zero."""
+    restriction is its class map, or zero; a longer d < m < c reduces the
+    composite through m, which is that class map (reduce is canonical)."""
     site = a.site
     data = {c: resolution.cohomology_table(res, a.restrict(
         site.down_set(c)), degrees) for c, res in resolutions.items()}
     maps = {n: {} for n in degrees}
-    for (d, c) in site.strict_pairs():
-        live = [n for n in degrees
-                if data[c][n].group.gens and data[d][n].group.gens]
+    # composites come after their factors: |↑d| > |↑m| > |↑c|
+    for (d, c) in sorted(site.strict_pairs(), key=lambda pair: sum(
+            site.leq[pair[0]]) - sum(site.leq[pair[1]])):
+        mid = next((m for m in site.elements() if d != m != c
+                    and site.leq[d][m] and site.leq[m][c]), None)
+        live = [n for n in degrees if mid is None
+                and data[c][n].group.gens and data[d][n].group.gens]
         moved = dict(zip(live, transport(d, c, live))) if live else {}
         for n in degrees:
             src, tgt = data[c][n], data[d][n]
             maps[n][(d, c)] = (
+                FpAbHom(src.group, tgt.group, tgt.group.reduce(
+                    maps[n][(d, mid)].matrix * maps[n][(mid, c)].matrix),
+                    check=False)
+                if mid is not None else
                 FpAbHom(src.group, tgt.group,
                         tgt.classes_of(moved[n] * src.lattice))
                 if n in moved else fpab.zero_hom(src.group, tgt.group))
@@ -800,13 +810,13 @@ def sheaf_ext_table(b: AbPresheaf, a: AbPresheaf, degrees: Sequence[int],
     """The Ext presheaf in each listed degree: at c, Ext over the down-set
     below c.
 
-    method "general" resolves every down-set separately and connects the
-    stalks by comparison lifts; "fast" restricts one full-site resolution
-    to every down-set, valid on sites passing
-    principal_intersection_check; "auto" takes the fast path wherever it
-    is valid.  Each resolution is built once, to the top degree + 1, and
-    shared by the results; each comparison lift runs once per pair, and
-    not at all for a pair whose stalks are zero in every listed degree.
+    method "general" (and "auto") resolves every down-set separately and
+    connects the stalks by comparison lifts along the Hasse covers;
+    "fast", the independent check, restricts one full-site resolution to
+    every down-set, valid on sites passing principal_intersection_check.
+    Each resolution is built once, to the top degree + 1, and shared by
+    the results; each cover is lifted once, and not at all where its
+    stalks are zero in every listed degree.
     """
     if b.site != a.site:
         raise SiteMismatch("sheaf Ext needs presheaves on one site")
@@ -814,11 +824,11 @@ def sheaf_ext_table(b: AbPresheaf, a: AbPresheaf, degrees: Sequence[int],
         raise ValueError("Ext degree must be nonnegative")
     if method not in ("general", "fast", "auto"):
         raise ValueError(f"unknown method {method!r}")
-    if method != "general" and principal_intersection_check(b.site):
-        return _sheaf_ext_fast(b, a, degrees)
-    if method == "fast":
+    if method != "fast":
+        return _sheaf_ext_general(b, a, degrees)
+    if not principal_intersection_check(b.site):
         raise ValueError("fast path needs principal down-set intersections")
-    return _sheaf_ext_general(b, a, degrees)
+    return _sheaf_ext_fast(b, a, degrees)
 
 
 def sheaf_ext(b: AbPresheaf, a: AbPresheaf, n: int,

@@ -384,16 +384,18 @@ class TestExitCodes:
             assert out == f"H^{n}({g}; trivial Z) = {form}\n"
 
     @pytest.mark.parametrize("argv,cells", [
-        # H^1(C2; (Z/2)^3): the resolution of Z to degree 2, the Hom
-        # complex and its cohomology
+        # H^1(C2; (Z/2)^3): the module's setup, the resolution of Z to
+        # degree 2, the Hom complex and its cohomology
         (["group-cohomology", "--input", "-", "--G", "C2", "--M", "M",
-          "--n", "1"], 228),
+          "--n", "1"], 237),
         # Sierpinski quot resolves as ZY(1), ZY(0)+ZY(1), ZY(0), 0
         (["sheaf-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
-          "--n", "2"], 67),
+          "--n", "2"], 68),
         (["external-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
-          "--n", "2"], 67),
-    ], ids=["group-cohomology", "sheaf-ext", "external-ext"])
+          "--n", "2"], 68),
+        # the shorthand sum, the resolution and the Ext^1 cross-check
+        (["ext", "--B", "Z/4 + Z", "--A", "Z/6", "--n", "1"], 98),
+    ], ids=["group-cohomology", "sheaf-ext", "external-ext", "ext"])
     def test_work_cap_is_the_metered_total(self, capsys, monkeypatch, argv,
                                            cells):
         # a request answers at a cap of exactly the cells it meters and is
@@ -410,6 +412,17 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == cli.EXIT_DOMAIN
         assert f"capped at {cells - 1} cells" in err
+
+    def test_ext_work_cap_refuses_large_shorthand(self, capsys):
+        # Ext^1 of (Z/6)^120 + Z^5 by (Z/4)^120 + Z^5 ran out of memory
+        # unmetered; under the meter it is refused in under a second
+        b = " + ".join(["Z/6"] * 120 + ["Z^5"])
+        a = " + ".join(["Z/4"] * 120 + ["Z^5"])
+        start = time.perf_counter()
+        code, _, err = run(capsys, "ext", "--B", b, "--A", a, "--n", "1")
+        assert time.perf_counter() - start < 10
+        assert code == cli.EXIT_DOMAIN
+        assert "capped" in err
 
     def test_the_meter_leaves_no_state(self, capsys, monkeypatch):
         # a refused request neither refuses the next one nor caps a
@@ -444,6 +457,24 @@ class TestExitCodes:
             assert time.perf_counter() - start < 10
             assert code == expect
             assert ("capped" in err) == (expect == cli.EXIT_DOMAIN)
+
+    def test_auto_answers_on_large_tree_stalks(self, capsys, monkeypatch):
+        # Z^8 stalks with zero restrictions on a 12-element binary tree (in
+        # heap order, the ancestors of i are (i + 1 >> k) - 1): auto is the
+        # general path and answers, where the fast path was refused by the
+        # meter after 6 s
+        below = [(a, c) for c in range(1, 12) for a in range(c)
+                 if any(c + 1 >> k == a + 1 for k in range(1, 4))]
+        zero = [[0] * 8 for _ in range(8)]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({
+            "posets": {"tree": {"size": 12, "relations": below}},
+            "presheaves": {"B": {
+                "poset": "tree", "stalks": ["Z^8"] * 12,
+                "res": {f"{d}<={c}": zero for d, c in below}}}})))
+        code, out, _ = run(capsys, "sheaf-ext", "--input", "-", "--B", "B",
+                           "--A", "B", "--n", "1", "--method", "auto")
+        assert code == 0
+        assert "element 1: Z^64" in out and "element 11: Z^192" in out
 
     def test_poset_size_cap_is_domain(self, capsys, monkeypatch):
         doc = '{"posets": {"long": {"size": 13, "relations": []}}}'
@@ -551,13 +582,14 @@ class TestDegreeTables:
     @pytest.mark.parametrize("argv,sizes,covers", [
         (["sheaf-ext", "--method", "general"], [3, 2, 1, 2], 0),
         (["sheaf-ext", "--method", "fast"], [4], 5),
+        (["sheaf-ext", "--method", "auto"], [3, 2, 1, 2], 0),
         (["external-ext"], [4], 5),
-    ], ids=["general", "fast", "external-ext"])
+    ], ids=["general", "fast", "auto", "external-ext"])
     def test_one_resolution_per_down_set_or_site(self, capsys, monkeypatch,
                                                  argv, sizes, covers):
-        # general resolves the four down-sets of the tree, and none of
-        # them is the whole site; fast and external-ext resolve the site
-        # once, to degree 4
+        # general, and auto with it, resolves the four down-sets of the
+        # tree, and none of them is the whole site; fast and external-ext
+        # resolve the site once, to degree 4
         calls = self.counted(monkeypatch, "free_resolution")
         full = self.full_site_covers(monkeypatch)
         monkeypatch.setattr(sys, "stdin", io.StringIO(TREE))
@@ -587,9 +619,10 @@ class TestDegreeTables:
 
     def test_zero_stalks_need_no_lift(self, capsys, monkeypatch):
         # every stalk of Ext^6 on the crown is zero, so no pair is lifted;
-        # the table through degree 6 lifts each of the 60 pairs once
+        # the table through degree 6 lifts each of the 20 Hasse covers
+        # once, and composes the other 40 comparable pairs from them
         lifts = self.counted(monkeypatch, "lift_chain_map")
-        for flag, count in (("--n", 0), ("--max-deg", 60)):
+        for flag, count in (("--n", 0), ("--max-deg", 20)):
             monkeypatch.setattr(sys, "stdin", io.StringIO(crown_document(1)))
             code, _, _ = run(capsys, "sheaf-ext", "--input", "-", "--B", "B",
                              "--A", "B", flag, "6")

@@ -201,6 +201,31 @@ def test_output_is_pinned(documents, pinned, doc, argv, fmt):
     assert _run(documents, doc, argv, fmt) == pinned[_key(doc, argv, fmt)]
 
 
+def _general_argv(argv):
+    if "--method" in argv:
+        at = argv.index("--method")
+        argv = argv[:at] + argv[at + 2:]
+    return [*argv, "--method", "general"]
+
+
+_SHEAF_EXT = sorted({(doc, tuple(_general_argv(argv)))
+                     for doc, argv, _ in COMMANDS if argv[0] == "sheaf-ext"})
+
+
+@pytest.mark.parametrize("doc,argv", _SHEAF_EXT, ids=[
+    " ".join([doc, *argv]) for doc, argv in _SHEAF_EXT])
+def test_auto_prints_what_general_prints(documents, doc, argv):
+    # auto is the general path: the same bytes but for the method field
+    auto = [*argv[:-1], "auto"]
+    assert (_run(documents, doc, auto, "human")
+            == _run(documents, doc, argv, "human"))
+    outs = [_run(documents, doc, a, "machine") for a in (auto, argv)]
+    assert outs[0]["code"] == outs[1]["code"] == 0
+    got, want = (json.loads(out["stdout"]) for out in outs)
+    assert (got.pop("method"), want.pop("method")) == ("auto", "general")
+    assert got == want
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:

@@ -10,6 +10,7 @@ cross-check each other on every site where both apply.
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -834,6 +835,67 @@ class TestFastPath:
         a = free_presheaf(site, 1)
         for n in (0, 1, 2):
             assert_paths_agree(b, a, n)
+
+
+def direct_class_maps(a, degrees, resolutions, transport):
+    """Every restriction as its own class map, one transport per
+    comparable pair: the all-pairs assembly that covers replaced."""
+    site = a.site
+    data = {c: resolution.cohomology_table(res, a.restrict(
+        site.down_set(c)), degrees) for c, res in resolutions.items()}
+    maps = {n: {} for n in degrees}
+    for (d, c) in site.strict_pairs():
+        live = [n for n in degrees
+                if data[c][n].group.gens and data[d][n].group.gens]
+        moved = dict(zip(live, transport(d, c, live))) if live else {}
+        for n in degrees:
+            src, tgt = data[c][n], data[d][n]
+            maps[n][(d, c)] = (tgt.classes_of(moved[n] * src.lattice)
+                               if n in moved else IntMatrix.zero(
+                                   tgt.group.gens, src.group.gens))
+    return maps
+
+
+class TestHasseCovers:
+    """Only covers are lifted; every longer restriction is the reduced
+    composite along a chain of covers, byte for byte the direct class
+    map of its pair."""
+
+    @staticmethod
+    def assert_composites_are_direct(b, a, degrees, method):
+        calls, assemble = [], ps._assemble
+
+        def spy(*args):
+            calls.append(args)
+            return assemble(*args)
+        with mock.patch.object(ps, "_assemble", spy):
+            table = sheaf_ext_table(b, a, degrees, method)
+        (args,) = calls
+        direct = direct_class_maps(*args)
+        for n in degrees:
+            assert ({pair: h.matrix
+                     for pair, h in table[n].presheaf.maps.items()}
+                    == direct[n])
+
+    @settings(max_examples=25, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           k=st.sampled_from([1, 2]),
+           method=st.sampled_from(["general", "fast"]))
+    def test_tree_composites_are_direct(self, rng, k, method):
+        size = rng.randint(3, 6)
+        parents = [None] + [rng.randrange(i) for i in range(1, size)]
+        self.assert_composites_are_direct(
+            random_tree_presheaf(rng, parents),
+            random_tree_presheaf(rng, parents), range(k + 1), method)
+
+    @settings(max_examples=15, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           k=st.sampled_from([1, 2]))
+    def test_bowtie_composites_are_direct(self, rng, k):
+        self.assert_composites_are_direct(
+            random_cokernel_presheaf(rng, bowtie()),
+            random_cokernel_presheaf(rng, bowtie()), range(k + 1),
+            "general")
 
 
 def assert_same_result(got, want):
