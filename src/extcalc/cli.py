@@ -28,7 +28,8 @@ import functools
 import json
 import re
 import sys
-from typing import Dict, List, Optional
+from collections.abc import Mapping
+from typing import List, Optional
 
 from . import fpab, groupring, poset_sheaf, resolution, ses
 from .exactint import DimensionMismatch, IntMatrix, snf, work_cap
@@ -163,42 +164,51 @@ def group_from_desc(desc, doc: Optional["Document"], where: str) -> FpAbGroup:
 _RES_KEY = re.compile(r"(\d+)<=(\d+)$")
 
 
-class Document:
-    """Resolved named definitions from one input document."""
+class _Section(Mapping):
+    """A document section: its names, each definition built on first read."""
 
-    __slots__ = ("raw", "groups", "matrices", "homs", "sequences",
-                 "finite_groups", "gmodules", "posets", "presheaves")
+    def __init__(self, raw: dict, label: str, build):
+        self._raw, self._label, self._build, self._built = raw, label, build, {}
+
+    def __contains__(self, name) -> bool:
+        return name in self._raw
+
+    def __iter__(self):
+        return iter(self._raw)
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def __getitem__(self, name: str):
+        if name not in self._built:
+            try:
+                self._built[name] = self._build(name, self._raw[name])
+            except _VALIDATION_ERRORS as exc:
+                raise type(exc)(f"{self._label} {name!r}: {exc}") from exc
+        return self._built[name]
+
+
+class Document:
+    """Named definitions from one document.  Sections and names are checked
+    on parsing; a definition is built and validated when a command first
+    reads it, directly or through a reference, under the command's meter."""
+
+    __slots__ = ("raw",) + _SECTIONS
 
     def __init__(self, raw: dict):
         self.raw = raw
-        self.groups: Dict[str, FpAbGroup] = {}
-        self.matrices: Dict[str, IntMatrix] = {}
-        self.homs: Dict[str, FpAbHom] = {}
-        self.sequences: Dict[str, ses.ShortExactSeq] = {}
-        self.finite_groups: Dict[str, groupring.FiniteGroup] = {}
-        self.gmodules: Dict[str, groupring.GModule] = {}
-        self.posets: Dict[str, poset_sheaf.FinitePoset] = {}
-        self.presheaves: Dict[str, poset_sheaf.AbPresheaf] = {}
-        builders = (
-            ("groups", self.groups, "group",
-             lambda name, desc: group_from_desc(desc, None,
-                                                f"group {name!r}")),
-            ("matrices", self.matrices, "matrix",
-             lambda name, desc: _free_matrix(desc, f"matrix {name!r}")),
-            ("homs", self.homs, "hom", self._hom),
-            ("sequences", self.sequences, "sequence", self._sequence),
-            ("finite_groups", self.finite_groups, "finite group",
-             self._finite_group),
-            ("gmodules", self.gmodules, "gmodule", self._gmodule),
-            ("posets", self.posets, "poset", self._poset),
-            ("presheaves", self.presheaves, "presheaf", self._presheaf),
-        )
-        for key, store, label, build in builders:
-            for name, desc in _section(raw, key).items():
-                try:
-                    store[name] = build(name, desc)
-                except _VALIDATION_ERRORS as exc:
-                    raise type(exc)(f"{label} {name!r}: {exc}") from exc
+        for key, label, build in (
+                ("groups", "group", lambda name, desc: group_from_desc(
+                    desc, None, f"group {name!r}")),
+                ("matrices", "matrix",
+                 lambda name, desc: _free_matrix(desc, f"matrix {name!r}")),
+                ("homs", "hom", self._hom),
+                ("sequences", "sequence", self._sequence),
+                ("finite_groups", "finite group", self._finite_group),
+                ("gmodules", "gmodule", self._gmodule),
+                ("posets", "poset", self._poset),
+                ("presheaves", "presheaf", self._presheaf)):
+            setattr(self, key, _Section(_section(raw, key), label, build))
 
     def _hom(self, name: str, desc) -> FpAbHom:
         where = f"hom {name!r}"

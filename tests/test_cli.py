@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from extcalc import cli, exactint, groupring, poset_sheaf, resolution
 SIERPINSKI = str(files("extcalc").joinpath("fixtures/sierpinski.json"))
 C2 = str(files("extcalc").joinpath("fixtures/c2_cohomology.json"))
 SIX_TERM = str(files("extcalc").joinpath("fixtures/six_term.json"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def crown_document(k):
@@ -63,8 +65,9 @@ class TestDocumentParsing:
     def test_dangling_reference_is_named(self):
         text = '{"homs": {"f": {"src": "mystery", "tgt": "Z", '
         text += '"matrix": [[1]]}}}'
+        doc = cli.parse_document(text)
         with pytest.raises(cli.CliParseError, match="mystery"):
-            cli.parse_document(text)
+            doc.homs["f"]
 
     def test_unknown_section_rejected(self):
         with pytest.raises(cli.CliParseError, match="unknown sections"):
@@ -97,10 +100,10 @@ class TestDocumentParsing:
 
     def test_matrix_entries_must_be_integers(self):
         with pytest.raises(cli.CliParseError, match="integers"):
-            cli.parse_document('{"matrices": {"m": [[1.5]]}}')
+            cli.parse_document('{"matrices": {"m": [[1.5]]}}').matrices["m"]
         # JSON booleans are not integer entries
         with pytest.raises(cli.CliParseError, match="integers"):
-            cli.parse_document('{"matrices": {"m": [[true]]}}')
+            cli.parse_document('{"matrices": {"m": [[true]]}}').matrices["m"]
 
 
 class TestGroupCommands:
@@ -306,10 +309,11 @@ class TestExitCodes:
     def test_ill_defined_hom_is_validation_and_named(self, capsys,
                                                      monkeypatch):
         doc = '{"homs": {"badhom": {"src": "Z/2", "tgt": "Z/3", '
-        doc += '"matrix": [[1]]}}}'
+        doc += '"matrix": [[1]]}}, "sequences": {"s": {"i": "badhom", '
+        doc += '"p": "badhom"}}}'
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
-        code, _, err = run(capsys, "hom", "--input", "-", "--src", "Z",
-                           "--tgt", "Z")
+        code, _, err = run(capsys, "six-term", "--input", "-", "--ses", "s",
+                           "--M", "Z")
         assert code == cli.EXIT_VALIDATION
         assert "badhom" in err
 
@@ -384,10 +388,11 @@ class TestExitCodes:
             assert out == f"H^{n}({g}; trivial Z) = {form}\n"
 
     @pytest.mark.parametrize("argv,cells", [
-        # H^1(C2; (Z/2)^3): the module's setup, the resolution of Z to
-        # degree 2, the Hom complex and its cohomology
+        # H^1(C2; (Z/2)^3): building and checking the gmodule M, the
+        # module's setup, the resolution of Z to degree 2, the Hom complex
+        # and its cohomology
         (["group-cohomology", "--input", "-", "--G", "C2", "--M", "M",
-          "--n", "1"], 237),
+          "--n", "1"], 300),
         # Sierpinski quot resolves as ZY(1), ZY(0)+ZY(1), ZY(0), 0
         (["sheaf-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
           "--n", "2"], 68),
@@ -542,6 +547,191 @@ class TestExitCodes:
         assert "entries" in err
 
 
+def shorthand_sum(*parts):
+    """"Z/6 + Z/6 + ... + Z^5" from (count, summand) pairs."""
+    return " + ".join(t for k, t in parts for _ in range(k))
+
+
+class TestZCommandMeter:
+    """Each Z command answers one large request and refuses a larger one
+    under the work meter (exit 5, "capped") within its 10 s budget."""
+
+    @pytest.mark.parametrize("argv", [
+        ["hom", "--src", "B", "--tgt", "A"],
+        ["baer", "--B", "B", "--A", "A", "--i", "1", "--j", "1"],
+    ], ids=["hom", "baer"])
+    def test_refused_past_the_cap(self, capsys, argv):
+        # (Z/6)^120 + Z^5 against (Z/4)^120 + Z^5: the Hom-group
+        # constraints alone need more than 234 million cells
+        sums = {"B": shorthand_sum((120, "Z/6"), (1, "Z^5")),
+                "A": shorthand_sum((120, "Z/4"), (1, "Z^5"))}
+        start = time.perf_counter()
+        code, _, err = run(capsys, *[sums.get(a, a) for a in argv])
+        assert time.perf_counter() - start < 10
+        assert code == cli.EXIT_DOMAIN and "capped" in err
+
+    def test_hom_and_baer_answer_below_the_cap(self, capsys):
+        b = shorthand_sum((20, "Z/6"), (1, "Z^5"))
+        a = shorthand_sum((20, "Z/4"), (1, "Z^5"))
+        code, out, _ = run(capsys, "hom", "--src", b, "--tgt", a,
+                           "--format", "machine")
+        assert code == 0
+        assert json.loads(out)["result"] == shorthand_sum(
+            (1, "Z^25"), (400, "Z/2"), (100, "Z/4"))
+        code, out, _ = run(capsys, "baer", "--B", b, "--A", a,
+                           "--format", "machine")
+        assert code == 0
+        data = json.loads(out)
+        assert data["ext1"] == shorthand_sum((400, "Z/2"), (100, "Z/6"))
+        assert data["associative"] and data["inverses"]
+
+    def test_six_term(self, capsys, monkeypatch):
+        # Z/2 -> Z/4 -> Z/2 against a 125-generator M answers; the split
+        # sequence A -> A + Z/2 -> Z/2 with A = (Z/4)^120 + Z^5 against
+        # M = (Z/6)^120 + Z^5 needs Hom(M, A), refused as hom is above
+        a = shorthand_sum((120, "Z/4"), (1, "Z^5"))
+        doc = json.dumps({"homs": {
+            "i": {"src": "Z/2", "tgt": "Z/4", "matrix": [[2]]},
+            "p": {"src": "Z/4", "tgt": "Z/2", "matrix": [[1]]},
+            "inc": {"src": a, "tgt": a + " + Z/2", "matrix": [
+                [int(r == c) for c in range(125)] for r in range(126)]},
+            "pr": {"src": a + " + Z/2", "tgt": "Z/2",
+                   "matrix": [[0] * 125 + [1]]}},
+            "sequences": {"s": {"i": "i", "p": "p"},
+                          "big": {"i": "inc", "p": "pr"}}})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, _ = run(capsys, "six-term", "--input", "-", "--ses", "s",
+                           "--M", a, "--format", "machine")
+        assert code == 0 and json.loads(out)["all_exact"] is True
+        m = shorthand_sum((120, "Z/6"), (1, "Z^5"))
+        for variance in ("co", "contra"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+            start = time.perf_counter()
+            code, _, err = run(capsys, "six-term", "--input", "-", "--ses",
+                               "big", "--M", m, "--variance", variance)
+            assert time.perf_counter() - start < 10
+            assert code == cli.EXIT_DOMAIN and "capped" in err
+
+    def test_snf(self, capsys, monkeypatch):
+        # a 1 x n matrix has an n x n transform V, charged before it is
+        # built: n = 2000 answers, n = 8000 (64 million cells) is refused
+        for n, expect in ((2000, 0), (8000, cli.EXIT_DOMAIN)):
+            doc = json.dumps({"matrices": {"row": [list(range(n))]}})
+            monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+            start = time.perf_counter()
+            code, out, err = run(capsys, "snf", "--input", "-",
+                                 "--matrix", "row")
+            assert time.perf_counter() - start < 10
+            assert code == expect
+            if expect:
+                assert "capped" in err
+            else:
+                assert out == "diagonal: 1\nverified: U*A*V = D\n"
+
+    def test_group(self, capsys):
+        # (Z/6)^k + (Z/4)^k + Z^5: its canonical form answers at k = 1000;
+        # at k = 4000 the sum alone is a dense 8005-generator presentation
+        for k, expect in ((1000, 0), (4000, cli.EXIT_DOMAIN)):
+            g = shorthand_sum((k, "Z/6"), (k, "Z/4"), (1, "Z^5"))
+            start = time.perf_counter()
+            code, out, err = run(capsys, "group", "--group", g,
+                                 "--format", "machine")
+            assert time.perf_counter() - start < 10
+            assert code == expect
+            if expect:
+                assert "capped" in err
+            else:
+                data = json.loads(out)
+                assert data["rank"] == 5
+                assert data["torsion"] == [2] * k + [12] * k
+
+
+class TestLazyDefinitions:
+    """A definition is built when a command first reads it, and only then:
+    a broken one fails only the commands that read it."""
+
+    BROKEN = json.dumps({
+        "finite_groups": {"C2": "cyclic 2"},
+        "gmodules": {
+            "good": {"group": "C2", "module": "Z", "action": {"1": [[-1]]}},
+            "broken": {"group": "C2", "module": "Z/4",
+                       "action": {"1": [[2]]}}}})
+
+    def test_a_broken_gmodule_fails_only_its_readers(self, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.BROKEN))
+        code, out, _ = run(capsys, "group-cohomology", "--input", "-",
+                           "--G", "C2", "--M", "good", "--n", "1")
+        assert code == 0 and out == "H^1(C2; good) = Z/2\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.BROKEN))
+        code, _, err = run(capsys, "group-cohomology", "--input", "-",
+                           "--G", "C2", "--M", "broken", "--n", "1")
+        assert code == cli.EXIT_VALIDATION
+        assert "gmodule 'broken'" in err
+
+    def test_handler_checks_come_before_reading(self, capsys, monkeypatch):
+        # the degree cap is checked before --M is read
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.BROKEN))
+        code, _, err = run(capsys, "group-cohomology", "--input", "-",
+                           "--G", "C2", "--M", "broken", "--n", "7")
+        assert code == cli.EXIT_DOMAIN and "capped" in err
+
+    def test_sequence_reading_an_ill_defined_hom_names_it(self, capsys,
+                                                          monkeypatch):
+        doc = json.dumps({
+            "homs": {"i24": {"src": "Z/2", "tgt": "Z/4", "matrix": [[2]]},
+                     "p42": {"src": "Z/4", "tgt": "Z/2", "matrix": [[1]]},
+                     "badp": {"src": "Z/4", "tgt": "Z/3", "matrix": [[1]]}},
+            "sequences": {"good": {"i": "i24", "p": "p42"},
+                          "bad": {"i": "i24", "p": "badp"}}})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, _ = run(capsys, "six-term", "--input", "-", "--ses",
+                           "good", "--M", "Z/2")
+        assert code == 0 and "all exact: yes" in out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, _, err = run(capsys, "six-term", "--input", "-", "--ses",
+                           "bad", "--M", "Z/2")
+        assert code == cli.EXIT_VALIDATION
+        assert "sequence 'bad'" in err and "hom 'badp'" in err
+
+    def test_only_the_module_read_is_built(self, capsys, monkeypatch):
+        # three modules over C4, as the benchmark's documents hold them;
+        # modules from outside are the only ones built with check=True
+        built, orig = [], groupring.GModule.__init__
+
+        def count(self, G, M, action, check=True):
+            if check:
+                built.append(M.canonical_form)
+            orig(self, G, M, action, check)
+        monkeypatch.setattr(groupring.GModule, "__init__", count)
+        trivial = {str(e): [[1]] for e in range(1, 4)}
+        doc = json.dumps({
+            "finite_groups": {"C4": "cyclic 4"},
+            "gmodules": {
+                "Z2": {"group": "C4", "module": "Z/2", "action": trivial},
+                "Z3": {"group": "C4", "module": "Z/3", "action": trivial},
+                "sgn": {"group": "C4", "module": "Z", "action": {
+                    "1": [[-1]], "2": [[1]], "3": [[-1]]}}}})
+        for module, forms in ((["--M", "Z2"], [(0, (2,))]), ([], [])):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+            code, _, _ = run(capsys, "group-cohomology", "--input", "-",
+                             "--G", "C4", *module, "--max-deg", "2")
+            assert code == 0
+            assert built == forms
+            built.clear()
+
+    def test_each_definition_is_built_once(self):
+        doc = cli.parse_document(json.dumps({
+            "groups": {"G": "Z/4 + Z"},
+            "homs": {"f": {"src": "G", "tgt": "G",
+                           "matrix": [[1, 0], [0, 1]]}}}))
+        assert "f" in doc.homs and "g" not in doc.homs
+        assert len(doc.homs) == 1 and list(doc.homs) == ["f"]
+        f = doc.homs["f"]
+        assert doc.homs["f"] is f
+        assert f.src is f.tgt is doc.groups["G"]
+
+
 TREE = json.dumps({
     "posets": {"T": {"size": 4, "relations": [[0, 1], [0, 2], [1, 3]]}},
     "presheaves": {
@@ -673,3 +863,43 @@ class TestEntryPoint:
         proc = run_module("ext", "--B", "Z/4", "--A", "Z/6", "--n", "1")
         assert proc.returncode == 0
         assert proc.stdout == "Ext^1(Z/4, Z/6) = Z/2\n"
+
+
+def readme_examples():
+    """(command, expected stdout lines) of each `$ extcalc` example in the
+    README's "Command line" section, continuation lines joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("```")[1::2]:
+        for chunk in block.strip("\n").split("\n\n"):
+            lines = chunk.split("\n")
+            if not lines[0].startswith("$ extcalc "):
+                continue
+            command = lines.pop(0)[2:]
+            while command.endswith("\\"):
+                command = command[:-1] + lines.pop(0).strip()
+            examples.append((command, lines))
+    return examples
+
+
+class TestReadme:
+    def test_examples_are_found(self):
+        assert len(readme_examples()) >= 6
+
+    @pytest.mark.parametrize("command,lines", readme_examples(),
+                             ids=[c for c, _ in readme_examples()])
+    def test_example_prints_what_the_readme_shows(self, capsys, monkeypatch,
+                                                  command, lines):
+        # a block cut with "..." shows a prefix of the output and its
+        # last line
+        monkeypatch.chdir(ROOT)
+        code, out, _ = run(capsys, *shlex.split(command)[1:])
+        assert code == 0
+        got = out.rstrip("\n").split("\n")
+        if "..." in lines:
+            cut = lines.index("...")
+            assert got[:cut] == lines[:cut]
+            assert got[-1:] == lines[cut + 1:]
+        else:
+            assert got == lines

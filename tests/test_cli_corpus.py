@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -224,6 +225,75 @@ def test_auto_prints_what_general_prints(documents, doc, argv):
     got, want = (json.loads(out["stdout"]) for out in outs)
     assert (got.pop("method"), want.pop("method")) == ("auto", "general")
     assert got == want
+
+
+def eager_document(raw):
+    """Every definition of a document built in section order, before any
+    command runs: the document builder from before sections were lazy,
+    kept as the oracle of the lazy one."""
+    doc = SimpleNamespace(raw=raw)
+    builders = (
+        ("groups", "group", lambda doc, name, desc: cli.group_from_desc(
+            desc, None, f"group {name!r}")),
+        ("matrices", "matrix", lambda doc, name, desc: cli._free_matrix(
+            desc, f"matrix {name!r}")),
+        ("homs", "hom", cli.Document._hom),
+        ("sequences", "sequence", cli.Document._sequence),
+        ("finite_groups", "finite group", cli.Document._finite_group),
+        ("gmodules", "gmodule", cli.Document._gmodule),
+        ("posets", "poset", cli.Document._poset),
+        ("presheaves", "presheaf", cli.Document._presheaf),
+    )
+    for key, label, build in builders:
+        store = {}
+        setattr(doc, key, store)
+        for name, desc in cli._section(raw, key).items():
+            try:
+                store[name] = build(doc, name, desc)
+            except cli._VALIDATION_ERRORS as exc:
+                raise type(exc)(f"{label} {name!r}: {exc}") from exc
+    return doc
+
+
+def _comparable(key, value):
+    # a sequence has no ==; it is its three groups and two maps
+    if key == "sequences":
+        return (value.A, value.E, value.B, value.i, value.p)
+    return value
+
+
+_FIXTURES = {path.name: json.loads(path.read_text(encoding="utf-8"))
+             for path in sorted((Path(cli.__file__).parent / "fixtures")
+                                .glob("*.json"))}
+_ORACLE_DOCS = {**DOCUMENTS, **_FIXTURES}
+
+
+def _read_all(doc):
+    """Every definition of a document, read last section first, so that
+    each reference is built on demand by the definition that names it."""
+    return {key: {n: getattr(doc, key)[n]
+                  for n in reversed(list(getattr(doc, key)))}
+            for key in reversed(cli._SECTIONS)}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_DOCS))
+def test_lazy_reads_match_the_eager_build(name):
+    raw = _ORACLE_DOCS[name]
+    try:
+        eager = eager_document(raw)
+    except cli._VALIDATION_ERRORS as exc:
+        assert name == "bad_gmodule"
+        with pytest.raises(type(exc)) as lazy:
+            _read_all(cli.Document(raw))
+        assert type(lazy.value) is type(exc)
+        assert str(lazy.value) == str(exc)
+        return
+    assert name != "bad_gmodule"
+    for key, defs in _read_all(cli.Document(raw)).items():
+        want = getattr(eager, key)
+        assert set(defs) == set(want)
+        for n, value in defs.items():
+            assert _comparable(key, value) == _comparable(key, want[n]), n
 
 
 if __name__ == "__main__":
