@@ -5,10 +5,11 @@ are immutable; every operation returns a fresh matrix.  Entries are checked
 once, at the boundary (the public constructors); operations build through
 `IntMatrix._wrap` without re-checking.  Kernels, column spans, rank, linear
 solving and the Smith normal form share one sparse column-echelon reduction:
-the solvers read each right-hand side off its pivot columns by forward
-substitution, and `snf` alternates the reduction on a matrix and on its
-transpose.  Determinism matters for canonical forms, so pivot choices follow a
-fixed rule: the minimal absolute value wins, the smallest index breaking ties.
+a solver reads each right-hand side off its pivot columns by forward
+substitution and its kernel off the columns it zeroes, and `snf` alternates
+the reduction on a matrix and on its transpose.  Determinism matters for
+canonical forms, so pivot choices follow a fixed rule: the minimal absolute
+value wins, the smallest index breaking ties.
 
 `work_cap(cells)` is the one work meter: it bounds the matrix work of whatever
 runs inside it, and outside one it costs a single `is None` test per site.
@@ -46,9 +47,9 @@ def work_cap(cells: int):
     `_column_reduce` charges rows x cols of its input and _STEP_CELLS per
     entry each elimination step rewrites, `ModSolver.solve_matrix`
     _STEP_CELLS per pivot and right-hand side column, and `IntMatrix.zero`,
-    `identity`, `__mul__`, `block_diag`, `kron`, `snf` and
-    `resolution.unit_block_matrix` rows x cols of each dense matrix they
-    size from a shape.  Every charge comes before its work.  The enclosing
+    `identity`, `__mul__`, `block_diag`, `kron`, `snf`,
+    `resolution.unit_block_matrix` and `poset_sheaf.FreePresheaf` rows x
+    cols of each dense matrix they size from a shape.  Every charge comes before its work.  The enclosing
     meter, or none, is back in force when the block exits, however it exits.
     """
     global _meter
@@ -405,23 +406,13 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     The result always has cols(A) - rank(A) columns and is saturated: the
     kernel of an integer matrix is a direct summand of the ambient lattice.
     """
-    order, npiv = _column_reduce(a, track_rows=a.cols)
-    return _from_sparse_cols([col.w for col in order[npiv:]], a.cols)
+    return SnfSolver(a).kernel()
 
 
 def constrained_kernel(a: IntMatrix, rel: IntMatrix) -> IntMatrix:
-    """Generating columns for the lattice {x : A x lies in colspan(rel)}.
-
-    Computed as the projection of ker[A | rel] onto the A-coordinates, so
-    the result generates the lattice but need not be a basis.  Only the
-    leading coordinates of the transform are tracked, which keeps the cost
-    proportional to cols(A) rather than cols(A) + cols(rel).
-    """
-    if rel.rows != a.rows:
-        raise DimensionMismatch("constraint matrix height mismatch")
-    combined = hstack(a, rel) if rel.cols else a
-    order, npiv = _column_reduce(combined, track_rows=a.cols)
-    return _from_sparse_cols([col.w for col in order[npiv:]], a.cols)
+    """Generating columns for the lattice {x : A x lies in colspan(rel)}:
+    ModSolver(a, rel).kernel(), for a caller that solves nothing."""
+    return ModSolver(a, rel).kernel()
 
 
 def column_space_basis(a: IntMatrix) -> IntMatrix:
@@ -438,22 +429,30 @@ def rank(a: IntMatrix) -> int:
 class ModSolver:
     """Reusable solver for A x = b modulo the column span of Rel.
 
-    One column-echelon reduction of [A | Rel] serves every b.  Its pivot
-    columns are ordered by pivot row and vanish above it, so forward
-    substitution writes b = sum q_k c_k: exact division at each pivot row
-    (None on a remainder), then None if a residual is left on the other
-    rows.  x = sum q_k w_k, with w_k the tracked A-part of the transform
-    of pivot column c_k.
+    One column-echelon reduction of [A | Rel] serves every b and the
+    kernel.  Its pivot columns are ordered by pivot row and vanish above
+    it, so forward substitution writes b = sum q_k c_k: exact division at
+    each pivot row (None on a remainder), then None if a residual is left
+    on the other rows.  x = sum q_k w_k, with w_k the tracked A-part of
+    the transform of pivot column c_k.  Only the A-part is tracked, which
+    keeps the cost proportional to cols(A) rather than cols(A) + cols(Rel).
     """
 
     def __init__(self, a: IntMatrix, rel: IntMatrix):
         if rel.rows != a.rows:
             raise DimensionMismatch("relation matrix height mismatch")
         self.rows, self.cols = a.rows, a.cols
-        order, npiv = _column_reduce(hstack(a, rel) if rel.cols else a,
-                                     track_rows=a.cols)
-        self._pivots = [(col.row, col.d.pop(col.row), col.d, col.w)
-                        for col in order[:npiv]]
+        self._order, self._npiv = _column_reduce(
+            hstack(a, rel) if rel.cols else a, track_rows=a.cols)
+        self._pivots = None  # pivot entries split off at the first solve
+
+    def kernel(self) -> IntMatrix:
+        """Generating columns for the lattice {x : A x lies in colspan(Rel)}:
+        the A-parts of the columns the reduction zeroed, so the projection
+        of ker[A | Rel].  With Rel empty they are a basis of ker A, which
+        is saturated: a direct summand of the ambient lattice."""
+        return _from_sparse_cols([col.w for col in self._order[self._npiv:]],
+                                 self.cols)
 
     def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
         if b.rows != self.rows or b.cols != 1:
@@ -467,7 +466,10 @@ class ModSolver:
             raise DimensionMismatch(
                 f"right-hand side has {b.rows} rows, expected {self.rows}")
         if _meter is not None:
-            _charge(_STEP_CELLS * b.cols * len(self._pivots))
+            _charge(_STEP_CELLS * b.cols * self._npiv)
+        if self._pivots is None:
+            self._pivots = [(col.row, col.d.pop(col.row), col.d, col.w)
+                            for col in self._order[:self._npiv]]
         xs = []
         for j in range(b.cols):
             resid = {i: row[j] for i, row in enumerate(b.data) if row[j]}

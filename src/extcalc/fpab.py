@@ -15,6 +15,7 @@ from .exactint import (
     DimensionMismatch,
     IntMatrix,
     ModSolver,
+    SnfSolver,
     _column_reduce,
     _from_sparse_cols,
     block_diag,
@@ -67,7 +68,7 @@ class FpAbGroup:
     canonical form without a Smith form.
     """
 
-    __slots__ = ("gens", "relations", "_echelon", "_snf", "_canon")
+    __slots__ = ("gens", "relations", "_echelon", "_snf", "_canon", "_solver")
 
     def __init__(self, gens: int, relations: Optional[IntMatrix] = None):
         if relations is None:
@@ -80,6 +81,14 @@ class FpAbGroup:
         self._echelon = None
         self._snf = None
         self._canon = None
+        self._solver = None
+
+    @property
+    def solver(self) -> SnfSolver:
+        """The SnfSolver of the relations, built on first read and kept."""
+        if self._solver is None:
+            self._solver = SnfSolver(self.relations)
+        return self._solver
 
     def _echelon_basis(self) -> List[Tuple[int, int, dict]]:
         """(pivot row, pivot, column) for each column of the echelon basis.
@@ -271,7 +280,7 @@ class FpAbHom:
     target relations; that is the equality of the underlying set maps.
     """
 
-    __slots__ = ("src", "tgt", "matrix")
+    __slots__ = ("src", "tgt", "matrix", "_solver")
 
     def __init__(self, src: FpAbGroup, tgt: FpAbGroup, matrix: IntMatrix,
                  check: bool = True):
@@ -280,14 +289,24 @@ class FpAbHom:
                 f"hom matrix is {matrix.rows}x{matrix.cols}, expected "
                 f"{tgt.gens}x{src.gens}")
         if check and src.relations.cols and not src.relations.is_zero():
-            image = matrix * src.relations
-            for j in range(image.cols):
-                if not tgt.contains_zero(image.column_matrix(j)):
+            image = tgt.reduce(matrix * src.relations)
+            for j, col in enumerate(image.transpose().data):
+                if any(col):
                     raise IllDefined(
                         f"relation column {j} maps outside the target relations")
         self.src = src
         self.tgt = tgt
         self.matrix = matrix
+        self._solver = None
+
+    @property
+    def solver(self) -> ModSolver:
+        """The ModSolver of [matrix | tgt.relations], built on first read
+        and kept: kernels, corestrictions and lifts through the hom all
+        read its one reduction."""
+        if self._solver is None:
+            self._solver = ModSolver(self.matrix, self.tgt.relations)
+        return self._solver
 
     def __call__(self, x: Element) -> Element:
         if x.group != self.src:
@@ -362,18 +381,18 @@ class HomGroup:
 
     Unpacks as (group, basis).  coords_of inverts the generator map: it
     finds the coordinates of any given hom, which is how induced maps
-    between hom-groups are assembled.
+    between hom-groups are assembled, with the solver whose kernel gave
+    the group its relations.
     """
 
     def __init__(self, src: FpAbGroup, tgt: FpAbGroup, group: FpAbGroup,
-                 basis: List[FpAbHom], lattice: IntMatrix, equiv: IntMatrix):
+                 basis: List[FpAbHom], lattice: IntMatrix, solver: ModSolver):
         self.src = src
         self.tgt = tgt
         self.group = group
         self.basis = basis
         self._lattice = lattice
-        self._equiv = equiv
-        self._solver = None
+        self._solver = solver
 
     def __iter__(self):
         return iter((self.group, self.basis))
@@ -388,8 +407,6 @@ class HomGroup:
     def coords_of(self, h: FpAbHom) -> Element:
         if h.src != self.src or h.tgt != self.tgt:
             raise DimensionMismatch("hom endpoints do not match this hom-group")
-        if self._solver is None:
-            self._solver = ModSolver(self._lattice, self._equiv)
         x = self._solver.solve(_vec(h.matrix))
         if x is None:
             raise ValueError("hom does not lie in the computed hom lattice")
@@ -410,11 +427,11 @@ def hom_group(a: FpAbGroup, b: FpAbGroup) -> HomGroup:
     modulus = block_diag(*([rb] * ra.cols)) if ra.cols else IntMatrix.zero(0, 0)
     lattice = constrained_kernel(constraint, modulus)
     equiv = block_diag(*([rb] * m)) if m else IntMatrix.zero(0, 0)
-    relations = constrained_kernel(lattice, equiv)
-    group = FpAbGroup(lattice.cols, relations)
+    solver = ModSolver(lattice, equiv)
+    group = FpAbGroup(lattice.cols, solver.kernel())
     basis = [FpAbHom(a, b, _unvec(lattice.column_matrix(j), n, m), check=False)
              for j in range(lattice.cols)]
-    return HomGroup(a, b, group, basis, lattice, equiv)
+    return HomGroup(a, b, group, basis, lattice, solver)
 
 
 def induced_hom_group_map(src_hg: HomGroup, tgt_hg: HomGroup, transform) -> FpAbHom:
@@ -430,11 +447,13 @@ def kernel(f: FpAbHom) -> Tuple[FpAbGroup, FpAbHom]:
     Generators are a basis of the preimage lattice {x : f(x) = 0 in tgt},
     so the kernel of a map between free groups is presented relation-free;
     relations are whatever basis combinations land in the source relations.
+    The inclusion keeps the solver that found them.
     """
-    lattice = column_space_basis(constrained_kernel(f.matrix, f.tgt.relations))
-    relations = constrained_kernel(lattice, f.src.relations)
-    ker = FpAbGroup(lattice.cols, relations)
+    lattice = column_space_basis(f.solver.kernel())
+    solver = ModSolver(lattice, f.src.relations)
+    ker = FpAbGroup(lattice.cols, solver.kernel())
     incl = FpAbHom(ker, f.src, lattice, check=False)
+    incl._solver = solver
     return ker, incl
 
 
@@ -459,7 +478,7 @@ def lift_through_epi(p: FpAbHom, g: FpAbHom) -> FpAbHom:
         raise DimensionMismatch("lift endpoints do not match")
     if not g.src.is_free():
         raise NotFree("lift source must be free")
-    h = ModSolver(p.matrix, p.tgt.relations).solve_matrix(g.matrix)
+    h = p.solver.solve_matrix(g.matrix)
     if h is None:
         raise NotEpi("map does not reach a unit image")
     return FpAbHom(g.src, p.src, h, check=False)
@@ -469,7 +488,7 @@ def corestrict(f: FpAbHom, incl: FpAbHom) -> FpAbHom:
     """Factor f through the subgroup inclusion incl (im f must lie inside)."""
     if f.tgt != incl.tgt:
         raise DimensionMismatch("corestriction endpoints do not match")
-    u = ModSolver(incl.matrix, incl.tgt.relations).solve_matrix(f.matrix)
+    u = incl.solver.solve_matrix(f.matrix)
     if u is None:
         raise ValueError("image does not lie in the subgroup")
     return FpAbHom(f.src, incl.src, u, check=False)

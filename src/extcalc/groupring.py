@@ -20,12 +20,10 @@ from typing import List, Sequence, Tuple
 from .exactint import (
     DimensionMismatch,
     IntMatrix,
-    ModSolver,
     SnfSolver,
     block_diag,
     constrained_kernel,
     hstack,
-    kernel_basis,
     vstack,
 )
 from . import fpab
@@ -494,8 +492,7 @@ class GModuleContext(ModuleContext):
             raise NotFree("equivariant lifts need a free source")
         r, n = gd.src.rank, self.G.order
         e = self.G.identity
-        solver = ModSolver(pd.ab.matrix, pd.tgt.M.relations)
-        x = solver.solve_matrix(
+        x = pd.ab.solver.solve_matrix(
             gd.ab.matrix.take_cols([j * n + e for j in range(r)]))
         if x is None:
             raise NotEpi("map does not reach a unit image")
@@ -644,19 +641,20 @@ def greedy_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
     """A small free resolution of the trivial module Z over ZG (Ellis 2004).
 
     Degree k+1 covers the kernel of the dense matrix of d_k (of the
-    augmentation for k = 0): each kernel_basis column, smallest absolute
+    augmentation for k = 0): each kernel basis column, smallest absolute
     sum first to keep coefficients small, becomes a generator unless it
     lies in the Z-span of the G-translates of those kept before.  The
     translates then span the kernel, so the resolution is exact by
-    construction, and they are the dense matrix of d_{k+1}.
+    construction, and they are the dense matrix of d_{k+1}, whose kernel
+    the last membership solver, when it was built on all of them, reads.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
     n, table = G.order, G.table
     frees, diffs = [FreeGModule(G, 1)], []
-    dense = IntMatrix.from_rows([[1] * n], cols=n)
+    dense, solver = IntMatrix.from_rows([[1] * n], cols=n), None
     for _ in range(max_deg):
-        ker, height = kernel_basis(dense), dense.cols
+        ker, height = (solver or SnfSolver(dense)).kernel(), dense.cols
         kept, span, solver = [], [], None
         for v in sorted(ker.transpose().data, key=lambda v: sum(map(abs, v))):
             if kept:

@@ -28,11 +28,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactint import (
     IntMatrix,
-    ModSolver,
     block_diag,
     hstack,
 )
-from . import fpab
+from . import exactint, fpab
 from .fpab import (
     Element,
     FpAbGroup,
@@ -304,8 +303,9 @@ class FreePresheaf(AbPresheaf):
 
     The stalk at d is Z^k on the summands whose label lies above d, with
     coordinate order inherited from the label order; restrictions are
-    coordinate inclusions since the supports shrink going up.  Equality
-    is that of the presheaf, whatever the labels.
+    coordinate inclusions since the supports shrink going up, built as
+    dense matrices and metered as such.  Equality is that of the
+    presheaf, whatever the labels.
     """
 
     __slots__ = ("labels",)
@@ -319,6 +319,8 @@ class FreePresheaf(AbPresheaf):
         stalks = [free_abelian(len(s)) for s in sups]
         res = {}
         for (d, c) in site.strict_pairs():
+            if exactint._meter is not None:
+                exactint._charge(len(sups[d]) * len(sups[c]))
             rows = tuple(tuple(int(i == j) for j in sups[c]) for i in sups[d])
             res[(d, c)] = FpAbHom(stalks[c], stalks[d], IntMatrix._wrap(
                 len(sups[d]), len(sups[c]), rows), check=False)
@@ -398,7 +400,7 @@ class PresheafHomGroup:
     """
 
     __slots__ = ("src_presheaf", "tgt_presheaf", "hgs", "ambient", "offsets",
-                 "incl", "group", "_solver", "_basis")
+                 "incl", "group", "_basis")
 
     def __init__(self, F: AbPresheaf, G: AbPresheaf):
         if F.site != G.site:
@@ -421,7 +423,6 @@ class PresheafHomGroup:
         self.offsets = offsets
         self.incl = incl
         self.group = group
-        self._solver = None
         self._basis = None
 
     def hom_of(self, coords) -> PresheafHom:
@@ -436,9 +437,7 @@ class PresheafHomGroup:
     def coords_of(self, ph: PresheafHom) -> Element:
         vals = [v for hg, h in zip(self.hgs, ph.components)
                 for v in hg.coords_of(h).coords.col(0)]
-        if self._solver is None:
-            self._solver = ModSolver(self.incl.matrix, self.ambient.relations)
-        x = self._solver.solve(IntMatrix.column(vals))
+        x = self.incl.solver.solve(IntMatrix.column(vals))
         if x is None:
             raise IllDefined("family is not natural for this hom group")
         return Element(self.group, x)
@@ -588,12 +587,10 @@ class PresheafContext(ModuleContext):
         if not isinstance(free, FreePresheaf):
             raise NotFree("lifts need a source that is a sum of "
                           "representables")
-        labels = free.labels
-        solvers = {l: ModSolver(p.components[l].matrix,
-                                p.tgt.stalk(l).relations) for l in set(labels)}
         units = []
-        for i, l in enumerate(labels):
-            x = solvers[l].solve(IntMatrix.column(_unit_image(g, free, i)))
+        for i, l in enumerate(free.labels):
+            x = p.components[l].solver.solve(
+                IntMatrix.column(_unit_image(g, free, i)))
             if x is None:
                 raise NotEpi("map does not reach a unit image")
             units.append(x)

@@ -256,18 +256,16 @@ class CohomologyData:
     lattice columns are cocycle representatives of its generators in C^n
     generator coordinates.  coords_of solves against a basis of the
     cocycles {x : d(x) = 0 in C^{n+1}} modulo coboundaries and C^n
-    relations, then maps the solution onto those generators.
+    relations, with the solver whose kernel presented the group, then
+    maps the solution onto its generators.
     """
 
     def __init__(self, group: FpAbGroup, lattice: IntMatrix,
-                 cocycles: IntMatrix, boundary: IntMatrix,
-                 to_group: IntMatrix):
+                 solver: ModSolver, to_group: IntMatrix):
         self.group = group
         self.lattice = lattice
-        self._cocycles = cocycles
-        self._boundary = boundary
+        self._solver = solver
         self._to_group = to_group
-        self._solver = None
 
     def coords_of(self, cocycle: IntMatrix) -> fpab.Element:
         """Class of a cocycle given in C^n generator coordinates."""
@@ -277,8 +275,6 @@ class CohomologyData:
 
     def classes_of(self, cocycles: IntMatrix) -> IntMatrix:
         """Reduced class coordinates of every column of cocycles."""
-        if self._solver is None:
-            self._solver = ModSolver(self._cocycles, self._boundary)
         x = self._solver.solve_matrix(cocycles)
         if x is None:
             raise ValueError("column is not a cocycle for this complex degree")
@@ -296,12 +292,11 @@ def cohomology_data(c: FpAbComplex, n: int) -> CohomologyData:
         cocycles = IntMatrix.identity(group_n.gens)
     incoming = (c.maps[n - 1].matrix if n >= 1
                 else IntMatrix.zero(group_n.gens, 0))
-    boundary = hstack(group_n.relations, incoming)
-    relations = constrained_kernel(cocycles, boundary)
+    solver = ModSolver(cocycles, hstack(group_n.relations, incoming))
     small, to_small, from_small = fpab.minimized(
-        make_group(cocycles.cols, relations))
-    return CohomologyData(small, cocycles * from_small.matrix, cocycles,
-                          boundary, to_small.matrix)
+        make_group(cocycles.cols, solver.kernel()))
+    return CohomologyData(small, cocycles * from_small.matrix, solver,
+                          to_small.matrix)
 
 
 def cohomology(c: FpAbComplex, n: int) -> FpAbGroup:

@@ -20,11 +20,9 @@ from typing import List, Optional, Tuple
 from .exactint import (
     DimensionMismatch,
     IntMatrix,
-    ModSolver,
     SnfSolver,
+    _from_sparse_cols,
     block_diag,
-    column_space_basis,
-    constrained_kernel,
     hstack,
     kron,
     solve_mod,
@@ -85,9 +83,8 @@ class ShortExactSeq:
         a, b = self.A, self.B
         if name == "pair":
             # id_B kills rel(B), so lift·rel(B) lies in ker p = im i
-            lift = ModSolver(self.p.matrix, b.relations).solve_matrix(IntMatrix.identity(b.gens))
-            self.pair = lift, ModSolver(self.i.matrix, self.E.relations).solve_matrix(
-                lift * b.relations)
+            lift = self.p.solver.solve_matrix(IntMatrix.identity(b.gens))
+            self.pair = lift, self.i.solver.solve_matrix(lift * b.relations)
         else:
             na, nb, zero = a.gens, b.gens, IntMatrix.zero
             self.E = make_group(na + nb, hstack(vstack(a.relations, zero(nb, a.relations.cols)),
@@ -206,7 +203,7 @@ def pushout_middle_map(f: FpAbHom, e: ShortExactSeq,
     """
     lift = e.pair[0]
     rhs = IntMatrix.identity(e.E.gens) - lift * e.p.matrix
-    sigma = ModSolver(e.i.matrix, e.E.relations).solve_matrix(rhs)
+    sigma = e.i.solver.solve_matrix(rhs)
     return FpAbHom(e.E, pushed.E, vstack(f.matrix * sigma, e.p.matrix), check=False)
 
 
@@ -217,7 +214,7 @@ def pullback_ses(g: FpAbHom, e: ShortExactSeq) -> ShortExactSeq:
     """
     if g.tgt != e.B:
         raise DimensionMismatch("pullback map must land in the quotient group")
-    s = SnfSolver(e.B.relations).solve_matrix(g.matrix * g.src.relations)
+    s = e.B.solver.solve_matrix(g.matrix * g.src.relations)
     return _extension(e.A, g.src, e.pair[1] * s)
 
 
@@ -235,14 +232,18 @@ class Ext1Group:
     generators, q the canonical cover, and K a basis for the relation
     lattice.  Classes live in Hom(K, A) modulo restrictions of Hom(F, A)
     and modulo A's own relations, all flattened to one presented group.
+    K is B's echelon basis, and one SnfSolver of it, built on first use,
+    serves every solve against K.
     """
 
-    __slots__ = ("B", "A", "group", "k_incl", "cover", "_base", "_to_lattice")
+    __slots__ = ("B", "A", "group", "k_incl", "cover", "_base", "_to_lattice",
+                 "_k_solver")
 
     def __init__(self, b: FpAbGroup, a: FpAbGroup):
         self.B = b
         self.A = a
-        self.k_incl = column_space_basis(b.relations)
+        self.k_incl = _from_sparse_cols([col for _, _, col in b._echelon_basis()],
+                                        b.gens)
         free_b = free_abelian(b.gens)
         self.cover = FpAbHom(free_b, b, IntMatrix.identity(b.gens), check=False)
         kb, na = self.k_incl.cols, a.gens
@@ -250,7 +251,7 @@ class Ext1Group:
         rel_blocks = block_diag(*([a.relations] * kb)) if kb else IntMatrix.zero(0, 0)
         self.group = make_group(kb * na, hstack(rel_blocks, restriction))
         self._check_against_invariant_formula()
-        self._base = self._to_lattice = None
+        self._base = self._to_lattice = self._k_solver = None
 
     def _check_against_invariant_formula(self):
         # Ext¹(⊕ Z/d, A) = ⊕ A/dA, and A/dA = (Z/d)^ra ⊕ (⊕ Z/gcd(e, d))
@@ -264,8 +265,14 @@ class Ext1Group:
     def to_lattice(self) -> IntMatrix:
         """S with rel(B)·S = k_incl, solved once: α·S is the cocycle on K."""
         if self._to_lattice is None:
-            self._to_lattice = SnfSolver(self.B.relations).solve_matrix(self.k_incl)
+            self._to_lattice = self.B.solver.solve_matrix(self.k_incl)
         return self._to_lattice
+
+    def k_solver(self) -> SnfSolver:
+        """The solver of k_incl: lattice coordinates of relation columns."""
+        if self._k_solver is None:
+            self._k_solver = SnfSolver(self.k_incl)
+        return self._k_solver
 
     def canonical_presentation(self) -> ShortExactSeq:
         """The reference sequence K -> F -> B for class coordinates; built once, shared.
@@ -276,7 +283,7 @@ class Ext1Group:
         if self._base is None:
             k_free = free_abelian(self.k_incl.cols)
             incl = FpAbHom(k_free, self.cover.src, self.k_incl, check=False)
-            t = SnfSolver(self.k_incl).solve_matrix(self.B.relations)
+            t = self.k_solver().solve_matrix(self.B.relations)
             self._base = ShortExactSeq(k_free, self.B, incl, self.cover,
                                        (self.cover.matrix, t))
         return self._base
@@ -368,7 +375,7 @@ def ext1_pullback(g: FpAbHom, src: Ext1Group, tgt: Ext1Group) -> FpAbHom:
     """
     if g.tgt != src.B or g.src != tgt.B or src.A != tgt.A:
         raise DimensionMismatch("pullback endpoints do not match")
-    mu = SnfSolver(src.k_incl).solve_matrix(g.matrix * tgt.k_incl)
+    mu = src.k_solver().solve_matrix(g.matrix * tgt.k_incl)
     if mu is None:
         raise RuntimeError("relation lattice is not preserved by the lift")
     na = src.A.gens
@@ -395,8 +402,7 @@ def _exact_at(f_in: FpAbHom, f_out: FpAbHom) -> bool:
     composite is zero and each generator of ker(f_out) lies in im(f_in)."""
     if not compose(f_out, f_in).is_zero():
         return False
-    gens = constrained_kernel(f_out.matrix, f_out.tgt.relations)
-    return ModSolver(f_in.matrix, f_in.tgt.relations).solve_matrix(gens) is not None
+    return f_in.solver.solve_matrix(f_out.solver.kernel()) is not None
 
 
 def six_term(e: ShortExactSeq, m: FpAbGroup, variance: str

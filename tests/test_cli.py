@@ -399,7 +399,7 @@ class TestExitCodes:
         (["external-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
           "--n", "2"], 68),
         # the shorthand sum, the resolution and the Ext^1 cross-check
-        (["ext", "--B", "Z/4 + Z", "--A", "Z/6", "--n", "1"], 98),
+        (["ext", "--B", "Z/4 + Z", "--A", "Z/6", "--n", "1"], 96),
     ], ids=["group-cohomology", "sheaf-ext", "external-ext", "ext"])
     def test_work_cap_is_the_metered_total(self, capsys, monkeypatch, argv,
                                            cells):

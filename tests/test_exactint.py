@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extcalc import exactint, fpab, resolution
+from extcalc import exactint, fpab, poset_sheaf, resolution
 from extcalc.exactint import (
     DimensionMismatch,
     IntMatrix,
@@ -23,6 +23,7 @@ from extcalc.exactint import (
     SnfSolver,
     WorkCapped,
     _column_reduce,
+    _from_sparse_cols,
     block_diag,
     column_space_basis,
     constrained_kernel,
@@ -359,6 +360,28 @@ def test_solve_matrix_fails_when_any_column_fails(case):
                            - bs.column_matrix(j))
 
 
+def oracle_constrained_kernel(a, rel):
+    """The body constrained_kernel had before the solver kept its own
+    kernel: one reduction of [A | Rel], its zeroed columns' A-parts."""
+    order, npiv = _column_reduce(hstack(a, rel) if rel.cols else a,
+                                 track_rows=a.cols)
+    return _from_sparse_cols([col.w for col in order[npiv:]], a.cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=solve_mod_cases())
+def test_solver_kernel_is_the_constrained_kernel(case):
+    a, rel, bs = case
+    solver = ModSolver(a, rel)
+    assert solver.kernel() == oracle_constrained_kernel(a, rel)
+    # solving reads the reduction without changing it
+    solver.solve_matrix(bs)
+    assert solver.kernel() == constrained_kernel(a, rel)
+    empty = IntMatrix.zero(a.rows, 0)
+    assert SnfSolver(a).kernel() == kernel_basis(a) \
+        == oracle_constrained_kernel(a, empty)
+
+
 # ---------------------------------------------------------------- plumbing
 
 def test_matrix_shapes_and_ops():
@@ -550,10 +573,13 @@ CHARGED = {
     "ModSolver.solve_matrix": lambda: _SOLVER.solve_matrix(_A),
     "resolution.unit_block_matrix": lambda: resolution.unit_block_matrix(
         [fpab.zmod(2)], [fpab.zmod(2)], [(0, 0, 1, IntMatrix.identity(1))]),
+    # its one restriction, ZY(1)(1) -> ZY(1)(0), is a dense 1x1 matrix
+    "poset_sheaf.FreePresheaf": lambda: poset_sheaf.FreePresheaf(
+        poset_sheaf.chain(2), (1,)),
 }
 # The rest copy or read entries they are given, run _column_reduce or
-# solve_matrix, or (diagonal) validate outside input with no caller in the
-# engine.
+# solve_matrix, read a reduction already charged (ModSolver.kernel), or
+# (diagonal) validate outside input with no caller in the engine.
 UNCHARGED = {
     "IntMatrix.__init__", "IntMatrix._wrap", "IntMatrix.from_rows",
     "IntMatrix.from_cols", "IntMatrix.diagonal", "IntMatrix.column",
@@ -565,7 +591,7 @@ UNCHARGED = {
     "work_cap", "_charge", "hstack", "vstack", "det", "_from_sparse_cols",
     "kernel_basis", "constrained_kernel", "column_space_basis", "rank",
     "solve", "solve_mod", "_combine", "_xgcd", "ModSolver.__init__",
-    "ModSolver.solve", "SnfSolver.__init__", "SnfSolver.solve",
+    "ModSolver.solve", "ModSolver.kernel", "SnfSolver.__init__", "SnfSolver.solve",
     "SnfSolver.solve_matrix", "SmithDecomposition.__init__",
     "SmithDecomposition.diagonal",
 }
@@ -580,7 +606,7 @@ def test_every_exactint_builder_is_metered_or_exempt():
     names |= {n for n, v in vars(exactint).items()
               if inspect.isfunction(v) and v.__module__ == exactint.__name__}
     assert names == (set(CHARGED) | UNCHARGED) - {
-        "resolution.unit_block_matrix"}
+        "resolution.unit_block_matrix", "poset_sheaf.FreePresheaf"}
 
 
 @pytest.mark.parametrize("name", sorted(CHARGED))

@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extcalc.exactint import IntMatrix, hstack, solve
+from extcalc.exactint import IntMatrix, ModSolver, hstack, solve
 from extcalc.fpab import (
     DimensionMismatch,
     Element,
@@ -25,6 +25,7 @@ from extcalc.fpab import (
     NotFree,
     cokernel,
     compose,
+    corestrict,
     describe,
     direct_sum,
     direct_sum_many,
@@ -247,6 +248,10 @@ def test_make_hom_examples():
     make_hom(zmod(2), zmod(4), IntMatrix.from_rows([[2]]))
     with pytest.raises(DimensionMismatch):
         make_hom(z, z, IntMatrix.zero(2, 1))
+    # all relations are reduced at once; the first one that survives is named
+    src = make_group(2, IntMatrix.from_rows([[2, 0, 0], [0, 3, 5]]))
+    with pytest.raises(IllDefined, match="^relation column 1 maps outside"):
+        make_hom(src, zmod(4), IntMatrix.from_rows([[2, 1]]))
 
 
 def test_hom_equality_mod_relations():
@@ -456,6 +461,48 @@ def test_lift_through_epi_random():
         g = random_hom(rng, f, b)
         h = lift_through_epi(p, g)
         assert compose(p, h) == g
+
+
+def with_fresh_solver(f: FpAbHom) -> FpAbHom:
+    g = FpAbHom(f.src, f.tgt, f.matrix, check=False)
+    g._solver = ModSolver(f.matrix, f.tgt.relations)
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_kept_solvers_answer_as_fresh_ones(rng):
+    # every call below but the fresh ones reads a solver already used
+    a, b = random_group(rng), random_group(rng)
+    f = random_hom(rng, a, b)
+    k, incl = kernel(f)
+    for ker, inc in (kernel(f), kernel(with_fresh_solver(f))):
+        assert ker == k and inc.matrix == incl.matrix
+    free = free_abelian(rng.randint(0, 2))
+
+    def off_by_relations(h: FpAbHom) -> FpAbHom:
+        # the same hom, its matrix moved by target relations
+        rel = h.tgt.relations
+        shift = IntMatrix(rel.cols, free.gens, [
+            [rng.randint(-2, 2) for _ in range(free.gens)]
+            for _ in range(rel.cols)])
+        return FpAbHom(free, h.tgt, h.matrix + rel * shift, check=False)
+
+    inside = off_by_relations(compose(incl, random_hom(rng, free, k)))
+    expected = corestrict(inside, with_fresh_solver(incl)).matrix
+    for _ in range(2):
+        assert corestrict(inside, incl).matrix == expected
+    for g in (off_by_relations(compose(f, random_hom(rng, free, a))),
+              random_hom(rng, free, b)):
+        try:
+            expected = lift_through_epi(with_fresh_solver(f), g).matrix
+        except NotEpi:
+            expected = None
+        for _ in range(2):
+            try:
+                assert lift_through_epi(f, g).matrix == expected
+            except NotEpi:
+                assert expected is None
 
 
 # ---------------------------------------------------------------- sums

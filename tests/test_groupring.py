@@ -707,9 +707,9 @@ class TestGreedyResolution:
                 return fn(a)
             return run
 
-        for name in ("kernel_basis", "SnfSolver"):
-            monkeypatch.setattr(groupring, name,
-                                counted(getattr(groupring, name)))
+        # every kernel and membership test reads an SnfSolver
+        monkeypatch.setattr(groupring, "SnfSolver",
+                            counted(groupring.SnfSolver))
         greedy_resolution(klein_four(), 6)
         cells = sum(total)
         with work_cap(cells):
@@ -717,6 +717,21 @@ class TestGreedyResolution:
         with pytest.raises(ValueError, match="capped"):
             with work_cap(cells - 1):
                 greedy_resolution(klein_four(), 6)
+
+
+def test_greedy_resolution_reduces_each_span_once(monkeypatch):
+    # each degree's kernel is read off the last membership solver when it
+    # was built on the whole span; 18 when every kernel reduced it again
+    calls = []
+
+    def counted(a, track_rows):
+        calls.append(a)
+        return reduce(a, track_rows)
+
+    reduce = exactint._column_reduce
+    monkeypatch.setattr(exactint, "_column_reduce", counted)
+    assert greedy_resolution(symmetric3(), 4).max_deg == 4
+    assert len(calls) == 15
 
 
 @settings(max_examples=30, deadline=None)

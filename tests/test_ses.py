@@ -12,6 +12,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from importlib.resources import files
+
+from extcalc import cli, exactint, fpab
 from extcalc.exactint import IntMatrix
 from extcalc.fpab import (
     DimensionMismatch,
@@ -611,6 +614,29 @@ def test_six_term_random_exactness():
         for variance in ("covariant", "contravariant"):
             _, _, report = six_term(e, m, variance)
             assert report.all_exact()
+
+
+@pytest.mark.parametrize("variance, reductions", [
+    ("covariant", 31), ("contravariant", 33)])
+def test_six_term_reduces_each_matrix_once(monkeypatch, variance,
+                                           reductions):
+    # reading the fixture's sequence (make_ses) and its six-term sequence;
+    # 41 and 45 when a kernel, a solve and a group each reduced a matrix
+    # of their own, though another object had reduced it already
+    calls = []
+
+    def counted(a, track_rows):
+        calls.append(a)
+        return reduce(a, track_rows)
+
+    reduce = exactint._column_reduce
+    monkeypatch.setattr(exactint, "_column_reduce", counted)
+    monkeypatch.setattr(fpab, "_column_reduce", counted)
+    doc = cli.parse_document(files("extcalc").joinpath(
+        "fixtures/six_term.json").read_text())
+    _, _, report = six_term(doc.sequences["s"], doc.groups["M"], variance)
+    assert report.all_exact()
+    assert len(calls) == reductions
 
 
 @pytest.mark.parametrize("f_in, f_out, exact", [
