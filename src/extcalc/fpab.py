@@ -68,7 +68,8 @@ class FpAbGroup:
     canonical form without a Smith form.
     """
 
-    __slots__ = ("gens", "relations", "_echelon", "_snf", "_canon", "_solver")
+    __slots__ = ("gens", "relations", "_echelon", "_snf", "_canon", "_solver",
+                 "_echelon_solver")
 
     def __init__(self, gens: int, relations: Optional[IntMatrix] = None):
         if relations is None:
@@ -82,6 +83,7 @@ class FpAbGroup:
         self._snf = None
         self._canon = None
         self._solver = None
+        self._echelon_solver = None
 
     @property
     def solver(self) -> SnfSolver:
@@ -89,6 +91,18 @@ class FpAbGroup:
         if self._solver is None:
             self._solver = SnfSolver(self.relations)
         return self._solver
+
+    @property
+    def echelon_solver(self) -> SnfSolver:
+        """The SnfSolver of echelon_matrix(), built on first read and kept."""
+        if self._echelon_solver is None:
+            self._echelon_solver = SnfSolver(self.echelon_matrix())
+        return self._echelon_solver
+
+    def echelon_matrix(self) -> IntMatrix:
+        """The echelon basis of the relation lattice as matrix columns."""
+        return _from_sparse_cols([col for _, _, col in self._echelon_basis()],
+                                 self.gens)
 
     def _echelon_basis(self) -> List[Tuple[int, int, dict]]:
         """(pivot row, pivot, column) for each column of the echelon basis.
@@ -105,8 +119,7 @@ class FpAbGroup:
         """Smith form of the echelon basis; its U and u_inv serve the
         relations as well, since both span the same lattice."""
         if self._snf is None:
-            self._snf = snf(_from_sparse_cols(
-                [col for _, _, col in self._echelon_basis()], self.gens))
+            self._snf = snf(self.echelon_matrix())
         return self._snf
 
     @property

@@ -541,13 +541,15 @@ def _index_of(t: Sequence[int], base: int) -> int:
     return idx
 
 
-def _resolution_of_z(G: FiniteGroup, frees, diffs) -> FreeResolution:
+def _resolution_of_z(G: FiniteGroup, frees, diffs,
+                     complete: bool = False) -> FreeResolution:
     """Trivial Z resolved by frees and diffs, augmented by summing."""
     src, triv = frees[0], trivial_module(G, free_abelian(1))
     mat = IntMatrix.from_rows([[1] * G.order], cols=G.order)
     aug = GModuleHom(src, triv, FpAbHom(src.M, triv.M, mat, check=False),
                      check=False)
-    return FreeResolution(gmodule_context(G), triv, frees, diffs, aug)
+    return FreeResolution(gmodule_context(G), triv, frees, diffs, aug,
+                          complete=complete)
 
 
 def _bar_like_resolution(G: FiniteGroup, max_deg: int,
@@ -647,6 +649,7 @@ def greedy_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
     translates then span the kernel, so the resolution is exact by
     construction, and they are the dense matrix of d_{k+1}, whose kernel
     the last membership solver, when it was built on all of them, reads.
+    A kernel with no columns (G trivial) ends it, complete.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
@@ -655,6 +658,8 @@ def greedy_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
     dense, solver = IntMatrix.from_rows([[1] * n], cols=n), None
     for _ in range(max_deg):
         ker, height = (solver or SnfSolver(dense)).kernel(), dense.cols
+        if not ker.cols:
+            return _resolution_of_z(G, frees, diffs, complete=True)
         kept, span, solver = [], [], None
         for v in sorted(ker.transpose().data, key=lambda v: sum(map(abs, v))):
             if kept:

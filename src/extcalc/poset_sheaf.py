@@ -646,7 +646,8 @@ def external_ext(b: AbPresheaf, a: AbPresheaf, n: int) -> FpAbGroup:
 # ------------------------------------------------------------ sheaf Ext
 
 class SheafExtResult:
-    """The sheaf Ext presheaf plus the down-set resolution behind each stalk."""
+    """The sheaf Ext presheaf plus the down-set resolution behind each
+    stalk, which may end before the table's top degree + 1."""
 
     __slots__ = ("presheaf", "resolutions")
 
@@ -688,14 +689,15 @@ def principal_intersection_check(site: FinitePoset) -> bool:
 
 def _restricted(res: FreeResolution, elems: Sequence[int], ctx, target,
                 frees: Sequence) -> FreeResolution:
-    """res on elems, over frees holding its terms there: every map keeps
-    its components at elems."""
+    """res on elems, over frees holding its first terms there: every map
+    keeps its components at elems, and all of a complete res stays so."""
     diffs = [PresheafHom(frees[k], frees[k - 1], [
         res.diff(k).components[e] for e in elems], check=False)
         for k in range(1, len(frees))]
     aug = PresheafHom(frees[0], target, [
         res.augmentation.components[e] for e in elems], check=False)
-    return FreeResolution(ctx, target, frees, diffs, aug, dd_verified=True)
+    return FreeResolution(ctx, target, frees, diffs, aug, dd_verified=True,
+                          complete=res.complete and len(frees) == len(res.frees))
 
 
 def _assemble(a: AbPresheaf, degrees: Sequence[int], resolutions,
@@ -783,8 +785,8 @@ def _sheaf_ext_fast(b: AbPresheaf, a: AbPresheaf,
         sub, elems = site.down_poset(c)
         local = {e: i for i, e in enumerate(elems)}
         # (summand, l∧c) for the summands of each P_k that meet ↓c
-        kept[c] = [[(i, meet[l][c]) for i, l in enumerate(res.free(k).labels)
-                    if meet[l][c] is not None] for k in range(top + 2)]
+        kept[c] = [[(i, meet[l][c]) for i, l in enumerate(f.labels)
+                    if meet[l][c] is not None] for f in res.frees]
         resolutions[c] = _restricted(
             res, elems, presheaf_context(sub), b.restrict(elems),
             [FreePresheaf(sub, [local[m] for _, m in ks]) for ks in kept[c]])
@@ -811,9 +813,9 @@ def sheaf_ext_table(b: AbPresheaf, a: AbPresheaf, degrees: Sequence[int],
     connects the stalks by comparison lifts along the Hasse covers;
     "fast", the independent check, restricts one full-site resolution to
     every down-set, valid on sites passing principal_intersection_check.
-    Each resolution is built once, to the top degree + 1, and shared by
-    the results; each cover is lifted once, and not at all where its
-    stalks are zero in every listed degree.
+    Each resolution is built once, to the top degree + 1 or its first
+    zero kernel, and shared by the results; each cover is lifted once,
+    and not at all where its stalks are zero in every listed degree.
     """
     if b.site != a.site:
         raise SiteMismatch("sheaf Ext needs presheaves on one site")

@@ -158,17 +158,20 @@ def unit_block_matrix(src_stalks: Sequence[FpAbGroup],
 class FreeResolution:
     """... -> P_2 -> P_1 -> P_0 -> B, free objects over a context.
 
-    diffs[k] is d_{k+1} : P_{k+1} -> P_k.
+    diffs[k] is d_{k+1} : P_{k+1} -> P_k.  A complete resolution ends at a
+    zero kernel, so max_deg is its length; else it is truncated there.
     """
 
     def __init__(self, ctx: ModuleContext, target, frees: Sequence,
-                 diffs: Sequence, augmentation, dd_verified: bool = False):
+                 diffs: Sequence, augmentation, dd_verified: bool = False,
+                 complete: bool = False):
         self.ctx = ctx
         self.target = target
         self.frees = list(frees)
         self.diffs = list(diffs)
         self.augmentation = augmentation
         self.dd_verified = dd_verified
+        self.complete = complete
 
     @property
     def max_deg(self) -> int:
@@ -205,7 +208,8 @@ class FreeResolution:
 
 
 def free_resolution(ctx: ModuleContext, b, max_deg: int) -> FreeResolution:
-    """Iterated cover-the-kernel construction, exact by construction."""
+    """Iterated cover-the-kernel construction, exact by construction,
+    complete at the first zero kernel and otherwise cut at max_deg."""
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
     p0_free, aug = ctx.epi_cover(b)
@@ -214,6 +218,9 @@ def free_resolution(ctx: ModuleContext, b, max_deg: int) -> FreeResolution:
     prev_epi = aug
     for n in range(1, max_deg + 1):
         b_n, i_n = ctx.kernel(prev_epi)
+        if ctx.is_zero_hom(i_n):
+            return FreeResolution(ctx, b, frees, diffs, aug,
+                                  dd_verified=True, complete=True)
         f_n, p_n = ctx.epi_cover(b_n)
         frees.append(f_n)
         diffs.append(ctx.compose(i_n, p_n))
@@ -304,8 +311,9 @@ def cohomology(c: FpAbComplex, n: int) -> FpAbGroup:
     return cohomology_data(c, n).group
 
 
-def hom_complex(p: FreeResolution, a) -> FpAbComplex:
-    """Apply Hom(−, A) degreewise to a free resolution.
+def hom_complex(p: FreeResolution, a, first: int = 0) -> FpAbComplex:
+    """Apply Hom(−, A) degreewise to a free resolution, from P_first up:
+    degree k of the complex is Hom(P_{first+k}, A).
 
     The composite-zero property is checked once on the resolution itself
     (free-object level, where maps are small), not on the induced
@@ -313,19 +321,25 @@ def hom_complex(p: FreeResolution, a) -> FpAbComplex:
     """
     ctx = p.ctx
     p.verify_dd()
-    hgs = [ctx.hom_group(p.free(n), a) for n in range(p.max_deg + 1)]
-    maps = [ctx.induced_precompose(hgs[n], hgs[n + 1], p.diff(n + 1))
-            for n in range(p.max_deg)]
+    hgs = [ctx.hom_group(p.free(n), a) for n in range(first, p.max_deg + 1)]
+    maps = [ctx.induced_precompose(hgs[k], hgs[k + 1], p.diff(first + k + 1))
+            for k in range(len(hgs) - 1)]
     return FpAbComplex([hg.group for hg in hgs], maps, verified=True)
 
 
 def cohomology_table(p: FreeResolution, a,
                      degrees: Sequence[int]) -> Dict[int, CohomologyData]:
-    """cohomology_data of one Hom(P, A) in each listed degree: that is
-    Ext^n(target(P), A) for every n below p.max_deg, so a whole degree
-    table is read off one resolution to its top degree + 1."""
-    cx = hom_complex(p, a)
-    return {n: cohomology_data(cx, n) for n in degrees}
+    """cohomology_data of Hom(P, A) in each listed degree, built from one
+    below the lowest: Ext^n(target(P), A) for n below p.max_deg, and for
+    every n when P is complete (zero past it), so a degree table is read
+    off one resolution to its top + 1.  Past a truncated P it raises."""
+    low = [n for n in degrees if n <= p.max_deg]
+    if len(low) < len(degrees) and not p.complete:
+        raise ValueError(f"degree {max(degrees)} is past depth {p.max_deg}")
+    first = max(min(low) - 1, 0) if low else 0
+    cx = hom_complex(p, a, first) if low else None
+    return {n: cohomology_data(cx, n - first) if n <= p.max_deg
+            else cohomology_data(zero_complex(0), 0) for n in degrees}
 
 
 def ext_table(ctx: ModuleContext, b, a,

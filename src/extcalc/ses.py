@@ -20,8 +20,6 @@ from typing import List, Optional, Tuple
 from .exactint import (
     DimensionMismatch,
     IntMatrix,
-    SnfSolver,
-    _from_sparse_cols,
     block_diag,
     hstack,
     kron,
@@ -232,18 +230,16 @@ class Ext1Group:
     generators, q the canonical cover, and K a basis for the relation
     lattice.  Classes live in Hom(K, A) modulo restrictions of Hom(F, A)
     and modulo A's own relations, all flattened to one presented group.
-    K is B's echelon basis, and one SnfSolver of it, built on first use,
-    serves every solve against K.
+    K is B's echelon basis, and B's echelon_solver serves every solve
+    against K, so Ext¹ groups over one B share it.
     """
 
-    __slots__ = ("B", "A", "group", "k_incl", "cover", "_base", "_to_lattice",
-                 "_k_solver")
+    __slots__ = ("B", "A", "group", "k_incl", "cover", "_base", "_to_lattice")
 
     def __init__(self, b: FpAbGroup, a: FpAbGroup):
         self.B = b
         self.A = a
-        self.k_incl = _from_sparse_cols([col for _, _, col in b._echelon_basis()],
-                                        b.gens)
+        self.k_incl = b.echelon_matrix()
         free_b = free_abelian(b.gens)
         self.cover = FpAbHom(free_b, b, IntMatrix.identity(b.gens), check=False)
         kb, na = self.k_incl.cols, a.gens
@@ -251,7 +247,7 @@ class Ext1Group:
         rel_blocks = block_diag(*([a.relations] * kb)) if kb else IntMatrix.zero(0, 0)
         self.group = make_group(kb * na, hstack(rel_blocks, restriction))
         self._check_against_invariant_formula()
-        self._base = self._to_lattice = self._k_solver = None
+        self._base = self._to_lattice = None
 
     def _check_against_invariant_formula(self):
         # Ext¹(⊕ Z/d, A) = ⊕ A/dA, and A/dA = (Z/d)^ra ⊕ (⊕ Z/gcd(e, d))
@@ -268,12 +264,6 @@ class Ext1Group:
             self._to_lattice = self.B.solver.solve_matrix(self.k_incl)
         return self._to_lattice
 
-    def k_solver(self) -> SnfSolver:
-        """The solver of k_incl: lattice coordinates of relation columns."""
-        if self._k_solver is None:
-            self._k_solver = SnfSolver(self.k_incl)
-        return self._k_solver
-
     def canonical_presentation(self) -> ShortExactSeq:
         """The reference sequence K -> F -> B for class coordinates; built once, shared.
 
@@ -283,7 +273,7 @@ class Ext1Group:
         if self._base is None:
             k_free = free_abelian(self.k_incl.cols)
             incl = FpAbHom(k_free, self.cover.src, self.k_incl, check=False)
-            t = self.k_solver().solve_matrix(self.B.relations)
+            t = self.B.echelon_solver.solve_matrix(self.B.relations)
             self._base = ShortExactSeq(k_free, self.B, incl, self.cover,
                                        (self.cover.matrix, t))
         return self._base
@@ -375,7 +365,7 @@ def ext1_pullback(g: FpAbHom, src: Ext1Group, tgt: Ext1Group) -> FpAbHom:
     """
     if g.tgt != src.B or g.src != tgt.B or src.A != tgt.A:
         raise DimensionMismatch("pullback endpoints do not match")
-    mu = src.k_solver().solve_matrix(g.matrix * tgt.k_incl)
+    mu = src.B.echelon_solver.solve_matrix(g.matrix * tgt.k_incl)
     if mu is None:
         raise RuntimeError("relation lattice is not preserved by the lift")
     na = src.A.gens

@@ -651,16 +651,17 @@ def test_normalized_h1_matches_crossed_homs(rng):
 
 class TestGreedyResolution:
     # candidates are tried smallest absolute sum first; C1 has no
-    # augmentation kernel to cover, so it stops at rank zero
+    # augmentation kernel to cover, so its resolution ends at degree 0
     RANKS = {**{f"C{k}": [1] * 7 for k in range(2, 7)},
-             "C1": [1, 0, 0, 0, 0, 0, 0],
+             "C1": [1],
              "V4": [1, 2, 3, 4, 5, 6, 7],
              "S3": [1, 2, 3, 4, 5, 6, 7]}
 
     @pytest.mark.parametrize("name", SMALL_GROUPS)
     def test_pinned_ranks_and_dd_through_degree6(self, name):
         res = greedy_resolution(SMALL_GROUPS[name], 6)
-        assert [res.free(k).rank for k in range(7)] == self.RANKS[name]
+        assert [f.rank for f in res.frees] == self.RANKS[name]
+        assert res.complete == (name == "C1")
         res.verify_dd()
 
     @pytest.mark.parametrize("name", SMALL_GROUPS)
@@ -672,9 +673,10 @@ class TestGreedyResolution:
         G = SMALL_GROUPS[name]
         for m in sample_coefficients(G):
             norm = resolution.hom_complex(normalized_bar_resolution(G, 4), m)
-            greedy = resolution.hom_complex(greedy_resolution(G, 4), m)
+            greedy = resolution.cohomology_table(greedy_resolution(G, 4), m,
+                                                 range(4))
             for n in range(4):
-                assert resolution.cohomology(greedy, n).canonical_form \
+                assert greedy[n].group.canonical_form \
                     == resolution.cohomology(norm, n).canonical_form, (m, n)
 
     @pytest.mark.parametrize("order", range(1, 7))
@@ -683,9 +685,10 @@ class TestGreedyResolution:
         for a in (free_abelian(1), zmod(2), zmod(3)):
             m = trivial_module(G, a)
             per = resolution.hom_complex(periodic_resolution(G, 7), m)
-            greedy = resolution.hom_complex(greedy_resolution(G, 7), m)
+            greedy = resolution.cohomology_table(greedy_resolution(G, 7), m,
+                                                 range(7))
             for n in range(7):
-                assert resolution.cohomology(greedy, n).canonical_form \
+                assert greedy[n].group.canonical_form \
                     == resolution.cohomology(per, n).canonical_form, (a, n)
 
     def test_s3_anchors_past_the_old_cap(self):

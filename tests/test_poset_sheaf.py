@@ -633,13 +633,14 @@ class TestSierpinskiResolution:
 
     def test_shape_matches_hand_computation(self):
         # cover the top stalk, then the kernel (Z, 2Z), then its kernel
-        # (Z at the bottom only), after which everything is exact
+        # (Z at the bottom only), after which the kernel is zero and the
+        # resolution ends
         ctx = presheaf_context(sierpinski())
         res = resolution.free_resolution(ctx, sierpinski_quotient(), 3)
         assert res.free(0).labels == (1,)
         assert res.free(1).labels == (0, 1)
         assert res.free(2).labels == (0,)
-        assert res.free(3).labels == ()
+        assert res.complete and res.max_deg == 2
         res.validate()
 
     def test_first_differential_entries(self):
@@ -730,7 +731,9 @@ class TestSheafExt:
                 assert all(isinstance(f, FreePresheaf) for f in res.frees)
                 res.validate()
                 ac = a.restrict(b.site.down_set(c))
-                h = resolution.cohomology(resolution.hom_complex(res, ac), n)
+                # past a complete resolution's length Ext is zero
+                h = (resolution.cohomology(resolution.hom_complex(res, ac), n)
+                     if n <= res.max_deg else ZERO)
                 assert h.canonical_form == r.stalk(c).canonical_form
 
     def test_stalks_are_down_set_ext(self):
@@ -950,7 +953,9 @@ class TestDegreeTables:
         a = free_presheaf(sierpinski(), 0)
         table = sheaf_ext_table(b, a, [0, 2], "general")
         assert table[0].resolutions is table[2].resolutions
-        assert all(res.max_deg == 3 for res in table[0].resolutions.values())
+        # asked to depth 3, each ends at its first zero kernel
+        assert [table[0].resolutions[c].max_deg for c in (0, 1)] == [0, 2]
+        assert all(res.complete for res in table[0].resolutions.values())
 
     def test_table_validation(self):
         b = sierpinski_quotient()
@@ -990,7 +995,7 @@ class TestTopOfStalkCover:
         parents = [None] + [rng.randrange(i) for i in range(1, size)]
         b = random_tree_presheaf(rng, parents)
         res = resolution.free_resolution(presheaf_context(b.site), b, 3)
-        assert res.free(3).labels == ()
+        assert res.complete and res.max_deg <= 2
 
     @settings(max_examples=30, deadline=None)
     @given(rng=st.randoms(use_true_random=False),
@@ -1011,8 +1016,9 @@ class TestTopOfStalkCover:
         rng = random.Random(1)
         b = random_tree_presheaf(rng, [None] + list(range(11)))
         res = resolution.free_resolution(presheaf_context(b.site), b, 4)
-        ranks = [len(res.free(k).labels) for k in range(5)]
+        ranks = [len(f.labels) for f in res.frees]
         assert sum(ranks) <= 40
+        assert res.complete and res.max_deg <= 2
 
     def test_cover_skips_generators_reached_from_above(self):
         # Z on the chain 0 < 1 < 2 with identity restrictions: the bottom

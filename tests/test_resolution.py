@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extcalc import fpab
-from extcalc.exactint import IntMatrix
+from extcalc.exactint import IntMatrix, hstack
 from extcalc.fpab import (
     FpAbHom,
     NotFree,
@@ -33,6 +33,7 @@ from extcalc.groupring import (
     ZGFreeHom,
     cyclic,
     gmodule_context,
+    greedy_resolution,
     symmetric3,
     trivial_module,
 )
@@ -40,6 +41,7 @@ from extcalc.poset_sheaf import (
     AbPresheaf,
     FreePresheaf,
     PresheafHom,
+    bowtie,
     make_poset,
     presheaf_context,
     presheaf_hom_group,
@@ -49,6 +51,7 @@ from extcalc.resolution import (
     FreeResolution,
     cohomology,
     cohomology_data,
+    cohomology_table,
     ext_n,
     ext_table,
     free_resolution,
@@ -60,7 +63,7 @@ from extcalc.resolution import (
 from extcalc.ses import ext1_group
 
 from test_fpab import random_finite_group, random_hom
-from test_poset_sheaf import random_tree_presheaf
+from test_poset_sheaf import random_cokernel_presheaf, random_tree_presheaf
 
 
 CTX = z_context()
@@ -78,15 +81,18 @@ def random_group(rng, max_gens=4, span=6):
 # ---------------------------------------------------------------- resolutions
 
 def test_free_resolution_of_z2():
+    # d_1 is mono, so the resolution ends at degree 1
     res = free_resolution(CTX, zmod(2), 3)
-    assert [f.gens for f in res.frees] == [1, 1, 0, 0]
+    assert [f.gens for f in res.frees] == [1, 1]
+    assert res.complete and res.max_deg == 1
     assert abs(res.diff(1).matrix.entry(0, 0)) == 2
     res.validate()
 
 
 def test_free_resolution_of_z_terminates_immediately():
     res = free_resolution(CTX, Z, 2)
-    assert [f.gens for f in res.frees] == [1, 0, 0]
+    assert [f.gens for f in res.frees] == [1]
+    assert res.complete and res.max_deg == 0
     res.validate()
 
 
@@ -107,9 +113,8 @@ def test_free_resolution_random_validity():
         b = random_group(rng)
         res = free_resolution(CTX, b, 3)
         res.validate()
-        # over the integers everything beyond degree 1 is the zero object
-        for n in range(2, 4):
-            assert res.frees[n].is_trivial()
+        # over the integers every resolution ends by degree 1
+        assert res.complete and res.max_deg <= 1
 
 
 # ---------------------------------------------------------------- complexes
@@ -152,7 +157,7 @@ def test_complex_validation():
 def test_hom_complex_examples():
     res = free_resolution(CTX, zmod(2), 2)
     c = hom_complex(res, Z)
-    assert [g.canonical_form for g in c.groups] == [(1, ()), (1, ()), (0, ())]
+    assert [g.canonical_form for g in c.groups] == [(1, ()), (1, ())]
     assert abs(c.maps[0].matrix.entry(0, 0)) == 2
     assert cohomology(c, 0).is_trivial()
     assert cohomology(c, 1).canonical_form == (0, (2,))
@@ -164,8 +169,7 @@ def test_hom_complex_examples():
     res_z = free_resolution(CTX, Z, 2)
     a = from_invariants(1, [6])
     cz = hom_complex(res_z, a)
-    assert cz.groups[0].canonical_form == a.canonical_form
-    assert all(g.is_trivial() for g in cz.groups[1:])
+    assert [g.canonical_form for g in cz.groups] == [a.canonical_form]
 
 
 # ---------------------------------------------------------------- ext_n
@@ -259,6 +263,85 @@ def test_ext_n_presentation_independent():
         for n in range(4):
             assert ext_n(CTX, disguised, a, n).canonical_form == \
                 ext_n(CTX, b, a, n).canonical_form
+
+
+# ------------------------------------------------------ finite resolutions
+
+def padded_resolution(ctx, b, depth):
+    """Cover the kernel to exactly depth, zero kernels included: the
+    zero-padded construction, kept as the oracle of the finite one."""
+    p0, aug = ctx.epi_cover(b)
+    frees, diffs, prev = [p0], [], aug
+    for _ in range(depth):
+        k, incl = ctx.kernel(prev)
+        f, p = ctx.epi_cover(k)
+        frees.append(f)
+        diffs.append(ctx.compose(incl, p))
+        prev = p
+    return FreeResolution(ctx, b, frees, diffs, aug, dd_verified=True)
+
+
+def _z_groups(rng):
+    return CTX, random_group(rng), random_group(rng)
+
+
+def _tree_presheaves(rng, parents=None):
+    if parents is None:
+        size = rng.randint(1, 5)
+        parents = [None] + [rng.randrange(i) for i in range(1, size)]
+    b, a = (random_tree_presheaf(rng, parents) for _ in range(2))
+    return presheaf_context(b.site), b, a
+
+
+def _chain_presheaves(rng):
+    return _tree_presheaves(rng, [None] + list(range(rng.randint(0, 4))))
+
+
+def _bowtie_presheaves(rng):
+    b, a = (random_cokernel_presheaf(rng, bowtie()) for _ in range(2))
+    return presheaf_context(b.site), b, a
+
+
+@settings(max_examples=80, deadline=None)
+@given(rng=st.randoms(use_true_random=False),
+       case=st.sampled_from([_z_groups, _tree_presheaves, _chain_presheaves,
+                             _bowtie_presheaves]),
+       depth=st.integers(1, 4))
+def test_finite_resolutions_read_as_the_padded_ones(rng, case, depth):
+    # a resolution that ends before depth ends at a zero kernel, and every
+    # listed degree reads the group, lattice and class map that the
+    # zero-padded resolution's full hom complex gives
+    ctx, b, a = case(rng)
+    res = free_resolution(ctx, b, depth)
+    assert res.max_deg <= depth
+    if res.max_deg < depth:
+        top = res.diff(res.max_deg) if res.max_deg else res.augmentation
+        assert res.complete and ctx.is_zero_hom(ctx.kernel(top)[1])
+    degrees = sorted(rng.sample(range(depth), rng.randint(1, depth)))
+    table = cohomology_table(res, a, degrees)
+    padded = hom_complex(padded_resolution(ctx, b, depth), a)
+    for n in degrees:
+        want, got = cohomology_data(padded, n), table[n]
+        assert got.group == want.group and got.lattice == want.lattice
+        # cocycles: lattice combinations plus coboundaries
+        span = (hstack(want.lattice, padded.maps[n - 1].matrix) if n
+                else want.lattice)
+        coeffs = IntMatrix(span.cols, 3, [[rng.randint(-3, 3) for _ in range(3)]
+                                          for _ in range(span.cols)])
+        cocycles = span * coeffs
+        assert got.classes_of(cocycles) == want.classes_of(cocycles)
+
+
+def test_degrees_past_the_resolution():
+    # past a complete resolution every degree reads the zero group; a
+    # truncated one raises past the depth it was asked for
+    table = cohomology_table(free_resolution(CTX, zmod(2), 5), Z, [1, 4])
+    assert table[1].group.canonical_form == (0, (2,))
+    zero = cohomology_data(zero_complex(0), 0)
+    assert (table[4].group, table[4].lattice) == (zero.group, zero.lattice)
+    s3 = symmetric3()
+    with pytest.raises(ValueError, match="past depth 2"):
+        cohomology_table(greedy_resolution(s3, 2), trivial_module(s3, Z), [5])
 
 
 # ---------------------------------------------------------------- lifting
@@ -377,10 +460,10 @@ def test_lift_chain_map_commutes_with_both_resolutions(rng, case):
     p = free_resolution(ctx, f.src, depth)
     q = free_resolution(ctx, f.tgt, depth)
     chain = lift_chain_map(p, q, f)
-    assert len(chain) == depth + 1
+    assert len(chain) == min(p.max_deg, q.max_deg) + 1
     assert ctx.compose(q.augmentation, chain[0]) == \
         ctx.compose(f, p.augmentation)
-    for n in range(1, depth + 1):
+    for n in range(1, len(chain)):
         assert ctx.compose(q.diff(n), chain[n]) == \
             ctx.compose(chain[n - 1], p.diff(n))
 
