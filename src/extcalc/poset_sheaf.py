@@ -696,8 +696,9 @@ def _restricted(res: FreeResolution, elems: Sequence[int], ctx, target,
         for k in range(1, len(frees))]
     aug = PresheafHom(frees[0], target, [
         res.augmentation.components[e] for e in elems], check=False)
+    whole = len(frees) == len(res.frees)
     return FreeResolution(ctx, target, frees, diffs, aug, dd_verified=True,
-                          complete=res.complete and len(frees) == len(res.frees))
+                          complete=res.complete and whole)
 
 
 def _assemble(a: AbPresheaf, degrees: Sequence[int], resolutions,

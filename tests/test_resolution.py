@@ -326,8 +326,8 @@ def test_finite_resolutions_read_as_the_padded_ones(rng, case, depth):
         # cocycles: lattice combinations plus coboundaries
         span = (hstack(want.lattice, padded.maps[n - 1].matrix) if n
                 else want.lattice)
-        coeffs = IntMatrix(span.cols, 3, [[rng.randint(-3, 3) for _ in range(3)]
-                                          for _ in range(span.cols)])
+        coeffs = IntMatrix(span.cols, 3, [
+            [rng.randint(-3, 3) for _ in range(3)] for _ in range(span.cols)])
         cocycles = span * coeffs
         assert got.classes_of(cocycles) == want.classes_of(cocycles)
 
