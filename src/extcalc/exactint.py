@@ -47,9 +47,9 @@ def work_cap(cells: int):
     `_column_reduce` charges rows x cols of its input and _STEP_CELLS per
     entry each elimination step rewrites, `ModSolver.solve_matrix`
     _STEP_CELLS per pivot and right-hand side column, and `IntMatrix.zero`,
-    `identity`, `__mul__`, `block_diag`, `kron`, `snf`,
-    `resolution.unit_block_matrix` and `poset_sheaf.FreePresheaf` rows x
-    cols of each dense matrix they size from a shape.  Every charge comes before its work.  The enclosing
+    `identity`, `__mul__`, `block_diag`, `snf`, `fpab.unit_block_matrix`
+    and `poset_sheaf.FreePresheaf` rows x cols of each dense matrix they
+    size from a shape.  Every charge comes before its work.  The enclosing
     meter, or none, is back in force when the block exits, however it exits.
     """
     global _meter
@@ -250,52 +250,6 @@ def block_diag(*mats: IntMatrix) -> IntMatrix:
         out.extend(left + r + right for r in m.data)
         c0 += m.cols
     return IntMatrix._wrap(rows, cols, tuple(out))
-
-
-def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Kronecker product, consistent with column-major vec: vec(AXB) = (B^T (x) A) vec(X)."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    if _meter is not None:
-        _charge(rows * cols)
-    out = []
-    for i in range(a.rows):
-        for ib in range(b.rows):
-            arow = a.data[i]
-            brow = b.data[ib]
-            out.append(tuple(arow[j] * brow[jb] for j in range(a.cols) for jb in range(b.cols)))
-    return IntMatrix._wrap(rows, cols, tuple(out))
-
-
-def det(a: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(r) for r in a.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            rowi = m[i]
-            rowk = m[k]
-            for j in range(k + 1, n):
-                rowi[j] = (pk * rowi[j] - mik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pk
-    return sign * m[n - 1][n - 1]
 
 
 class _ReducedCol:

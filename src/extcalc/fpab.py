@@ -11,6 +11,7 @@ import math
 from itertools import product
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from . import exactint
 from .exactint import (
     DimensionMismatch,
     IntMatrix,
@@ -22,7 +23,6 @@ from .exactint import (
     column_space_basis,
     constrained_kernel,
     hstack,
-    kron,
     snf,
     vstack,
 )
@@ -179,9 +179,6 @@ class FpAbGroup:
                 for i, v in col.items():
                     rows[i] = tuple(x - q * v for x, q in zip(rows[i], qs))
         return IntMatrix._wrap(m.rows, m.cols, tuple(rows))
-
-    def contains_zero(self, coords: IntMatrix) -> bool:
-        return self.reduce(coords).is_zero()
 
     def element(self, coords: Sequence[int] | IntMatrix) -> "Element":
         if not isinstance(coords, IntMatrix):
@@ -389,6 +386,46 @@ def _unvec(col: IntMatrix, rows: int, cols: int) -> IntMatrix:
         tuple(vals[i + j * rows] for j in range(cols)) for i in range(rows)))
 
 
+def unit_block_matrix(src_stalks: Sequence[FpAbGroup],
+                      tgt_stalks: Sequence[FpAbGroup], terms) -> IntMatrix:
+    """Block matrix summing c * m into block (t, i) over terms (t, i, c, m).
+
+    Rows are blocked by tgt_stalks and columns by src_stalks; m must be
+    tgt_stalks[t].gens x src_stalks[i].gens.  This is the one assembly
+    routine behind every precomposition matrix and equalizer constraint,
+    and on the group-ring hot path, so it accumulates into plain row lists.
+    """
+    col_offs, width = [], 0
+    for s in src_stalks:
+        col_offs.append(width)
+        width += s.gens
+    row_offs, height = [], 0
+    for s in tgt_stalks:
+        row_offs.append(height)
+        height += s.gens
+    if exactint._meter is not None:
+        exactint._charge(height * width)
+    rows = [[0] * width for _ in range(height)]
+    for (t, i, c, m) in terms:
+        roff, coff = row_offs[t], col_offs[i]
+        for u, mrow in enumerate(m.data):
+            row = rows[roff + u]
+            for v, x in enumerate(mrow):
+                if x:
+                    row[coff + v] += c * x
+    return IntMatrix._wrap(height, width, tuple(tuple(r) for r in rows))
+
+
+def precompose(r: IntMatrix, a: FpAbGroup) -> IntMatrix:
+    """The matrix of h ↦ h·r on unit-image coordinates, for h : Z^rows(r)
+    -> A: vec(h·r) = precompose(r, a)·vec(h), vec stacking columns.
+    Block (t, i) is r[i][t]·I, so this is rᵀ ⊗ I."""
+    ident = IntMatrix.identity(a.gens)
+    terms = ((t, i, c, ident) for i, row in enumerate(r.data)
+             for t, c in enumerate(row) if c)
+    return unit_block_matrix([a] * r.rows, [a] * r.cols, terms)
+
+
 class HomGroup:
     """Hom(A, B) as a presented group plus homs realizing its generators.
 
@@ -429,18 +466,16 @@ class HomGroup:
 def hom_group(a: FpAbGroup, b: FpAbGroup) -> HomGroup:
     """Hom(A, B) via one vectorized kernel problem.
 
-    A hom matrix M must satisfy M * rel(A) = 0 modulo rel(B) columnwise;
-    two matrices are identified when they differ columnwise by rel(B).
-    Both conditions are linear in vec(M).  Each lattice column satisfies
-    the first by construction, so the basis homs are built unchecked.
+    A hom matrix M must satisfy M * rel(A) = 0 modulo rel(B) columnwise
+    (vec(M) in the kernel of precompose(rel(A), B) modulo rel(B)); two
+    matrices are identified when they differ columnwise by rel(B).  Each
+    lattice column satisfies the first, so basis homs are built unchecked.
     """
     n, m = b.gens, a.gens
     ra, rb = a.relations, b.relations
-    constraint = kron(ra.transpose(), IntMatrix.identity(n))
-    modulus = block_diag(*([rb] * ra.cols)) if ra.cols else IntMatrix.zero(0, 0)
-    lattice = constrained_kernel(constraint, modulus)
-    equiv = block_diag(*([rb] * m)) if m else IntMatrix.zero(0, 0)
-    solver = ModSolver(lattice, equiv)
+    lattice = constrained_kernel(precompose(ra, b),
+                                 block_diag(*[rb] * ra.cols))
+    solver = ModSolver(lattice, block_diag(*[rb] * m))
     group = FpAbGroup(lattice.cols, solver.kernel())
     basis = [FpAbHom(a, b, _unvec(lattice.column_matrix(j), n, m), check=False)
              for j in range(lattice.cols)]
@@ -546,7 +581,7 @@ def direct_sum_many(groups: Sequence[FpAbGroup]) -> Tuple[FpAbGroup, List[int]]:
     for g in groups:
         offsets.append(total)
         total += g.gens
-    rel = block_diag(*(g.relations for g in groups)) if groups else IntMatrix.zero(0, 0)
+    rel = block_diag(*(g.relations for g in groups))
     return FpAbGroup(total, rel), offsets
 
 

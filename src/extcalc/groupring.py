@@ -518,7 +518,7 @@ class GModuleContext(ModuleContext):
         acts = hg_src.module.action
         terms = ((t, i, c, acts[g].matrix)
                  for t, col in enumerate(_zg_columns(d)) for (i, g, c) in col)
-        m = resolution.unit_block_matrix(hg_src.stalks, hg_tgt.stalks, terms)
+        m = fpab.unit_block_matrix(hg_src.stalks, hg_tgt.stalks, terms)
         return FpAbHom(hg_src.group, hg_tgt.group, m, check=False)
 
 
@@ -731,13 +731,9 @@ def h1_crossed(G: FiniteGroup, m: GModule) -> FpAbGroup:
                                    for k in range(n)]))
     cocycle = vstack(*strips)
     rel = m.M.relations
-    mod_all = (block_diag(*([rel] * (n * n))) if rel.cols
-               else IntMatrix.zero(n * n * a, 0))
-    lattice = constrained_kernel(cocycle, mod_all)
+    lattice = constrained_kernel(cocycle, block_diag(*[rel] * (n * n)))
     principal = vstack(*[m.action[g].matrix - ident for g in range(n)])
-    mod_n = (block_diag(*([rel] * n)) if rel.cols
-             else IntMatrix.zero(n * a, 0))
-    boundary = hstack(mod_n, principal)
+    boundary = hstack(block_diag(*[rel] * n), principal)
     return fpab.make_group(lattice.cols, constrained_kernel(lattice, boundary))
 
 

@@ -352,22 +352,18 @@ def _equalizer(groups: Sequence[FpAbGroup],
     """Where each pair of block maps agrees, inside the direct sum of groups.
 
     arrows lists (target, c, f, d, g), the constraint f x_c = g x_d in
-    target, for summands c != d.  Returns the kernel of the stacked
-    constraints, its inclusion into the direct sum, and the generator
-    offset of each summand.
+    target, for summands c != d; the stacked constraint is assembled by
+    fpab.unit_block_matrix.  Returns its kernel, the kernel's inclusion
+    into the direct sum, and the generator offset of each summand.
     """
     ambient, offsets = fpab.direct_sum_many(groups)
     if not arrows:
         return ambient, identity_hom(ambient), offsets
-    rows = []
-    for (t, c, f, d, g) in arrows:
-        for fr, gr in zip(f.data, g.data):
-            row = [0] * ambient.gens
-            row[offsets[c]:offsets[c] + len(fr)] = fr
-            row[offsets[d]:offsets[d] + len(gr)] = [-v for v in gr]
-            rows.append(tuple(row))
-    total, _ = fpab.direct_sum_many([a[0] for a in arrows])
-    matrix = IntMatrix._wrap(total.gens, ambient.gens, tuple(rows))
+    targets = [t for t, *_ in arrows]
+    total, _ = fpab.direct_sum_many(targets)
+    terms = [term for k, (_, c, f, d, g) in enumerate(arrows)
+             for term in ((k, c, 1, f), (k, d, -1, g))]
+    matrix = fpab.unit_block_matrix(groups, targets, terms)
     constraint = FpAbHom(ambient, total, matrix, check=False)
     return (*fpab.kernel(constraint), offsets)
 
@@ -622,7 +618,7 @@ class PresheafContext(ModuleContext):
                            d: PresheafHom) -> FpAbHom:
         terms = _precompose_terms(hg_src.module, hg_src.free.labels,
                                   hg_tgt.free.labels, d, hg_tgt.free)
-        m = resolution.unit_block_matrix(hg_src.stalks, hg_tgt.stalks, terms)
+        m = fpab.unit_block_matrix(hg_src.stalks, hg_tgt.stalks, terms)
         return FpAbHom(hg_src.group, hg_tgt.group, m, check=False)
 
 
@@ -758,7 +754,7 @@ def _sheaf_ext_general(b: AbPresheaf, a: AbPresheaf,
             # precompose with the lift P^d_n -> P^c_n there
             labels_c = [downs[c][l] for l in res_c.free(n).labels]
             labels_d = [downs[d][l] for l in res_d.free(n).labels]
-            yield resolution.unit_block_matrix(
+            yield fpab.unit_block_matrix(
                 [a.stalk(l) for l in labels_c], [a.stalk(l) for l in labels_d],
                 _precompose_terms(a, labels_c, labels_d, lift[n],
                                   res_d.free(n)))
@@ -798,7 +794,7 @@ def _sheaf_ext_fast(b: AbPresheaf, a: AbPresheaf,
             col = {i: (j, m) for j, (i, m) in enumerate(kept[c][n])}
             terms = [(t, col[i][0], 1, a.res(m, col[i][1]).matrix)
                      for t, (i, m) in enumerate(kept[d][n])]
-            yield resolution.unit_block_matrix(
+            yield fpab.unit_block_matrix(
                 [a.stalk(m) for _, m in kept[c][n]],
                 [a.stalk(m) for _, m in kept[d][n]], terms)
 

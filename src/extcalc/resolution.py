@@ -18,7 +18,7 @@ from .exactint import (
     constrained_kernel,
     hstack,
 )
-from . import exactint, fpab
+from . import fpab
 from .fpab import Element, FpAbGroup, FpAbHom, NotFree, free_abelian, make_group
 
 
@@ -89,9 +89,9 @@ class ModuleContext:
                            hg_tgt: "FreeHomGroup", d) -> FpAbHom:
         """Hom(F, A) -> Hom(F', A) induced by d : F' -> F.
 
-        Assembled by unit_block_matrix: block (t, i) says how the t-th
-        unit image of a precomposite reads off the i-th unit image of
-        the input.
+        Assembled by fpab.unit_block_matrix (fpab.precompose over Z):
+        block (t, i) says how the t-th unit image of a precomposite reads
+        off the i-th unit image of the input.
         """
         raise NotImplementedError
 
@@ -123,36 +123,6 @@ class FreeHomGroup:
         units = [IntMatrix.column(col[off:off + s.gens])
                  for s, off in zip(self.stalks, self.offsets)]
         return self.ctx.extend_units(self.free, self.module, units)
-
-
-def unit_block_matrix(src_stalks: Sequence[FpAbGroup],
-                      tgt_stalks: Sequence[FpAbGroup], terms) -> IntMatrix:
-    """Block matrix summing c * m into block (t, i) over terms (t, i, c, m).
-
-    Rows are blocked by tgt_stalks and columns by src_stalks; m must be
-    tgt_stalks[t].gens x src_stalks[i].gens.  This is the one assembly
-    routine behind every precomposition matrix, and on the group-ring
-    hot path, so it accumulates into plain row lists.
-    """
-    col_offs, width = [], 0
-    for s in src_stalks:
-        col_offs.append(width)
-        width += s.gens
-    row_offs, height = [], 0
-    for s in tgt_stalks:
-        row_offs.append(height)
-        height += s.gens
-    if exactint._meter is not None:
-        exactint._charge(height * width)
-    rows = [[0] * width for _ in range(height)]
-    for (t, i, c, m) in terms:
-        roff, coff = row_offs[t], col_offs[i]
-        for u, mrow in enumerate(m.data):
-            row = rows[roff + u]
-            for v, x in enumerate(mrow):
-                if x:
-                    row[coff + v] += c * x
-    return IntMatrix._wrap(height, width, tuple(tuple(r) for r in rows))
 
 
 class FreeResolution:
@@ -422,12 +392,8 @@ class ZContext(ModuleContext):
 
     def induced_precompose(self, hg_src: FreeHomGroup, hg_tgt: FreeHomGroup,
                            d: FpAbHom) -> FpAbHom:
-        # the t-th unit of F' goes to sum_i d[i][t] e_i
-        ident = IntMatrix.identity(hg_src.module.gens)
-        terms = ((t, i, c, ident) for i, row in enumerate(d.matrix.data)
-                 for t, c in enumerate(row) if c)
-        m = unit_block_matrix(hg_src.stalks, hg_tgt.stalks, terms)
-        return FpAbHom(hg_src.group, hg_tgt.group, m, check=False)
+        return FpAbHom(hg_src.group, hg_tgt.group,
+                       fpab.precompose(d.matrix, hg_src.module), check=False)
 
 
 def z_context() -> ZContext:

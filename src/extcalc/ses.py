@@ -22,7 +22,6 @@ from .exactint import (
     IntMatrix,
     block_diag,
     hstack,
-    kron,
     solve_mod,
     vstack,
 )
@@ -44,6 +43,7 @@ from .fpab import (
     is_epi,
     is_mono,
     make_group,
+    precompose,
 )
 
 
@@ -142,13 +142,13 @@ def morphism_between(e: ShortExactSeq, f: ShortExactSeq,
     rel_ee, rel_fe = e.E.relations, f.E.relations
     sys_rows, rhs_rows, mod_blocks = [], [], []
     if rel_ee.cols:
-        sys_rows.append(kron(rel_ee.transpose(), IntMatrix.identity(fe)))
+        sys_rows.append(precompose(rel_ee, f.E))
         rhs_rows.append(IntMatrix.zero(fe * rel_ee.cols, 1))
         mod_blocks.extend([rel_fe] * rel_ee.cols)
-    sys_rows.append(kron(e.i.matrix.transpose(), IntMatrix.identity(fe)))
+    sys_rows.append(precompose(e.i.matrix, f.E))
     rhs_rows.append(_vec(f.i.matrix * alpha.matrix))
     mod_blocks.extend([rel_fe] * e.A.gens)
-    sys_rows.append(kron(IntMatrix.identity(ee), f.p.matrix))
+    sys_rows.append(block_diag(*[f.p.matrix] * ee))
     rhs_rows.append(_vec(beta.matrix * e.p.matrix))
     mod_blocks.extend([f.B.relations] * ee)
     x = solve_mod(vstack(*sys_rows), vstack(*rhs_rows), block_diag(*mod_blocks))
@@ -179,8 +179,8 @@ def is_split(e: ShortExactSeq) -> Optional[FpAbHom]:
     """
     a, b = e.A, e.B
     lift, alpha = e.pair
-    t = solve_mod(kron(b.relations.transpose(), IntMatrix.identity(a.gens)),
-                  _vec(alpha), block_diag(*[a.relations] * b.relations.cols))
+    t = solve_mod(precompose(b.relations, a), _vec(alpha),
+                  block_diag(*[a.relations] * b.relations.cols))
     return None if t is None else \
         FpAbHom(b, e.E, lift - e.i.matrix * _unvec(t, a.gens, b.gens), check=False)
 
@@ -243,8 +243,8 @@ class Ext1Group:
         free_b = free_abelian(b.gens)
         self.cover = FpAbHom(free_b, b, IntMatrix.identity(b.gens), check=False)
         kb, na = self.k_incl.cols, a.gens
-        restriction = kron(self.k_incl.transpose(), IntMatrix.identity(na))
-        rel_blocks = block_diag(*([a.relations] * kb)) if kb else IntMatrix.zero(0, 0)
+        restriction = precompose(self.k_incl, a)
+        rel_blocks = block_diag(*[a.relations] * kb)
         self.group = make_group(kb * na, hstack(rel_blocks, restriction))
         self._check_against_invariant_formula()
         self._base = self._to_lattice = None
@@ -351,9 +351,8 @@ def ext1_pushforward(f: FpAbHom, src: Ext1Group, tgt: Ext1Group) -> FpAbHom:
     """Map Ext¹(B, A) -> Ext¹(B, A') induced by f : A -> A'."""
     if f.src != src.A or f.tgt != tgt.A or src.B != tgt.B:
         raise DimensionMismatch("pushforward endpoints do not match")
-    kb = src.k_incl.cols
     return FpAbHom(src.group, tgt.group,
-                   kron(IntMatrix.identity(kb), f.matrix), check=True)
+                   block_diag(*[f.matrix] * src.k_incl.cols), check=True)
 
 
 def ext1_pullback(g: FpAbHom, src: Ext1Group, tgt: Ext1Group) -> FpAbHom:
@@ -368,9 +367,7 @@ def ext1_pullback(g: FpAbHom, src: Ext1Group, tgt: Ext1Group) -> FpAbHom:
     mu = src.B.echelon_solver.solve_matrix(g.matrix * tgt.k_incl)
     if mu is None:
         raise RuntimeError("relation lattice is not preserved by the lift")
-    na = src.A.gens
-    return FpAbHom(src.group, tgt.group,
-                   kron(mu.transpose(), IntMatrix.identity(na)), check=True)
+    return FpAbHom(src.group, tgt.group, precompose(mu, src.A), check=True)
 
 
 class SixTermReport:

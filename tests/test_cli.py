@@ -387,23 +387,27 @@ class TestExitCodes:
             assert code == 0
             assert out == f"H^{n}({g}; trivial Z) = {form}\n"
 
-    @pytest.mark.parametrize("argv,cells", [
+    @pytest.mark.parametrize("argv,cells,answer", [
         # H^1(C2; (Z/2)^3): building and checking the gmodule M, the
         # module's setup, the resolution of Z to degree 2, the Hom complex
         # and its cohomology
         (["group-cohomology", "--input", "-", "--G", "C2", "--M", "M",
-          "--n", "1"], 300),
+          "--n", "1"], 300, "Z/2"),
         # Sierpinski quot resolves as ZY(1), ZY(0)+ZY(1), ZY(0) and ends
         # there; degree 2 is the top, whose cocycles are all of Hom(ZY(0), A)
         (["sheaf-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
-          "--n", "2"], 69),
+          "--n", "2"], 69, "Z/2"),
         (["external-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
-          "--n", "2"], 69),
+          "--n", "2"], 69, "Z/2"),
         # the shorthand sum, the resolution and the Ext^1 cross-check
-        (["ext", "--B", "Z/4 + Z", "--A", "Z/6", "--n", "1"], 96),
-    ], ids=["group-cohomology", "sheaf-ext", "external-ext", "ext"])
+        (["ext", "--B", "Z/4 + Z", "--A", "Z/6", "--n", "1"], 96, "Z/2"),
+        # the equalizer of y1's one restriction, a 1 x 2 constraint
+        (["global-sections", "--input", SIERPINSKI, "--F", "y1"], 17,
+         "Gamma(y1) = Z\n"),
+    ], ids=["group-cohomology", "sheaf-ext", "external-ext", "ext",
+            "global-sections"])
     def test_work_cap_is_the_metered_total(self, capsys, monkeypatch, argv,
-                                           cells):
+                                           cells, answer):
         # a request answers at a cap of exactly the cells it meters and is
         # refused one cell below, whatever part of the work crosses it
         doc = json.dumps({"finite_groups": {"C2": "cyclic 2"}, "gmodules": {
@@ -412,7 +416,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "WORK_CELL_CAP", cells)
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
         code, out, _ = run(capsys, *argv)
-        assert code == 0 and "Z/2" in out
+        assert code == 0 and answer in out
         monkeypatch.setattr(cli, "WORK_CELL_CAP", cells - 1)
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
         code, _, err = run(capsys, *argv)

@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extcalc import exactint, fpab, poset_sheaf, resolution
+from extcalc import exactint, fpab, poset_sheaf
 from extcalc.exactint import (
     DimensionMismatch,
     IntMatrix,
@@ -27,10 +27,8 @@ from extcalc.exactint import (
     block_diag,
     column_space_basis,
     constrained_kernel,
-    det,
     hstack,
     kernel_basis,
-    kron,
     rank,
     snf,
     solve,
@@ -54,6 +52,37 @@ def oracle_det(grid):
             minor = [row[:j] + row[j + 1:] for row in grid[1:]]
             total += (-1) ** j * grid[0][j] * oracle_det(minor)
     return total
+
+
+def det(a: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise DimensionMismatch("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(r) for r in a.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            rowi = m[i]
+            rowk = m[k]
+            for j in range(k + 1, n):
+                rowi[j] = (pk * rowi[j] - mik * rowk[j]) // prev
+            rowi[k] = 0
+        prev = pk
+    return sign * m[n - 1][n - 1]
 
 
 def oracle_minor_gcds(grid, rows, cols):
@@ -399,18 +428,6 @@ def test_matrix_shapes_and_ops():
         a * IntMatrix.zero(3, 1)
 
 
-def test_kron_vec_identity():
-    # vec(A X B) = (B^T kron A) vec(X), column-major vec
-    rng = random.Random(1006)
-    for _ in range(30):
-        a = IntMatrix(2, 2, [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
-        x = IntMatrix(2, 3, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(2)])
-        b = IntMatrix(3, 2, [[rng.randint(-3, 3) for _ in range(2)] for _ in range(3)])
-        left = a * x * b
-        vec = lambda m: IntMatrix.column([m.data[i][j] for j in range(m.cols) for i in range(m.rows)])
-        assert kron(b.transpose(), a) * vec(x) == vec(left)
-
-
 def test_det_matches_oracle():
     rng = random.Random(1007)
     for _ in range(80):
@@ -521,7 +538,9 @@ def test_every_operation_keeps_the_matrix_invariant(case):
     dec = snf(a)
     results = [a, a * b, a + c, a - c, -a, a.scale(k), a.transpose(), c.transpose(),
                IntMatrix.zero(0, a.cols).transpose(), IntMatrix.zero(a.rows, 0).transpose(),
-               hstack(a, c, rel), vstack(a, c), block_diag(a, b, rel), kron(a, b), kron(b, rel),
+               hstack(a, c, rel), vstack(a, c), block_diag(a, b, rel),
+               fpab.precompose(a, fpab.free_abelian(rel.cols)),
+               fpab.precompose(b, fpab.free_abelian(x.cols)),
                IntMatrix.zero(a.rows, a.cols), IntMatrix.identity(a.cols),
                dec.U, dec.D, dec.V, dec.u_inv,
                kernel_basis(a), constrained_kernel(a, rel), column_space_basis(a),
@@ -567,11 +586,11 @@ CHARGED = {
     "IntMatrix.identity": lambda: IntMatrix.identity(2),
     "IntMatrix.__mul__": lambda: _A * _A,
     "block_diag": lambda: block_diag(_A, _A),
-    "kron": lambda: kron(_A, _A),
+    "fpab.precompose": lambda: fpab.precompose(_A, fpab.zmod(2)),
     "_column_reduce": lambda: _column_reduce(_A, 0),
     "snf": lambda: snf(_A),
     "ModSolver.solve_matrix": lambda: _SOLVER.solve_matrix(_A),
-    "resolution.unit_block_matrix": lambda: resolution.unit_block_matrix(
+    "fpab.unit_block_matrix": lambda: fpab.unit_block_matrix(
         [fpab.zmod(2)], [fpab.zmod(2)], [(0, 0, 1, IntMatrix.identity(1))]),
     # its one restriction, ZY(1)(1) -> ZY(1)(0), is a dense 1x1 matrix
     "poset_sheaf.FreePresheaf": lambda: poset_sheaf.FreePresheaf(
@@ -588,7 +607,7 @@ UNCHARGED = {
     "IntMatrix.take_rows", "IntMatrix.__add__", "IntMatrix.__sub__",
     "IntMatrix.__neg__", "IntMatrix.scale", "IntMatrix.is_zero",
     "IntMatrix.__eq__", "IntMatrix.__hash__", "IntMatrix.__repr__",
-    "work_cap", "_charge", "hstack", "vstack", "det", "_from_sparse_cols",
+    "work_cap", "_charge", "hstack", "vstack", "_from_sparse_cols",
     "kernel_basis", "constrained_kernel", "column_space_basis", "rank",
     "solve", "solve_mod", "_combine", "_xgcd", "ModSolver.__init__",
     "ModSolver.solve", "ModSolver.kernel", "SnfSolver.__init__", "SnfSolver.solve",
@@ -606,7 +625,7 @@ def test_every_exactint_builder_is_metered_or_exempt():
     names |= {n for n, v in vars(exactint).items()
               if inspect.isfunction(v) and v.__module__ == exactint.__name__}
     assert names == (set(CHARGED) | UNCHARGED) - {
-        "resolution.unit_block_matrix", "poset_sheaf.FreePresheaf"}
+        "fpab.unit_block_matrix", "fpab.precompose", "poset_sheaf.FreePresheaf"}
 
 
 @pytest.mark.parametrize("name", sorted(CHARGED))

@@ -40,6 +40,7 @@ from extcalc.fpab import (
     make_group,
     make_hom,
     minimized,
+    precompose,
     zero_hom,
     zmod,
 )
@@ -189,7 +190,7 @@ def test_element_reduction_is_canonical():
             shift = shift + g.relations.column_matrix(j).scale(rng.randint(-3, 3))
         assert g.reduce(x) == g.reduce(x + shift)
         # the reduction stays in the same coset
-        assert g.contains_zero(g.reduce(x) - x)
+        assert g.reduce(g.reduce(x) - x).is_zero()
 
 
 @settings(max_examples=200, deadline=None)
@@ -290,6 +291,34 @@ def test_hom_evaluation_and_composition():
     assert q(x) == zmod(2).element([1])
     assert identity_hom(zmod(6))(zmod(6).element([4])) == zmod(6).element([4])
     assert zero_hom(zmod(4), zmod(2))(zmod(4).element([1])).is_zero()
+
+
+def oracle_kron(a, b):
+    """The Kronecker product from its definition: entry (i, ib), (j, jb)
+    is a[i][j] * b[ib][jb]."""
+    return IntMatrix(a.rows * b.rows, a.cols * b.cols, [
+        [a.data[i][j] * b.data[ib][jb] for j in range(a.cols) for jb in range(b.cols)]
+        for i in range(a.rows) for ib in range(b.rows)])
+
+
+def oracle_vec(m):
+    """Stack the columns of m."""
+    return IntMatrix(m.rows * m.cols, 1,
+                     [[m.data[i][j]] for j in range(m.cols) for i in range(m.rows)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_precompose_is_the_transposed_kronecker_product(rng):
+    rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+    r = IntMatrix(rows, cols, [[rng.randint(-3, 3) for _ in range(cols)]
+                               for _ in range(rows)])
+    a = random_group(rng)
+    m = precompose(r, a)
+    assert m == oracle_kron(r.transpose(), IntMatrix.identity(a.gens))
+    h = IntMatrix(a.gens, r.rows, [[rng.randint(-5, 5) for _ in range(r.rows)]
+                                   for _ in range(a.gens)])
+    assert m * oracle_vec(h) == oracle_vec(h * r)
 
 
 def test_hom_group_frozen_examples():
