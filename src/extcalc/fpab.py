@@ -429,10 +429,10 @@ def precompose(r: IntMatrix, a: FpAbGroup) -> IntMatrix:
 class HomGroup:
     """Hom(A, B) as a presented group plus homs realizing its generators.
 
-    Unpacks as (group, basis).  coords_of inverts the generator map: it
-    finds the coordinates of any given hom, which is how induced maps
-    between hom-groups are assembled, with the solver whose kernel gave
-    the group its relations.
+    Unpacks as (group, basis); lattice columns are the generators' vec'd
+    matrices.  coords_of inverts the generator map: it finds the
+    coordinates of any given hom, with the solver whose kernel gave the
+    group its relations.
     """
 
     def __init__(self, src: FpAbGroup, tgt: FpAbGroup, group: FpAbGroup,
@@ -441,7 +441,7 @@ class HomGroup:
         self.tgt = tgt
         self.group = group
         self.basis = basis
-        self._lattice = lattice
+        self.lattice = lattice
         self._solver = solver
 
     def __iter__(self):
@@ -450,7 +450,7 @@ class HomGroup:
     def hom_of(self, coords: Element | IntMatrix) -> FpAbHom:
         if isinstance(coords, Element):
             coords = coords.coords
-        flat = self._lattice * coords
+        flat = self.lattice * coords
         return FpAbHom(self.src, self.tgt, _unvec(flat, self.tgt.gens, self.src.gens),
                        check=False)
 
@@ -495,8 +495,10 @@ def kernel(f: FpAbHom) -> Tuple[FpAbGroup, FpAbHom]:
     Generators are a basis of the preimage lattice {x : f(x) = 0 in tgt},
     so the kernel of a map between free groups is presented relation-free;
     relations are whatever basis combinations land in the source relations.
-    The inclusion keeps the solver that found them.
-    """
+    The inclusion keeps the solver that found them; a zero source is its
+    own kernel."""
+    if not f.src.gens:
+        return f.src, identity_hom(f.src)
     lattice = column_space_basis(f.solver.kernel())
     solver = ModSolver(lattice, f.src.relations)
     ker = FpAbGroup(lattice.cols, solver.kernel())

@@ -1,7 +1,9 @@
 """Abelian presheaves on finite posets and their sheaf Ext.
 
 A presheaf assigns a finitely presented abelian group to every element
-and a restriction hom to every related pair, downward.  Free presheaves
+and a restriction hom to every related pair, downward; checks and hom
+group constraints run along the Hasse covers d ⋖ c, as a poset is a
+quotient of the free category on its Hasse diagram.  Free presheaves
 are sums of representables ZY(c), the integers on the principal down-set
 of c: the one AbPresheaf subclass FreePresheaf, which also keeps its
 label list.  Hom(ZY(c), F) is evaluation at c, which makes representables
@@ -63,7 +65,7 @@ class FinitePoset:
     its witnesses; induced sub-posets, which inherit them, skip it.
     """
 
-    __slots__ = ("size", "leq")
+    __slots__ = ("size", "leq", "_covers")
 
     def __init__(self, leq: Sequence[Sequence[bool]], check: bool = True):
         rows = tuple(tuple(bool(x) for x in row) for row in leq)
@@ -85,6 +87,7 @@ class FinitePoset:
                                 f"transitivity fails at ({i}, {j}, {k})")
         self.size = n
         self.leq = rows
+        self._covers = None
 
     def elements(self) -> range:
         return range(self.size)
@@ -96,6 +99,15 @@ class FinitePoset:
         """All pairs (d, c) with d < c, in lexicographic order."""
         return [(d, c) for d in range(self.size) for c in range(self.size)
                 if d != c and self.leq[d][c]]
+
+    @property
+    def covers(self) -> Tuple[Tuple[int, int], ...]:
+        """The pairs d ⋖ c (d < c, nothing between), made once, in order."""
+        if self._covers is None:
+            self._covers = tuple((d, c) for (d, c) in self.strict_pairs()
+                                 if sum(self.leq[d][m] and self.leq[m][c]
+                                        for m in range(self.size)) == 2)
+        return self._covers
 
     def down_set(self, c: int) -> Tuple[int, ...]:
         return tuple(d for d in range(self.size) if self.leq[d][c])
@@ -167,10 +179,10 @@ class AbPresheaf:
 
     maps[(d, c)] is the restriction F(c) -> F(d) for each strict pair
     d < c; the identity pairs are implicit.  With check, every pair's
-    presence and endpoints and functoriality over every composable triple
-    are checked, which removes any path-composition ambiguity later;
-    presheaves the engine builds skip it.  Sums of representables, the
-    free objects, are FreePresheaf.
+    presence and endpoints are checked, and functoriality on the triples
+    e ⋖ d < c, which gives every triple (by induction on the longest chain
+    in [e, c], every maximal chain composes to F(e, c)); presheaves the
+    engine builds skip it.  Sums of representables are FreePresheaf.
     """
 
     __slots__ = ("site", "stalks", "maps")
@@ -198,14 +210,12 @@ class AbPresheaf:
                 if h.src != stalks[c] or h.tgt != stalks[d]:
                     raise IllDefined(f"restriction for ({d}, {c}) has wrong "
                                      "endpoints")
-            for (d, c) in site.strict_pairs():
-                for e in range(site.size):
-                    if e != d and site.is_leq(e, d):
-                        lhs = fpab.compose(maps[(e, d)], maps[(d, c)])
-                        if lhs != maps[(e, c)]:
-                            raise IllDefined(
-                                "restrictions do not compose along "
-                                f"({e}, {d}, {c})")
+            for (e, d) in site.covers:
+                for c in site.elements():
+                    if c != d and site.leq[d][c] and fpab.compose(
+                            maps[(e, d)], maps[(d, c)]) != maps[(e, c)]:
+                        raise IllDefined("restrictions do not compose along "
+                                         f"({e}, {d}, {c})")
         self.site = site
         self.stalks = stalks
         self.maps = maps
@@ -243,7 +253,10 @@ class AbPresheaf:
 
 
 class PresheafHom:
-    """Natural family of stalk homs, one per element."""
+    """Natural family of stalk homs, one per element.  With check,
+    endpoints at every element and naturality along the covers d ⋖ c,
+    which gives every d < c between functorial presheaves (the squares
+    along a chain of covers paste)."""
 
     __slots__ = ("src", "tgt", "components")
 
@@ -258,7 +271,7 @@ class PresheafHom:
             for c, h in enumerate(components):
                 if h.src != src.stalk(c) or h.tgt != tgt.stalk(c):
                     raise IllDefined(f"component at {c} has wrong endpoints")
-            for (d, c) in src.site.strict_pairs():
+            for (d, c) in src.site.covers:
                 lhs = fpab.compose(components[d], src.res(d, c))
                 rhs = fpab.compose(tgt.res(d, c), components[c])
                 if lhs != rhs:
@@ -390,9 +403,11 @@ def global_sections(F: AbPresheaf) -> FpAbGroup:
 class PresheafHomGroup:
     """The group of natural families F -> G.
 
-    Presented as the equalizer of the naturality constraints inside the
-    direct sum of the stalkwise hom groups.  Coordinates convert to and
-    from PresheafHom values through hom_of and coords_of.
+    Presented as the equalizer, inside the direct sum of the stalkwise
+    hom groups, of one naturality constraint per cover d ⋖ c (enough as
+    F and G are functorial; see PresheafHom), on hom-lattice coordinates.
+    Coordinates convert to and from PresheafHom values through hom_of
+    and coords_of.
     """
 
     __slots__ = ("src_presheaf", "tgt_presheaf", "hgs", "ambient", "offsets",
@@ -404,13 +419,12 @@ class PresheafHomGroup:
         hgs = [fpab.hom_group(F.stalk(c), G.stalk(c))
                for c in F.site.elements()]
         arrows = []
-        for (d, c) in F.site.strict_pairs():
-            hdc = fpab.hom_group(F.stalk(c), G.stalk(d))
-            post = fpab.induced_hom_group_map(
-                hgs[c], hdc, lambda h, rg=G.res(d, c): fpab.compose(rg, h))
-            pre = fpab.induced_hom_group_map(
-                hgs[d], hdc, lambda h, rf=F.res(d, c): fpab.compose(h, rf))
-            arrows.append((hdc.group, c, post.matrix, d, pre.matrix))
+        for (d, c) in F.site.covers:
+            copies = F.stalk(c).gens
+            post = block_diag(*[G.res(d, c).matrix] * copies)
+            pre = fpab.precompose(F.res(d, c).matrix, G.stalk(d))
+            arrows.append((fpab.direct_sum_many([G.stalk(d)] * copies)[0],
+                           c, post * hgs[c].lattice, d, pre * hgs[d].lattice))
         group, incl, offsets = _equalizer([hg.group for hg in hgs], arrows)
         self.src_presheaf = F
         self.tgt_presheaf = G
@@ -525,8 +539,9 @@ class PresheafContext(ModuleContext):
 
     def epi_cover(self, b) -> Tuple[FreePresheaf, PresheafHom]:
         # Cover only the top of each stalk: L_c, spanned by rel(B(c)) and
-        # the images of restrictions into c, has an echelon basis whose
-        # pivot-1 rows r give e_r = -sum_{i>r} v_i e_i mod L_c.  Each other
+        # the images of restrictions along covers c ⋖ l (B is functorial,
+        # so they contain the rest), has an echelon basis whose pivot-1
+        # rows r give e_r = -sum_{i>r} v_i e_i mod L_c.  Each other
         # generator e_j gets a representable at c with unit e_j; onto by
         # downward induction on r and on c.  Pivot rows and values depend
         # on L_c alone, so the cover does not depend on the pivot rule.
@@ -534,8 +549,8 @@ class PresheafContext(ModuleContext):
         labels, units = [], []
         for c in site.elements():
             stalk = b.stalk(c)
-            images = [b.maps[(c, l)].matrix for l in site.elements()
-                      if l != c and site.leq[c][l]]
+            images = [b.maps[(c, l)].matrix for (d, l) in site.covers
+                      if d == c]
             lattice = FpAbGroup(stalk.gens, hstack(stalk.relations, *images))
             spare = {r for r, p, _ in lattice._echelon_basis() if p == 1}
             ident = IntMatrix.identity(stalk.gens)
@@ -711,8 +726,8 @@ def _assemble(a: AbPresheaf, degrees: Sequence[int], resolutions,
     # composites come after their factors: |↑d| > |↑m| > |↑c|
     for (d, c) in sorted(site.strict_pairs(), key=lambda pair: sum(
             site.leq[pair[0]]) - sum(site.leq[pair[1]])):
-        mid = next((m for m in site.elements() if d != m != c
-                    and site.leq[d][m] and site.leq[m][c]), None)
+        mid = next((m for (x, m) in site.covers
+                    if x == d and m != c and site.leq[m][c]), None)
         live = [n for n in degrees if mid is None
                 and data[c][n].group.gens and data[d][n].group.gens]
         moved = dict(zip(live, transport(d, c, live))) if live else {}
@@ -878,11 +893,11 @@ def witness_search(site: FinitePoset,
     Returns it with its first failing stalk, or None.  Stalks have kind
     0, Z/2 or Z and every map is canonical for its kinds, so each check
     is decided once per kind pattern, by tables and a memo that live for
-    one call: functoriality over kind triples, naturality over (f_x, f_d,
-    g_x, g_d), and surjectivity at e on ↓c∩↓e and the kinds of f and g
-    there.  Pairs run in lexicographic order of f's kinds, then g's.
-    Only an e where ↓c∩↓e has no maximum m is asked: otherwise the
-    sections are the stalk at m, where the epi is onto.
+    one call: functoriality over kind triples on e ⋖ d < x, naturality
+    over (f_x, f_d, g_x, g_d) on covers, surjectivity at e on ↓c∩↓e and
+    the kinds of f and g there.  Pairs run in lexicographic order of f's
+    kinds, then g's.  Only an e where ↓c∩↓e has no maximum m is asked:
+    otherwise the sections are the stalk at m, where the epi is onto.
     """
     _check_element(site, c)
     meets = [(e, tuple(x for x in site.down_set(c) if site.leq[x][e]))
@@ -893,14 +908,14 @@ def witness_search(site: FinitePoset,
                      else IntMatrix.zero(t.gens, s.gens), check=False)
              for b, t in enumerate(_STALK_KINDS)]
             for a, s in enumerate(_STALK_KINDS)]
-    kinds, pairs = range(3), site.strict_pairs()
+    kinds, pairs, covers = range(3), site.strict_pairs(), site.covers
     composes = {(a, b, t): fpab.compose(homs[b][t], homs[a][b]) == homs[a][t]
                 for a in kinds for b in kinds for t in kinds}
     natural = {(fx, fd, gx, gd): fpab.compose(homs[fd][gd], homs[fx][fd])
                == fpab.compose(homs[gx][gd], homs[fx][gx])
                for fx in kinds for fd in kinds for gx in kinds for gd in kinds}
-    triples = [(e, d, x) for (d, x) in pairs
-               for e in site.elements() if e != d and site.leq[e][d]]
+    triples = [(e, d, x) for (e, d) in covers
+               for x in site.elements() if x != d and site.leq[d][x]]
     cands = [k for k in itertools.product(kinds, repeat=site.size)
              if all(composes[k[x], k[d], k[e]] for (e, d, x) in triples)]
     functorial = set(cands)
@@ -917,7 +932,7 @@ def witness_search(site: FinitePoset,
     for kf in cands:
         for kg in itertools.product(*(_EPI_KINDS[k] for k in kf)):
             if kg not in functorial or not all(
-                    natural[kf[x], kf[d], kg[x], kg[d]] for (d, x) in pairs):
+                    natural[kf[x], kf[d], kg[x], kg[d]] for (d, x) in covers):
                 continue
             for e, meet in meets:
                 key = (meet, tuple((kf[x], kg[x]) for x in meet))

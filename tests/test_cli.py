@@ -404,15 +404,25 @@ class TestExitCodes:
         # the equalizer of y1's one restriction, a 1 x 2 constraint
         (["global-sections", "--input", SIERPINSKI, "--F", "y1"], 17,
          "Gamma(y1) = Z\n"),
+        # chain(8) with Z^6 stalks and zero restrictions: naturality,
+        # functoriality and the stalk covers read the 7 covers, not the
+        # 28 strict pairs
+        (["sheaf-ext", "--input", "-", "--B", "Z6", "--A", "Z6", "--n", "1",
+          "--method", "general"], 3257460, "element 7: Z^252"),
     ], ids=["group-cohomology", "sheaf-ext", "external-ext", "ext",
-            "global-sections"])
+            "global-sections", "sheaf-ext-chain8"])
     def test_work_cap_is_the_metered_total(self, capsys, monkeypatch, argv,
                                            cells, answer):
         # a request answers at a cap of exactly the cells it meters and is
         # refused one cell below, whatever part of the work crosses it
+        below = [(d, c) for c in range(8) for d in range(c)]
         doc = json.dumps({"finite_groups": {"C2": "cyclic 2"}, "gmodules": {
             "M": {"group": "C2", "module": "Z/2 + Z/2 + Z/2",
-                  "action": {"1": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}}})
+                  "action": {"1": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}},
+            "posets": {"chain8": {"size": 8, "relations": below}},
+            "presheaves": {"Z6": {
+                "poset": "chain8", "stalks": ["Z^6"] * 8,
+                "res": {f"{d}<={c}": [[0] * 6] * 6 for d, c in below}}}})
         monkeypatch.setattr(cli, "WORK_CELL_CAP", cells)
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
         code, out, _ = run(capsys, *argv)

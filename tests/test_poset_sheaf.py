@@ -9,6 +9,7 @@ cross-check each other on every site where both apply.
 """
 
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -213,6 +214,15 @@ class TestPosetLaws:
         inner = sub.induced([elems.index(e) for e in b.down_set(1)])
         assert inner == b.down_poset(1)[0]
 
+    def test_covers_are_the_hasse_diagram(self):
+        assert chain(4).covers == ((0, 1), (1, 2), (2, 3))
+        assert bowtie().covers == ((0, 1), (0, 2), (1, 3), (1, 4), (2, 3),
+                                   (2, 4))
+        assert diamond().covers == ((0, 1), (0, 2), (1, 3), (2, 3))
+        assert make_poset(3, []).covers == ()
+        site = chain(3)
+        assert site.covers is site.covers
+
 
 class TestPresheafConstruction:
 
@@ -390,6 +400,142 @@ class TestHomGroups:
             check=False)
         with pytest.raises(IllDefined, match="not natural"):
             phg.coords_of(broken)
+
+
+def pairwise_hom_group(f, g):
+    """The presheaf hom group as the constraints along covers replaced:
+    per strict pair, a hom group Hom(F(c), G(d)) and the two induced maps
+    into it.  Returns the group and its inclusion into the stalkwise
+    hom groups' sum."""
+    hgs = [fpab.hom_group(f.stalk(c), g.stalk(c)) for c in f.site.elements()]
+    arrows = []
+    for (d, c) in f.site.strict_pairs():
+        hdc = fpab.hom_group(f.stalk(c), g.stalk(d))
+        post = fpab.induced_hom_group_map(
+            hgs[c], hdc, lambda h, rg=g.res(d, c): fpab.compose(rg, h))
+        pre = fpab.induced_hom_group_map(
+            hgs[d], hdc, lambda h, rf=f.res(d, c): fpab.compose(h, rf))
+        arrows.append((hdc.group, c, post.matrix, d, pre.matrix))
+    group, incl, _ = ps._equalizer([hg.group for hg in hgs], arrows)
+    return group, incl
+
+
+def scaled_presheaf(rng, site):
+    """One stalk Z, Z/8 or Z/12 everywhere; F(d, c) multiplies by the
+    product of random weights over ↓c outside ↓d, so F(e, d) F(d, c) =
+    F(e, c) as ↓e ⊆ ↓d ⊆ ↓c."""
+    group = rng.choice([free_abelian(1), zmod(8), zmod(12)])
+    w = [rng.choice([1, -1, 2, 3]) for _ in site.elements()]
+    res = {(d, c): fpab.FpAbHom(group, group, IntMatrix.from_rows([[
+        math.prod(w[m] for m in site.down_set(c) if not site.leq[m][d])]]))
+        for (d, c) in site.strict_pairs()}
+    return AbPresheaf(site, [group] * site.size, res)
+
+
+def functorial_on_every_triple(f):
+    site = f.site
+    return all(fpab.compose(f.res(e, d), f.res(d, c)) == f.res(e, c)
+               for (d, c) in site.strict_pairs() for e in site.elements()
+               if e != d and site.leq[e][d])
+
+
+def natural_on_every_pair(f, g, comps):
+    return all(fpab.compose(comps[d], f.res(d, c))
+               == fpab.compose(g.res(d, c), comps[c])
+               for (d, c) in f.site.strict_pairs())
+
+
+def accepted(build):
+    try:
+        build()
+    except IllDefined:
+        return False
+    return True
+
+
+@st.composite
+def small_sites(draw):
+    """A random tree, the bowtie, a stacked crown (levels of two, each
+    below both of the next) or a random poset, of at most 6 elements."""
+    kind = draw(st.sampled_from(["tree", "bowtie", "crown", "poset"]))
+    if kind == "bowtie":
+        return bowtie()
+    if kind == "crown":
+        n = 2 * draw(st.integers(1, 3))
+        return make_poset(n, [(d, c) for d in range(n) for c in range(n)
+                              if d // 2 < c // 2])
+    size = draw(st.integers(1, 6))
+    if kind == "tree":
+        parents = [None] + [draw(st.integers(0, i - 1))
+                            for i in range(1, size)]
+        return make_poset(size, [(p, i) for i, p in enumerate(parents)
+                                 if p is not None])
+    pairs = [(d, c) for c in range(size) for d in range(c)]
+    return make_poset(size, draw(st.lists(st.sampled_from(pairs),
+                                          unique=True)) if pairs else [])
+
+
+class TestCoverChecks:
+    """Functoriality on e ⋖ d < c and naturality on covers decide as the
+    all-triples and all-pairs loops do, and the hom group constrained on
+    covers is the one constrained pair by pair."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(site=small_sites(), rng=st.randoms(use_true_random=False))
+    def test_functoriality_on_covers_is_the_all_triples_check(self, site,
+                                                               rng):
+        f = rng.choice([random_cokernel_presheaf, scaled_presheaf])(rng, site)
+        assert functorial_on_every_triple(f)
+        maps = dict(f.maps)
+        if maps:
+            # half the time a pair that is no cover, which only the
+            # triples with a longer upper step see
+            far = [p for p in sorted(maps) if p not in site.covers]
+            d, c = rng.choice(rng.choice([sorted(maps), far or sorted(maps)]))
+            maps[(d, c)] = random_hom(rng, f.stalk(c), f.stalk(d))
+        changed = AbPresheaf(site, f.stalks, maps, check=False)
+        assert (accepted(lambda: AbPresheaf(site, f.stalks, maps))
+                == functorial_on_every_triple(changed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(site=small_sites(), rng=st.randoms(use_true_random=False))
+    def test_naturality_on_covers_is_the_all_pairs_check(self, site, rng):
+        kind = rng.choice([random_cokernel_presheaf, scaled_presheaf])
+        f, g = kind(rng, site), kind(rng, site)
+        phg = presheaf_hom_group(f, g)
+        coords = IntMatrix.column([rng.randint(-2, 2)
+                                   for _ in range(phg.group.gens)])
+        comps = list(phg.hom_of(coords).components)
+        assert natural_on_every_pair(f, g, comps)
+        x = rng.randrange(site.size)
+        comps[x] = random_hom(rng, f.stalk(x), g.stalk(x))
+        assert (accepted(lambda: PresheafHom(f, g, comps))
+                == natural_on_every_pair(f, g, comps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(site=small_sites(), rng=st.randoms(use_true_random=False))
+    def test_cover_constraints_span_the_pairwise_hom_group(self, site, rng):
+        kind = rng.choice([random_cokernel_presheaf, scaled_presheaf])
+        f, g = kind(rng, site), kind(rng, site)
+        phg = presheaf_hom_group(f, g)
+        group, incl = pairwise_hom_group(f, g)
+        assert incl.tgt == phg.ambient
+        for a, b in ((incl, phg.incl), (phg.incl, incl)):
+            for j in range(a.src.gens):
+                assert b.solver.solve(a.matrix.column_matrix(j)) is not None
+        assert group.canonical_form == phg.group.canonical_form
+
+    def test_one_hom_group_per_element(self):
+        site = chain(5)
+        f = constant_presheaf(site, free_abelian(2))
+        g = constant_presheaf(site, zmod(4))
+        with mock.patch.object(fpab, "hom_group",
+                               wraps=fpab.hom_group) as spy, \
+                mock.patch.object(fpab, "induced_hom_group_map") as induced:
+            phg = presheaf_hom_group(f, g)
+        assert spy.call_count == 5
+        induced.assert_not_called()
+        assert phg.group.canonical_form == (0, (4, 4))
 
 
 class TestInternalHom:

@@ -617,7 +617,7 @@ def test_six_term_random_exactness():
 
 
 @pytest.mark.parametrize("variance, reductions", [
-    ("covariant", 31), ("contravariant", 33)])
+    ("covariant", 29), ("contravariant", 33)])
 def test_six_term_reduces_each_matrix_once(monkeypatch, variance,
                                            reductions):
     # reading the fixture's sequence (make_ses) and its six-term sequence;
