@@ -205,7 +205,7 @@ class IntMatrix:
         return IntMatrix._wrap(self.rows, self.cols, tuple(tuple(k * a for a in r) for r in self.data))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.data for a in r)
+        return not any(map(any, self.data))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -398,7 +398,7 @@ class ModSolver:
         self.rows, self.cols = a.rows, a.cols
         self._order, self._npiv = _column_reduce(
             hstack(a, rel) if rel.cols else a, track_rows=a.cols)
-        self._pivots = None  # pivot entries split off at the first solve
+        self._pivots = None  # pivot entries split off at the first read
 
     def kernel(self) -> IntMatrix:
         """Generating columns for the lattice {x : A x lies in colspan(Rel)}:
@@ -407,6 +407,14 @@ class ModSolver:
         is saturated: a direct summand of the ambient lattice."""
         return _from_sparse_cols([col.w for col in self._order[self._npiv:]],
                                  self.cols)
+
+    def pivots(self) -> list:
+        """(row, pivot, entries below, A-part of the transform) per pivot
+        column, rows increasing; rows and pivots depend on the span alone."""
+        if self._pivots is None:
+            self._pivots = [(col.row, col.d.pop(col.row), col.d, col.w)
+                            for col in self._order[:self._npiv]]
+        return self._pivots
 
     def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
         if b.rows != self.rows or b.cols != 1:
@@ -421,17 +429,15 @@ class ModSolver:
                 f"right-hand side has {b.rows} rows, expected {self.rows}")
         if _meter is not None:
             _charge(_STEP_CELLS * b.cols * self._npiv)
-        if self._pivots is None:
-            self._pivots = [(col.row, col.d.pop(col.row), col.d, col.w)
-                            for col in self._order[:self._npiv]]
+        pivots = self.pivots()
         xs = []
-        for j in range(b.cols):
-            resid = {i: row[j] for i, row in enumerate(b.data) if row[j]}
+        for bcol in zip(*b.data) if b.rows else ((),) * b.cols:
+            resid = {i: v for i, v in enumerate(bcol) if v}
             x = [0] * self.cols
-            for r, p, below, w in self._pivots:
+            for r, p, below, w in pivots:
                 if not resid:
                     break
-                q, rem = divmod(resid.pop(r, 0), p)
+                q, rem = divmod(resid.pop(r), p) if r in resid else (0, 0)
                 if rem:
                     return None
                 if q:

@@ -8,7 +8,8 @@ kernels, cokernels, hom-groups, and lifts implemented here.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import chain, product
+from operator import sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import exactint
@@ -42,8 +43,8 @@ class NotEpi(ValueError):
 
 def _invariant_chain(moduli: Sequence[int]) -> Tuple[int, ...]:
     """Normalize a multiset of cyclic orders into an invariant-factor chain."""
-    vals = [m for m in moduli if m > 1]
-    changed = True
+    vals = sorted(m for m in moduli if m > 1)  # a sorted chain is the answer
+    changed = any(b % a for a, b in zip(vals, vals[1:]))
     while changed:
         changed = False
         for i in range(len(vals)):
@@ -174,10 +175,9 @@ class FpAbGroup:
             return m
         rows = list(m.data)
         for r, p, col in basis:
-            qs = [x // p for x in rows[r]]
-            if any(qs):
+            if any(rows[r]) and any(qs := [x // p for x in rows[r]]):
                 for i, v in col.items():
-                    rows[i] = tuple(x - q * v for x, q in zip(rows[i], qs))
+                    rows[i] = tuple(map(sub, rows[i], [q * v for q in qs]))
         return IntMatrix._wrap(m.rows, m.cols, tuple(rows))
 
     def element(self, coords: Sequence[int] | IntMatrix) -> "Element":
@@ -429,23 +429,28 @@ def precompose(r: IntMatrix, a: FpAbGroup) -> IntMatrix:
 class HomGroup:
     """Hom(A, B) as a presented group plus homs realizing its generators.
 
-    Unpacks as (group, basis); lattice columns are the generators' vec'd
-    matrices.  coords_of inverts the generator map: it finds the
-    coordinates of any given hom, with the solver whose kernel gave the
-    group its relations.
+    Lattice columns are the generators' vec'd matrices; basis, their
+    homs, is built on first read and kept.  coords_of inverts the
+    generator map with the solver whose kernel gave the group its
+    relations.
     """
 
     def __init__(self, src: FpAbGroup, tgt: FpAbGroup, group: FpAbGroup,
-                 basis: List[FpAbHom], lattice: IntMatrix, solver: ModSolver):
+                 lattice: IntMatrix, solver: ModSolver):
         self.src = src
         self.tgt = tgt
         self.group = group
-        self.basis = basis
         self.lattice = lattice
         self._solver = solver
+        self._basis = None
 
-    def __iter__(self):
-        return iter((self.group, self.basis))
+    @property
+    def basis(self) -> List[FpAbHom]:
+        if self._basis is None:
+            self._basis = [FpAbHom(self.src, self.tgt, _unvec(
+                self.lattice.column_matrix(j), self.tgt.gens, self.src.gens),
+                check=False) for j in range(self.lattice.cols)]
+        return self._basis
 
     def hom_of(self, coords: Element | IntMatrix) -> FpAbHom:
         if isinstance(coords, Element):
@@ -471,22 +476,46 @@ def hom_group(a: FpAbGroup, b: FpAbGroup) -> HomGroup:
     matrices are identified when they differ columnwise by rel(B).  Each
     lattice column satisfies the first, so basis homs are built unchecked.
     """
-    n, m = b.gens, a.gens
     ra, rb = a.relations, b.relations
     lattice = constrained_kernel(precompose(ra, b),
                                  block_diag(*[rb] * ra.cols))
-    solver = ModSolver(lattice, block_diag(*[rb] * m))
+    solver = ModSolver(lattice, block_diag(*[rb] * a.gens))
     group = FpAbGroup(lattice.cols, solver.kernel())
-    basis = [FpAbHom(a, b, _unvec(lattice.column_matrix(j), n, m), check=False)
-             for j in range(lattice.cols)]
-    return HomGroup(a, b, group, basis, lattice, solver)
+    return HomGroup(a, b, group, lattice, solver)
 
 
-def induced_hom_group_map(src_hg: HomGroup, tgt_hg: HomGroup, transform) -> FpAbHom:
-    """Map between computed hom-groups obtained by transforming basis homs."""
-    cols = [tgt_hg.coords_of(transform(h)).coords.col(0) for h in src_hg.basis]
-    return FpAbHom(src_hg.group, tgt_hg.group,
-                   IntMatrix.from_cols(cols, rows=tgt_hg.group.gens), check=True)
+def apply_blockwise(vecs: IntMatrix, n: int, m: int,
+                    left: Optional[IntMatrix] = None,
+                    right: Optional[IntMatrix] = None) -> IntMatrix:
+    """The columns vec(left·h·right) for the columns vec(h) of vecs, h
+    n x m, a side None the identity: left multiplies each n-row block,
+    right the blocks flattened one to a row; no Kronecker matrix."""
+    k, rows = vecs.cols, vecs.data
+    if left is not None:
+        rows = tuple(chain.from_iterable((left * IntMatrix._wrap(
+            n, k, rows[c * n:(c + 1) * n])).data for c in range(m)))
+        n = left.rows
+    if right is not None:
+        flat = IntMatrix._wrap(m, n * k, tuple(tuple(
+            chain.from_iterable(rows[c * n:(c + 1) * n])) for c in range(m)))
+        m, rows = right.cols, tuple(r[i * k:(i + 1) * k]
+                                    for r in (right.transpose() * flat).data
+                                    for i in range(n))
+    return IntMatrix._wrap(n * m, k, rows)
+
+
+def induced_hom_group_map(src_hg: HomGroup, tgt_hg: HomGroup,
+                          left: Optional[IntMatrix] = None,
+                          right: Optional[IntMatrix] = None) -> FpAbHom:
+    """h ↦ left·h·right (a side None the identity) on every lattice column
+    at once: one solve with tgt_hg's solver and one reduction."""
+    vecs = apply_blockwise(src_hg.lattice, src_hg.tgt.gens, src_hg.src.gens,
+                           left, right)
+    x = tgt_hg._solver.solve_matrix(vecs)
+    if x is None:
+        raise ValueError("image does not lie in the computed hom lattice")
+    return FpAbHom(src_hg.group, tgt_hg.group, tgt_hg.group.reduce(x),
+                   check=True)
 
 
 def kernel(f: FpAbHom) -> Tuple[FpAbGroup, FpAbHom]:
@@ -515,11 +544,13 @@ def cokernel(f: FpAbHom) -> Tuple[FpAbGroup, FpAbHom]:
 
 
 def is_epi(f: FpAbHom) -> bool:
-    return cokernel(f)[0].is_trivial()
+    """f's solver has one pivot per target row, each 1."""
+    return [p for _, p, _, _ in f.solver.pivots()] == [1] * f.tgt.gens
 
 
 def is_mono(f: FpAbHom) -> bool:
-    return kernel(f)[0].is_trivial()
+    """Each generator of f's kernel lattice is zero in the source."""
+    return f.src.solver.solve_matrix(f.solver.kernel()) is not None
 
 
 def lift_through_epi(p: FpAbHom, g: FpAbHom) -> FpAbHom:

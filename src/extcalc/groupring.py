@@ -255,20 +255,21 @@ class FreeGModule(GModule):
     resolution machinery never builds the large ranks.
     """
 
-    __slots__ = ("rank",)
+    __slots__ = ("rank", "_M", "_action")
 
     def __init__(self, G: FiniteGroup, rank: int):
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         self.G = G
         self.rank = rank
+        self._M = self._action = None
 
-    def __getattr__(self, name):
-        # reached only for a slot not yet set
-        if name not in ("M", "action"):
-            raise AttributeError(name)
+    M = property(lambda self: self._M or self._build()[0])
+    action = property(lambda self: self._action or self._build()[1])
+
+    def _build(self):
         n, r = self.G.order, self.rank
-        self.M = m = free_abelian(n * r)
+        self._M = m = free_abelian(n * r)
         action = []
         for row_g in self.G.table:
             cols = [[0] * (n * r) for _ in range(n * r)]
@@ -276,8 +277,8 @@ class FreeGModule(GModule):
                 for h in range(n):
                     cols[j * n + h][j * n + row_g[h]] = 1
             action.append(FpAbHom(m, m, _from_cols(cols, n * r), check=False))
-        self.action = tuple(action)
-        return getattr(self, name)
+        self._action = tuple(action)
+        return m, self._action
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FreeGModule) and self.G == other.G
@@ -753,15 +754,9 @@ def ext_action(G: FiniteGroup, b: GModule, a: GModule,
         raise ValueError("Ext degree must be nonnegative")
     if n == 0:
         hg = fpab.hom_group(b.M, a.M)
-        acts = []
-        for g in range(G.order):
-            ginv = G.inverse[g]
-
-            def conj(h, g=g, ginv=ginv):
-                return fpab.compose(a.action[g],
-                                    fpab.compose(h, b.action[ginv]))
-
-            acts.append(fpab.induced_hom_group_map(hg, hg, conj))
+        acts = [fpab.induced_hom_group_map(
+            hg, hg, a.action[g].matrix, b.action[G.inverse[g]].matrix)
+            for g in range(G.order)]
         return GModule(G, hg.group, acts, check=True)
     if n == 1:
         ext = ext1_group(b.M, a.M)

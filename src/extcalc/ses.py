@@ -15,6 +15,7 @@ middle generators however they nest.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import List, Optional, Tuple
 
 from .exactint import (
@@ -29,11 +30,11 @@ from .fpab import (
     Element,
     FpAbGroup,
     FpAbHom,
-    HomGroup,
     NotEpi,
     _invariant_chain,
     _unvec,
     _vec,
+    apply_blockwise,
     compose,
     describe,
     free_abelian,
@@ -64,32 +65,33 @@ class ShortExactSeq:
     form, exact by design); what is missing is built on first read.
     """
 
-    __slots__ = ("A", "B", "E", "i", "p", "pair")
+    __slots__ = ("A", "B", "_i", "_p", "_pair")
 
     def __init__(self, a: FpAbGroup, b: FpAbGroup, i: Optional[FpAbHom] = None,
                  p: Optional[FpAbHom] = None, pair=None):
         self.A, self.B = a, b
-        if i is not None:
-            self.E, self.i, self.p = i.tgt, i, p
-        if pair is not None:
-            self.pair = pair
+        self._i, self._p, self._pair = i, p, pair
 
-    def __getattr__(self, name):
-        # reached only for a slot not yet set
-        if name not in ("E", "i", "p", "pair"):
-            raise AttributeError(name)
-        a, b = self.A, self.B
-        if name == "pair":
-            # id_B kills rel(B), so lift·rel(B) lies in ker p = im i
-            lift = self.p.solver.solve_matrix(IntMatrix.identity(b.gens))
-            self.pair = lift, self.i.solver.solve_matrix(lift * b.relations)
-        else:
-            na, nb, zero = a.gens, b.gens, IntMatrix.zero
-            self.E = make_group(na + nb, hstack(vstack(a.relations, zero(nb, a.relations.cols)),
-                                                vstack(-self.pair[1], b.relations)))
-            self.i = FpAbHom(a, self.E, vstack(IntMatrix.identity(na), zero(nb, na)), check=False)
-            self.p = FpAbHom(self.E, b, hstack(zero(nb, na), IntMatrix.identity(nb)), check=False)
-        return getattr(self, name)
+    pair = property(lambda self: self._pair or self._solve_pair())
+    E = property(lambda self: self.i.tgt)
+    i = property(lambda self: self._i or self._normal_form()[0])
+    p = property(lambda self: self._p or self._normal_form()[1])
+
+    def _solve_pair(self):
+        # id_B kills rel(B), so lift·rel(B) lies in ker p = im i
+        lift = self.p.solver.solve_matrix(IntMatrix.identity(self.B.gens))
+        self._pair = lift, self.i.solver.solve_matrix(lift * self.B.relations)
+        return self._pair
+
+    def _normal_form(self):
+        a, b, zero, one = self.A, self.B, IntMatrix.zero, IntMatrix.identity
+        na, nb = a.gens, b.gens
+        e = make_group(na + nb, hstack(
+            vstack(a.relations, zero(nb, a.relations.cols)),
+            vstack(-self.pair[1], b.relations)))
+        self._i = FpAbHom(a, e, vstack(one(na), zero(nb, na)), check=False)
+        self._p = FpAbHom(e, b, hstack(zero(nb, na), one(nb)), check=False)
+        return self._i, self._p
 
     def __repr__(self):
         return (f"ShortExactSeq({describe(self.A)} -> {describe(self.E)}"
@@ -234,14 +236,12 @@ class Ext1Group:
     against K, so Ext¹ groups over one B share it.
     """
 
-    __slots__ = ("B", "A", "group", "k_incl", "cover", "_base", "_to_lattice")
+    __slots__ = ("B", "A", "group", "k_incl", "_base", "_to_lattice")
 
     def __init__(self, b: FpAbGroup, a: FpAbGroup):
         self.B = b
         self.A = a
         self.k_incl = b.echelon_matrix()
-        free_b = free_abelian(b.gens)
-        self.cover = FpAbHom(free_b, b, IntMatrix.identity(b.gens), check=False)
         kb, na = self.k_incl.cols, a.gens
         restriction = precompose(self.k_incl, a)
         rel_blocks = block_diag(*[a.relations] * kb)
@@ -271,11 +271,13 @@ class Ext1Group:
         Its pair is (id, T) with k_incl·T = rel(B).
         """
         if self._base is None:
-            k_free = free_abelian(self.k_incl.cols)
-            incl = FpAbHom(k_free, self.cover.src, self.k_incl, check=False)
-            t = self.B.echelon_solver.solve_matrix(self.B.relations)
-            self._base = ShortExactSeq(k_free, self.B, incl, self.cover,
-                                       (self.cover.matrix, t))
+            b, k_free = self.B, free_abelian(self.k_incl.cols)
+            cover = FpAbHom(free_abelian(b.gens), b,
+                            IntMatrix.identity(b.gens), check=False)
+            incl = FpAbHom(k_free, cover.src, self.k_incl, check=False)
+            t = b.echelon_solver.solve_matrix(b.relations)
+            self._base = ShortExactSeq(k_free, b, incl, cover,
+                                       (cover.matrix, t))
         return self._base
 
     def class_element(self, coords: IntMatrix) -> "ExtClass":
@@ -405,33 +407,40 @@ def six_term(e: ShortExactSeq, m: FpAbGroup, variance: str
     """
     if variance not in ("covariant", "contravariant"):
         raise ValueError("variance must be covariant or contravariant")
+    alpha = e.pair[1]
     if variance == "covariant":
         hg0, hg1, hg2 = hom_group(m, e.A), hom_group(m, e.E), hom_group(m, e.B)
         x0, x1, x2 = ext1_group(m, e.A), ext1_group(m, e.E), ext1_group(m, e.B)
-        m0 = induced_hom_group_map(hg0, hg1, lambda h: compose(e.i, h))
-        m1 = induced_hom_group_map(hg1, hg2, lambda h: compose(e.p, h))
-        delta = _connecting(hg2, x0, lambda h: class_of(pullback_ses(h, e), x0))
+        m0 = induced_hom_group_map(hg0, hg1, left=e.i.matrix)
+        m1 = induced_hom_group_map(hg1, hg2, left=e.p.matrix)
+        # pullback along f: α·t with rel(B)·t = f·K; t - s·S lies in
+        # ker rel(B), which α sends into rel(A) (i·α ≡ lift·rel(B), i mono)
+        nb, kb, k = e.B.gens, x0.k_incl.cols, hg2.lattice.cols
+        fk = apply_blockwise(hg2.lattice, nb, m.gens, right=x0.k_incl).data
+        t = e.B.solver.solve_matrix(IntMatrix._wrap(nb, kb * k, tuple(
+            tuple(chain.from_iterable(fk[c * nb + i] for c in range(kb)))
+            for i in range(nb))))  # the kb blocks of f·K side by side
+        at = (alpha * t).data
+        delta = IntMatrix._wrap(e.A.gens * kb, k, tuple(
+            r[c * k:(c + 1) * k] for c in range(kb) for r in at))
         e0 = ext1_pushforward(e.i, x0, x1)
         e1 = ext1_pushforward(e.p, x1, x2)
     else:
         hg0, hg1, hg2 = hom_group(e.B, m), hom_group(e.E, m), hom_group(e.A, m)
         x0, x1, x2 = ext1_group(e.B, m), ext1_group(e.E, m), ext1_group(e.A, m)
-        m0 = induced_hom_group_map(hg0, hg1, lambda h: compose(h, e.p))
-        m1 = induced_hom_group_map(hg1, hg2, lambda h: compose(h, e.i))
-        delta = _connecting(hg2, x0, lambda h: class_of(pushout_ses(h, e), x0))
+        m0 = induced_hom_group_map(hg0, hg1, right=e.p.matrix)
+        m1 = induced_hom_group_map(hg1, hg2, right=e.i.matrix)
+        delta = apply_blockwise(hg2.lattice, m.gens, e.A.gens,
+                                right=alpha * x0.to_lattice())
         e0 = ext1_pullback(e.p, x0, x1)
         e1 = ext1_pullback(e.i, x1, x2)
+    delta = FpAbHom(hg2.group, x0.group, x0.group.reduce(delta), check=True)
     groups = [hg0.group, hg1.group, hg2.group, x0.group, x1.group, x2.group]
     maps = [m0, m1, delta, e0, e1]
     report = SixTermReport(
         left_exact=is_mono(m0),
-        interior=[_exact_at(maps[k], maps[k + 1]) for k in range(4)],
+        interior=[_exact_at(maps[j], maps[j + 1]) for j in range(4)],
         right_exact=is_epi(e1),
     )
     return groups, maps, report
 
-
-def _connecting(src: HomGroup, tgt: Ext1Group, transform) -> FpAbHom:
-    cols = [transform(h).coords.coords.col(0) for h in src.basis]
-    return FpAbHom(src.group, tgt.group,
-                   IntMatrix.from_cols(cols, rows=tgt.group.gens), check=True)

@@ -17,6 +17,7 @@ from extcalc import cli, exactint, groupring, poset_sheaf, resolution
 SIERPINSKI = str(files("extcalc").joinpath("fixtures/sierpinski.json"))
 C2 = str(files("extcalc").joinpath("fixtures/c2_cohomology.json"))
 SIX_TERM = str(files("extcalc").joinpath("fixtures/six_term.json"))
+SIX_M = " + ".join(["Z/6"] * 8 + ["Z^5"])  # (Z/6)^8 + Z^5
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -399,8 +400,9 @@ class TestExitCodes:
           "--n", "2"], 69, "Z/2"),
         (["external-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
           "--n", "2"], 69, "Z/2"),
-        # the shorthand sum, the resolution and the Ext^1 cross-check
-        (["ext", "--B", "Z/4 + Z", "--A", "Z/6", "--n", "1"], 96, "Z/2"),
+        # the shorthand sum, the resolution and the Ext^1 cross-check,
+        # whose Ext^1 group builds no cover of B until it is read
+        (["ext", "--B", "Z/4 + Z", "--A", "Z/6", "--n", "1"], 92, "Z/2"),
         # the equalizer of y1's one restriction, a 1 x 2 constraint
         (["global-sections", "--input", SIERPINSKI, "--F", "y1"], 17,
          "Gamma(y1) = Z\n"),
@@ -409,8 +411,16 @@ class TestExitCodes:
         # 28 strict pairs
         (["sheaf-ext", "--input", "-", "--B", "Z6", "--A", "Z6", "--n", "1",
           "--method", "general"], 3257460, "element 7: Z^252"),
+        # Z/2 -> Z/4 -> Z/2 against M = (Z/6)^8 + Z^5: make_ses, three hom
+        # groups, three Ext^1 groups, each map in one batch and the report
+        # from the maps' solvers (18,369 and 15,229 cells per generator)
+        (["six-term", "--input", "-", "--ses", "s", "--M", SIX_M,
+          "--variance", "co"], 14723, "all exact: yes"),
+        (["six-term", "--input", "-", "--ses", "s", "--M", SIX_M,
+          "--variance", "contra"], 14302, "all exact: yes"),
     ], ids=["group-cohomology", "sheaf-ext", "external-ext", "ext",
-            "global-sections", "sheaf-ext-chain8"])
+            "global-sections", "sheaf-ext-chain8", "six-term-co",
+            "six-term-contra"])
     def test_work_cap_is_the_metered_total(self, capsys, monkeypatch, argv,
                                            cells, answer):
         # a request answers at a cap of exactly the cells it meters and is
@@ -422,7 +432,10 @@ class TestExitCodes:
             "posets": {"chain8": {"size": 8, "relations": below}},
             "presheaves": {"Z6": {
                 "poset": "chain8", "stalks": ["Z^6"] * 8,
-                "res": {f"{d}<={c}": [[0] * 6] * 6 for d, c in below}}}})
+                "res": {f"{d}<={c}": [[0] * 6] * 6 for d, c in below}}},
+            "homs": {"i": {"src": "Z/2", "tgt": "Z/4", "matrix": [[2]]},
+                     "p": {"src": "Z/4", "tgt": "Z/2", "matrix": [[1]]}},
+            "sequences": {"s": {"i": "i", "p": "p"}}})
         monkeypatch.setattr(cli, "WORK_CELL_CAP", cells)
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
         code, out, _ = run(capsys, *argv)

@@ -592,13 +592,17 @@ CHARGED = {
     "ModSolver.solve_matrix": lambda: _SOLVER.solve_matrix(_A),
     "fpab.unit_block_matrix": lambda: fpab.unit_block_matrix(
         [fpab.zmod(2)], [fpab.zmod(2)], [(0, 0, 1, IntMatrix.identity(1))]),
+    # one product per side, each charged for its rows x cols
+    "fpab.apply_blockwise": lambda: fpab.apply_blockwise(
+        _A, 1, 2, left=IntMatrix.from_rows([[3]]), right=_A),
     # its one restriction, ZY(1)(1) -> ZY(1)(0), is a dense 1x1 matrix
     "poset_sheaf.FreePresheaf": lambda: poset_sheaf.FreePresheaf(
         poset_sheaf.chain(2), (1,)),
 }
 # The rest copy or read entries they are given, run _column_reduce or
-# solve_matrix, read a reduction already charged (ModSolver.kernel), or
-# (diagonal) validate outside input with no caller in the engine.
+# solve_matrix, read a reduction already charged (ModSolver.kernel and
+# ModSolver.pivots), or (diagonal) validate outside input with no caller
+# in the engine.
 UNCHARGED = {
     "IntMatrix.__init__", "IntMatrix._wrap", "IntMatrix.from_rows",
     "IntMatrix.from_cols", "IntMatrix.diagonal", "IntMatrix.column",
@@ -610,7 +614,8 @@ UNCHARGED = {
     "work_cap", "_charge", "hstack", "vstack", "_from_sparse_cols",
     "kernel_basis", "constrained_kernel", "column_space_basis", "rank",
     "solve", "solve_mod", "_combine", "_xgcd", "ModSolver.__init__",
-    "ModSolver.solve", "ModSolver.kernel", "SnfSolver.__init__", "SnfSolver.solve",
+    "ModSolver.solve", "ModSolver.kernel", "ModSolver.pivots",
+    "SnfSolver.__init__", "SnfSolver.solve",
     "SnfSolver.solve_matrix", "SmithDecomposition.__init__",
     "SmithDecomposition.diagonal",
 }
@@ -625,7 +630,8 @@ def test_every_exactint_builder_is_metered_or_exempt():
     names |= {n for n, v in vars(exactint).items()
               if inspect.isfunction(v) and v.__module__ == exactint.__name__}
     assert names == (set(CHARGED) | UNCHARGED) - {
-        "fpab.unit_block_matrix", "fpab.precompose", "poset_sheaf.FreePresheaf"}
+        "fpab.unit_block_matrix", "fpab.precompose", "fpab.apply_blockwise",
+        "poset_sheaf.FreePresheaf"}
 
 
 @pytest.mark.parametrize("name", sorted(CHARGED))

@@ -23,6 +23,7 @@ from extcalc.fpab import (
     IllDefined,
     NotEpi,
     NotFree,
+    apply_blockwise,
     cokernel,
     compose,
     corestrict,
@@ -33,6 +34,7 @@ from extcalc.fpab import (
     from_invariants,
     hom_group,
     identity_hom,
+    induced_hom_group_map,
     is_epi,
     is_mono,
     kernel,
@@ -321,6 +323,67 @@ def test_precompose_is_the_transposed_kronecker_product(rng):
     assert m * oracle_vec(h) == oracle_vec(h * r)
 
 
+def random_matrix(rng, rows, cols, span=3):
+    return IntMatrix(rows, cols, [[rng.randint(-span, span)
+                                   for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_apply_blockwise_is_the_sandwich_on_every_column(rng):
+    # every shape, empty ones included: n or m may be 0 and so may k
+    n, m, k = (rng.randint(0, 3) for _ in range(3))
+    vecs = random_matrix(rng, n * m, k)
+    left, right = (random_matrix(rng, rng.randint(0, 3), n),
+                   random_matrix(rng, m, rng.randint(0, 3)))
+    left = left if rng.random() < 0.7 else None
+    right = right if rng.random() < 0.7 else None
+    out = apply_blockwise(vecs, n, m, left, right)
+    n2 = n if left is None else left.rows
+    m2 = m if right is None else right.cols
+    assert (out.rows, out.cols) == (n2 * m2, k)
+    for j in range(k):
+        h = IntMatrix(n, m, [[vecs.data[c * n + i][j] for c in range(m)]
+                             for i in range(n)])
+        if left is not None:
+            h = left * h
+        if right is not None:
+            h = h * right
+        assert out.column_matrix(j) == oracle_vec(h)
+
+
+def per_generator_induced_map(src_hg, tgt_hg, left, right):
+    """The induced map one basis hom at a time: compose on both sides,
+    then solve for the coordinates of the image."""
+    cols = []
+    for h in src_hg.basis:
+        if left is not None:
+            h = compose(left, h)
+        if right is not None:
+            h = compose(h, right)
+        cols.append(tgt_hg.coords_of(h).coords.col(0))
+    return FpAbHom(src_hg.group, tgt_hg.group,
+                   IntMatrix.from_cols(cols, rows=tgt_hg.group.gens))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_induced_map_is_the_per_generator_map(rng):
+    # Hom(A, B) -> Hom(A2, B2), h -> l.h.r, on random presented groups:
+    # zero generators and no relations are drawn too
+    a, b, a2, b2 = (random_group(rng, max_gens=3, span=4) for _ in range(4))
+    sides = rng.choice(["left", "right", "both"])
+    left = random_hom(rng, b, b2) if sides != "right" else None
+    right = random_hom(rng, a2, a) if sides != "left" else None
+    src_hg = hom_group(a, b)
+    tgt_hg = hom_group(a if right is None else a2, b if left is None else b2)
+    batched = induced_hom_group_map(src_hg, tgt_hg,
+                                    None if left is None else left.matrix,
+                                    None if right is None else right.matrix)
+    oracle = per_generator_induced_map(src_hg, tgt_hg, left, right)
+    assert batched.matrix == oracle.matrix
+
+
 def test_hom_group_frozen_examples():
     assert hom_group(zmod(2), free_abelian(1)).group.is_trivial()
     hg = hom_group(free_abelian(1), from_invariants(1, [4]))
@@ -451,6 +514,20 @@ def test_is_epi_is_mono_examples():
     h = make_hom(zmod(4), zmod(4), IntMatrix.from_rows([[2]]))
     assert not is_epi(h) and not is_mono(h)
     assert is_epi(identity_hom(zmod(6))) and is_mono(identity_hom(zmod(6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_is_mono_is_epi_agree_with_kernel_and_cokernel(rng):
+    # the verdicts read f's own solver; the oracle builds the kernel and
+    # cokernel groups and asks whether they are trivial.  Inclusions and
+    # projections, monic and epic by construction, join random maps
+    a, b = (random_group(rng, max_gens=3, span=4) for _ in range(2))
+    f = random_hom(rng, a, b)
+    for g in (f, kernel(f)[1], cokernel(f)[1], identity_hom(a),
+              zero_hom(a, b), compose(cokernel(f)[1], f)):
+        assert is_mono(g) == kernel(g)[0].is_trivial()
+        assert is_epi(g) == cokernel(g)[0].is_trivial()
 
 
 # ---------------------------------------------------------------- lifting

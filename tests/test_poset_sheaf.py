@@ -411,10 +411,8 @@ def pairwise_hom_group(f, g):
     arrows = []
     for (d, c) in f.site.strict_pairs():
         hdc = fpab.hom_group(f.stalk(c), g.stalk(d))
-        post = fpab.induced_hom_group_map(
-            hgs[c], hdc, lambda h, rg=g.res(d, c): fpab.compose(rg, h))
-        pre = fpab.induced_hom_group_map(
-            hgs[d], hdc, lambda h, rf=f.res(d, c): fpab.compose(h, rf))
+        post = fpab.induced_hom_group_map(hgs[c], hdc, left=g.res(d, c).matrix)
+        pre = fpab.induced_hom_group_map(hgs[d], hdc, right=f.res(d, c).matrix)
         arrows.append((hdc.group, c, post.matrix, d, pre.matrix))
     group, incl, _ = ps._equalizer([hg.group for hg in hgs], arrows)
     return group, incl
