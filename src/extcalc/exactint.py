@@ -48,9 +48,9 @@ def work_cap(cells: int):
     entry each elimination step rewrites, `ModSolver.solve_matrix`
     _STEP_CELLS per pivot and right-hand side column, and `IntMatrix.zero`,
     `identity`, `__mul__`, `block_diag`, `snf`, `fpab.unit_block_matrix`
-    and `poset_sheaf.FreePresheaf` rows x cols of each dense matrix they
-    size from a shape.  Every charge comes before its work.  The enclosing
-    meter, or none, is back in force when the block exits, however it exits.
+    and `poset_sheaf.FreePresheaf` (its restrictions, on first read) rows x
+    cols of each dense matrix they size from a shape, each before its work.
+    The enclosing meter, or none, is back in force however the block exits.
     """
     global _meter
     outer, _meter = _meter, [0, cells]

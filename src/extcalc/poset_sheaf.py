@@ -85,9 +85,7 @@ class FinitePoset:
                         if rows[j][k] and not rows[i][k]:
                             raise PosetError(
                                 f"transitivity fails at ({i}, {j}, {k})")
-        self.size = n
-        self.leq = rows
-        self._covers = None
+        self.size, self.leq, self._covers = n, rows, None
 
     def elements(self) -> range:
         return range(self.size)
@@ -152,11 +150,7 @@ def make_poset(n: int, relations: Sequence[Tuple[int, int]]) -> FinitePoset:
     for k in range(n):
         for i in range(n):
             if leq[i][k]:
-                row_k = leq[k]
-                row_i = leq[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
+                leq[i] = [x or y for x, y in zip(leq[i], leq[k])]
     return FinitePoset(leq)
 
 
@@ -216,9 +210,7 @@ class AbPresheaf:
                             maps[(e, d)], maps[(d, c)]) != maps[(e, c)]:
                         raise IllDefined("restrictions do not compose along "
                                          f"({e}, {d}, {c})")
-        self.site = site
-        self.stalks = stalks
-        self.maps = maps
+        self.site, self.stalks, self.maps = site, stalks, maps
 
     def stalk(self, c: int) -> FpAbGroup:
         return self.stalks[c]
@@ -227,6 +219,9 @@ class AbPresheaf:
         if d == c:
             return identity_hom(self.stalks[c])
         return self.maps[(d, c)]
+
+    def apply_res(self, d: int, c: int, m: IntMatrix) -> IntMatrix:
+        return self.res(d, c).matrix * m  # on columns in F(c) coordinates
 
     def restrict(self, elems: Sequence[int]) -> "AbPresheaf":
         """The induced presheaf on a subset of elements (local reindexing)."""
@@ -276,9 +271,7 @@ class PresheafHom:
                 rhs = fpab.compose(tgt.res(d, c), components[c])
                 if lhs != rhs:
                     raise IllDefined(f"naturality fails at pair ({d}, {c})")
-        self.src = src
-        self.tgt = tgt
-        self.components = components
+        self.src, self.tgt, self.components = src, tgt, components
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PresheafHom) and self.src == other.src
@@ -316,32 +309,44 @@ class FreePresheaf(AbPresheaf):
 
     The stalk at d is Z^k on the summands whose label lies above d, with
     coordinate order inherited from the label order; restrictions are
-    coordinate inclusions since the supports shrink going up, built as
-    dense matrices and metered as such.  Equality is that of the
-    presheaf, whatever the labels.
+    coordinate inclusions since the supports shrink going up (apply_res),
+    built as dense matrices, and metered as such, when maps is first read.
+    Equality is that of the presheaf, whatever the labels.
     """
 
-    __slots__ = ("labels",)
+    __slots__ = ("labels", "_sups", "_maps")
 
     def __init__(self, site: FinitePoset, labels: Sequence[int]):
-        self.site, self.labels = site, tuple(labels)
+        self.site, self.labels, self._maps = site, tuple(labels), None
         for l in self.labels:
             if not 0 <= l < site.size:
                 raise IllDefined(f"label {l} is not a poset element")
-        sups = [self.support(d) for d in site.elements()]
-        stalks = [free_abelian(len(s)) for s in sups]
-        res = {}
-        for (d, c) in site.strict_pairs():
+        self._sups = [[i for i, l in enumerate(self.labels) if site.leq[d][l]]
+                      for d in site.elements()]
+        self.stalks = tuple(free_abelian(len(s)) for s in self._sups)
+
+    @property
+    def maps(self) -> Dict[Tuple[int, int], FpAbHom]:
+        if self._maps is not None:
+            return self._maps
+        sups, self._maps = self._sups, {}
+        for (d, c) in self.site.strict_pairs():
             if exactint._meter is not None:
                 exactint._charge(len(sups[d]) * len(sups[c]))
             rows = tuple(tuple(int(i == j) for j in sups[c]) for i in sups[d])
-            res[(d, c)] = FpAbHom(stalks[c], stalks[d], IntMatrix._wrap(
-                len(sups[d]), len(sups[c]), rows), check=False)
-        super().__init__(site, stalks, res, check=False)
+            self._maps[(d, c)] = FpAbHom(self.stalks[c], self.stalks[d],
+                                         IntMatrix._wrap(len(sups[d]),
+                                                         len(sups[c]), rows),
+                                         check=False)
+        return self._maps
+
+    def apply_res(self, d: int, c: int, m: IntMatrix) -> IntMatrix:
+        pos, zero = {s: i for i, s in enumerate(self._sups[c])}, (0,) * m.cols
+        return IntMatrix._wrap(len(self._sups[d]), m.cols, tuple(
+            m.data[pos[s]] if s in pos else zero for s in self._sups[d]))
 
     def support(self, d: int) -> List[int]:
-        return [i for i, l in enumerate(self.labels)
-                if self.site.is_leq(d, l)]
+        return self._sups[d]
 
     def __repr__(self) -> str:
         return f"FreePresheaf(labels={self.labels})"
@@ -391,8 +396,7 @@ def sections(F: AbPresheaf,
                IntMatrix.identity(F.stalk(d).gens))
               for i, d in enumerate(elems) for j, c in enumerate(elems)
               if d != c and F.site.leq[d][c]]
-    group, incl, _ = _equalizer([F.stalk(x) for x in elems], arrows)
-    return group, incl
+    return _equalizer([F.stalk(x) for x in elems], arrows)[:2]
 
 
 def global_sections(F: AbPresheaf) -> FpAbGroup:
@@ -426,14 +430,9 @@ class PresheafHomGroup:
             arrows.append((fpab.direct_sum_many([G.stalk(d)] * copies)[0],
                            c, post * hgs[c].lattice, d, pre * hgs[d].lattice))
         group, incl, offsets = _equalizer([hg.group for hg in hgs], arrows)
-        self.src_presheaf = F
-        self.tgt_presheaf = G
-        self.hgs = hgs
-        self.ambient = incl.tgt
-        self.offsets = offsets
-        self.incl = incl
-        self.group = group
-        self._basis = None
+        self.src_presheaf, self.tgt_presheaf, self.hgs = F, G, hgs
+        self.ambient, self.offsets, self.incl = incl.tgt, offsets, incl
+        self.group, self._basis = group, None
 
     def hom_of(self, coords) -> PresheafHom:
         if isinstance(coords, Element):
@@ -515,6 +514,48 @@ def _precompose_terms(a: AbPresheaf, src_labels: Sequence[int],
                 yield t, i, c, a.res(ct, src_labels[i]).matrix
 
 
+def _top_cover(site: FinitePoset, lattices: Sequence[IntMatrix]):
+    """(F, keep): keep[c] lists the generators of B(c) that a cover keeps,
+    given lattices[c], spanned by rel(B(c)) and the images of restrictions
+    along covers c ⋖ l (B is functorial, so they contain the rest), and F
+    has a representable at c for each.  The lattice's pivot-1 rows r give
+    e_r = -sum_{i>r} v_i e_i modulo it, so the kept units map onto B by
+    downward induction on r and on c; pivots depend on the lattice alone."""
+    spares = [{r for r, p, _ in FpAbGroup(m.rows, m)._echelon_basis()
+               if p == 1} for m in lattices]
+    keep = [[j for j in range(m.rows) if j not in spare]
+            for m, spare in zip(lattices, spares)]
+    return FreePresheaf(site, [c for c, k in enumerate(keep) for _ in k]), keep
+
+
+def _kernel_blocks(f: PresheafHom):
+    """(K, incl, starts, blocks, sols): ker f with its inclusion, whose
+    matrix L_c at c fpab.kernel makes, and its restrictions from one solve
+    per c.  blocks[c] is f.src(c ≤ l)·L_l side by side over the l >= c in
+    element order, starting at column starts[c][l]; its solution against
+    L_c, sols[c], is K(c ≤ l) side by side (the identity at l = c)."""
+    src, parts = f.src, [fpab.kernel(h) for h in f.components]
+    starts, blocks, sols = [], [], []
+    for c, (k, incl) in enumerate(parts):
+        ups = [l for l in src.site.elements() if src.site.leq[c][l]]
+        starts.append(dict(zip(ups, itertools.accumulate(
+            [parts[l][0].gens for l in ups], initial=0))))
+        blocks.append(hstack(*(incl.matrix if l == c else src.apply_res(
+            c, l, parts[l][1].matrix) for l in ups)))
+        sols.append(incl.solver.solve_matrix(blocks[c]))
+        if sols[c] is None:
+            raise IllDefined(f"restrictions to {c} leave the kernel")
+    # restrictions are corestrictions of f.src's along the stalkwise
+    # monos, so they compose as f.src's do and incl is natural
+    k = AbPresheaf(src.site, [k for (k, _) in parts], {
+        (c, l): FpAbHom(parts[l][0], parts[c][0], sols[c].take_cols(
+            range(s, s + parts[l][0].gens)), check=False)
+        for c, row in enumerate(starts) for l, s in row.items() if l != c},
+        check=False)
+    return (k, PresheafHom(k, src, [i for (_, i) in parts], check=False),
+            starts, blocks, sols)
+
+
 class PresheafContext(ModuleContext):
     """Presheaves of abelian groups over one fixed finite poset.
 
@@ -538,41 +579,36 @@ class PresheafContext(ModuleContext):
         raise NotFree("object is not a sum of representables")
 
     def epi_cover(self, b) -> Tuple[FreePresheaf, PresheafHom]:
-        # Cover only the top of each stalk: L_c, spanned by rel(B(c)) and
-        # the images of restrictions along covers c ⋖ l (B is functorial,
-        # so they contain the rest), has an echelon basis whose pivot-1
-        # rows r give e_r = -sum_{i>r} v_i e_i mod L_c.  Each other
-        # generator e_j gets a representable at c with unit e_j; onto by
-        # downward induction on r and on c.  Pivot rows and values depend
-        # on L_c alone, so the cover does not depend on the pivot rule.
-        site = self.site
-        labels, units = [], []
-        for c in site.elements():
-            stalk = b.stalk(c)
-            images = [b.maps[(c, l)].matrix for (d, l) in site.covers
-                      if d == c]
-            lattice = FpAbGroup(stalk.gens, hstack(stalk.relations, *images))
-            spare = {r for r, p, _ in lattice._echelon_basis() if p == 1}
-            ident = IntMatrix.identity(stalk.gens)
-            keep = [j for j in range(stalk.gens) if j not in spare]
-            labels += [c] * len(keep)
-            units += [ident.column_matrix(j) for j in keep]
-        free = FreePresheaf(site, tuple(labels))
-        return free, self.extend_units(free, b, units)
+        """Representables at the tops of B's stalks (_top_cover)."""
+        free, keep = _top_cover(self.site, [hstack(b.stalk(c).relations, *(
+            b.maps[(c, l)].matrix for (x, l) in self.site.covers if x == c))
+            for c in self.site.elements()])
+        idents = [IntMatrix.identity(s.gens) for s in b.stalks]
+        return free, self.extend_units(free, b, [
+            idents[c].column_matrix(j) for c, js in enumerate(keep)
+            for j in js])
 
     def kernel(self, f: PresheafHom) -> Tuple[AbPresheaf, PresheafHom]:
-        site = self.site
-        parts = [fpab.kernel(f.components[c]) for c in site.elements()]
-        res = {}
-        for (d, c) in site.strict_pairs():
-            moved = fpab.compose(f.src.res(d, c), parts[c][1])
-            res[(d, c)] = fpab.corestrict(moved, parts[d][1])
-        # restrictions are corestrictions of f.src's along the stalkwise
-        # monos, so they compose as f.src's do and incl is natural
-        k = AbPresheaf(site, [k for (k, _) in parts], res, check=False)
-        incl = PresheafHom(k, f.src, [incl for (_, incl) in parts],
-                           check=False)
-        return k, incl
+        return _kernel_blocks(f)[:2]
+
+    def cover_kernel(self, p: PresheafHom):
+        """The step in the coordinates of p's free source, where
+        restrictions are coordinate inclusions: at c, a kept generator j of
+        K(l) is column j of K(c ≤ l) in q, of p.src(c ≤ l)·L_l in d."""
+        k, _, starts, blocks, sols = _kernel_blocks(p)
+        if not any(s.gens for s in k.stalks):
+            return None
+        free, keep = _top_cover(self.site, [sols[c].take_cols([
+            row[l] + j for (x, l) in self.site.covers if x == c
+            for j in range(k.stalk(l).gens)]) for c, row in enumerate(starts)])
+        cols = [[s + j for l, s in row.items() for j in keep[l]]
+                for row in starts]
+
+        def taking(mats, tgt):
+            return PresheafHom(free, tgt, [FpAbHom(
+                free.stalk(c), tgt.stalk(c), m.take_cols(cs), check=False)
+                for c, (m, cs) in enumerate(zip(mats, cols))], check=False)
+        return free, taking(blocks, p.src), taking(sols, k)
 
     def compose(self, f, g) -> PresheafHom:
         return _compose(f, g)
@@ -664,8 +700,7 @@ class SheafExtResult:
 
     def __init__(self, presheaf: AbPresheaf,
                  resolutions: Dict[int, FreeResolution]):
-        self.presheaf = presheaf
-        self.resolutions = resolutions
+        self.presheaf, self.resolutions = presheaf, resolutions
 
     def stalk(self, c: int) -> FpAbGroup:
         return self.presheaf.stalk(c)

@@ -9,7 +9,7 @@ a finite poset, and cohomology_table reads a degree table off one resolution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .exactint import (
     DimensionMismatch,
@@ -28,6 +28,7 @@ class ModuleContext:
     Free objects are the resolution bricks; the one semantic requirement is
     that homs out of a free object can always be lifted through epis built
     inside the context, which is what epi_cover plus lift_through witness.
+    Resolutions grow by one cover_kernel step per degree.
     A hom out of a free is fixed by where it sends the basis units, so
     every context presents Hom(F, A) as one FreeHomGroup over the unit
     stalks and rebuilds homs from unit images with extend_units.
@@ -52,6 +53,16 @@ class ModuleContext:
         """(K, incl) with incl mono.  K's structure maps are corestrictions
         along incl, so its laws hold as in f's source and go unchecked."""
         raise NotImplementedError
+
+    def cover_kernel(self, p):
+        """None when ker p is zero, else (F, d, q): q : F -> ker p is an
+        epi_cover of the kernel in its own coordinates, which the next step
+        reads, and d : F -> src(p) is the next differential, incl∘q."""
+        k, incl = self.kernel(p)
+        if self.is_zero_hom(incl):
+            return None
+        f, q = self.epi_cover(k)
+        return f, self.compose(incl, q), q
 
     def compose(self, f, g):
         raise NotImplementedError
@@ -178,24 +189,17 @@ class FreeResolution:
 
 
 def free_resolution(ctx: ModuleContext, b, max_deg: int) -> FreeResolution:
-    """Iterated cover-the-kernel construction, exact by construction,
-    complete at the first zero kernel and otherwise cut at max_deg."""
+    """One cover_kernel step per degree: exact by construction, complete
+    at the first zero kernel and otherwise cut at max_deg."""
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
     p0_free, aug = ctx.epi_cover(b)
-    frees = [p0_free]
-    diffs = []
-    prev_epi = aug
-    for n in range(1, max_deg + 1):
-        b_n, i_n = ctx.kernel(prev_epi)
-        if ctx.is_zero_hom(i_n):
-            return FreeResolution(ctx, b, frees, diffs, aug,
-                                  dd_verified=True, complete=True)
-        f_n, p_n = ctx.epi_cover(b_n)
-        frees.append(f_n)
-        diffs.append(ctx.compose(i_n, p_n))
-        prev_epi = p_n
-    return FreeResolution(ctx, b, frees, diffs, aug, dd_verified=True)
+    steps = [(p0_free, None, aug)]
+    while len(steps) <= max_deg and (step := ctx.cover_kernel(steps[-1][2])):
+        steps.append(step)
+    return FreeResolution(ctx, b, [f for (f, _, _) in steps],
+                          [d for (_, d, _) in steps[1:]], aug,
+                          dd_verified=True, complete=len(steps) <= max_deg)
 
 
 class FpAbComplex:
@@ -234,11 +238,12 @@ class CohomologyData:
     generator coordinates.  coords_of solves against a basis of the
     cocycles {x : d(x) = 0 in C^{n+1}} modulo coboundaries and C^n
     relations, with the solver whose kernel presented the group, then
-    maps the solution onto its generators.
+    maps the solution onto its generators.  At the complex's top degree
+    every cochain is a cocycle and its own solution, and solver is None.
     """
 
     def __init__(self, group: FpAbGroup, lattice: IntMatrix,
-                 solver: ModSolver, to_group: IntMatrix):
+                 solver: Optional[ModSolver], to_group: IntMatrix):
         self.group = group
         self.lattice = lattice
         self._solver = solver
@@ -252,7 +257,8 @@ class CohomologyData:
 
     def classes_of(self, cocycles: IntMatrix) -> IntMatrix:
         """Reduced class coordinates of every column of cocycles."""
-        x = self._solver.solve_matrix(cocycles)
+        x = (cocycles if self._solver is None
+             else self._solver.solve_matrix(cocycles))
         if x is None:
             raise ValueError("column is not a cocycle for this complex degree")
         return self.group.reduce(self._to_group * x)
@@ -262,14 +268,18 @@ def cohomology_data(c: FpAbComplex, n: int) -> CohomologyData:
     if n < 0 or n > c.top_degree():
         raise ValueError(f"degree {n} outside complex range 0..{c.top_degree()}")
     group_n = c.groups[n]
-    if n < len(c.maps):
-        out = c.maps[n]
-        cocycles = constrained_kernel(out.matrix, out.tgt.relations)
-    else:
-        cocycles = IntMatrix.identity(group_n.gens)
     incoming = (c.maps[n - 1].matrix if n >= 1
                 else IntMatrix.zero(group_n.gens, 0))
-    solver = ModSolver(cocycles, hstack(group_n.relations, incoming))
+    rel = hstack(group_n.relations, incoming)
+    if n == len(c.maps):
+        # all of C^n; [I | rel] would give -rel, whose echelon basis is rel's
+        small, to_small, from_small = fpab.minimized(
+            make_group(group_n.gens, rel))
+        return CohomologyData(small, from_small.matrix, None,
+                              to_small.matrix)
+    out = c.maps[n]
+    cocycles = constrained_kernel(out.matrix, out.tgt.relations)
+    solver = ModSolver(cocycles, rel)
     small, to_small, from_small = fpab.minimized(
         make_group(cocycles.cols, solver.kernel()))
     return CohomologyData(small, cocycles * from_small.matrix, solver,

@@ -595,9 +595,10 @@ CHARGED = {
     # one product per side, each charged for its rows x cols
     "fpab.apply_blockwise": lambda: fpab.apply_blockwise(
         _A, 1, 2, left=IntMatrix.from_rows([[3]]), right=_A),
-    # its one restriction, ZY(1)(1) -> ZY(1)(0), is a dense 1x1 matrix
+    # its one restriction, ZY(1)(1) -> ZY(1)(0), is a dense 1x1 matrix,
+    # built when maps is first read
     "poset_sheaf.FreePresheaf": lambda: poset_sheaf.FreePresheaf(
-        poset_sheaf.chain(2), (1,)),
+        poset_sheaf.chain(2), (1,)).maps,
 }
 # The rest copy or read entries they are given, run _column_reduce or
 # solve_matrix, read a reduction already charged (ModSolver.kernel and

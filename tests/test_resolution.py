@@ -63,7 +63,11 @@ from extcalc.resolution import (
 from extcalc.ses import ext1_group
 
 from test_fpab import random_finite_group, random_hom
-from test_poset_sheaf import random_cokernel_presheaf, random_tree_presheaf
+from test_poset_sheaf import (
+    random_cokernel_presheaf,
+    random_tree_presheaf,
+    small_sites,
+)
 
 
 CTX = z_context()
@@ -330,6 +334,44 @@ def test_finite_resolutions_read_as_the_padded_ones(rng, case, depth):
             [rng.randint(-3, 3) for _ in range(3)] for _ in range(span.cols)])
         cocycles = span * coeffs
         assert got.classes_of(cocycles) == want.classes_of(cocycles)
+
+
+def _site_presheaves(site):
+    def case(rng):
+        b, a = (random_cokernel_presheaf(rng, site) for _ in range(2))
+        return presheaf_context(site), b, a
+    return case
+
+
+def _labels(free):
+    return getattr(free, "labels", free)  # a free group over Z is itself
+
+
+def _matrices(h):
+    return [c.matrix for c in getattr(h, "components", [h])]
+
+
+@settings(max_examples=120, deadline=None)
+@given(rng=st.randoms(use_true_random=False),
+       case=st.sampled_from([_z_groups, _tree_presheaves, _chain_presheaves,
+                             _bowtie_presheaves])
+       | small_sites().map(_site_presheaves),
+       depth=st.integers(1, 4))
+def test_one_step_per_degree_is_the_padded_resolution_cut(rng, case, depth):
+    # free_resolution's cover_kernel steps build exactly what kernel ->
+    # epi_cover -> compose builds, ending at the first zero kernel, where
+    # the padded construction covers a zero kernel by a zero free
+    ctx, b, _ = case(rng)
+    res = free_resolution(ctx, b, depth)
+    padded = padded_resolution(ctx, b, depth)
+    cut = next((n for n in range(1, depth + 1)
+                if not ctx.free_rank(padded.free(n))), depth + 1)
+    assert res.complete == (cut <= depth)
+    assert [_labels(f) for f in res.frees] == [
+        _labels(f) for f in padded.frees[:cut]]
+    assert _matrices(res.augmentation) == _matrices(padded.augmentation)
+    assert [_matrices(d) for d in res.diffs] == [
+        _matrices(d) for d in padded.diffs[:cut - 1]]
 
 
 def test_degrees_past_the_resolution():
