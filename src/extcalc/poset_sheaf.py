@@ -179,7 +179,7 @@ class AbPresheaf:
     engine builds skip it.  Sums of representables are FreePresheaf.
     """
 
-    __slots__ = ("site", "stalks", "maps")
+    __slots__ = ("site", "stalks", "_maps")
 
     def __init__(self, site: FinitePoset, stalks: Sequence[FpAbGroup],
                  res: Dict[Tuple[int, int], FpAbHom], check: bool = True):
@@ -210,7 +210,14 @@ class AbPresheaf:
                             maps[(e, d)], maps[(d, c)]) != maps[(e, c)]:
                         raise IllDefined("restrictions do not compose along "
                                          f"({e}, {d}, {c})")
-        self.site, self.stalks, self.maps = site, stalks, maps
+        self.site, self.stalks, self._maps = site, stalks, maps
+
+    @property
+    def maps(self) -> Dict[Tuple[int, int], FpAbHom]:
+        """Each strict pair's restriction, from a stored builder if any."""
+        if callable(self._maps):
+            self._maps = self._maps()
+        return self._maps
 
     def stalk(self, c: int) -> FpAbGroup:
         return self.stalks[c]
@@ -220,8 +227,9 @@ class AbPresheaf:
             return identity_hom(self.stalks[c])
         return self.maps[(d, c)]
 
-    def apply_res(self, d: int, c: int, m: IntMatrix) -> IntMatrix:
-        return self.res(d, c).matrix * m  # on columns in F(c) coordinates
+    def apply_res(self, d: int, mats) -> IntMatrix:
+        """res(d, c)·m side by side over (c, m) in mats, m in F(c) terms."""
+        return hstack(*(self.res(d, c).matrix * m for c, m in mats))
 
     def restrict(self, elems: Sequence[int]) -> "AbPresheaf":
         """The induced presheaf on a subset of elements (local reindexing)."""
@@ -314,36 +322,34 @@ class FreePresheaf(AbPresheaf):
     Equality is that of the presheaf, whatever the labels.
     """
 
-    __slots__ = ("labels", "_sups", "_maps")
+    __slots__ = ("labels", "_sups")
 
     def __init__(self, site: FinitePoset, labels: Sequence[int]):
-        self.site, self.labels, self._maps = site, tuple(labels), None
+        self.site, self.labels = site, tuple(labels)
         for l in self.labels:
             if not 0 <= l < site.size:
                 raise IllDefined(f"label {l} is not a poset element")
-        self._sups = [[i for i, l in enumerate(self.labels) if site.leq[d][l]]
-                      for d in site.elements()]
-        self.stalks = tuple(free_abelian(len(s)) for s in self._sups)
+        sups = self._sups = [[i for i, l in enumerate(self.labels) if row[l]]
+                             for row in site.leq]
+        stalks = self.stalks = tuple(free_abelian(len(s)) for s in sups)
 
-    @property
-    def maps(self) -> Dict[Tuple[int, int], FpAbHom]:
-        if self._maps is not None:
-            return self._maps
-        sups, self._maps = self._sups, {}
-        for (d, c) in self.site.strict_pairs():
+        def dense():  # reads no self, so self holds no cycle
             if exactint._meter is not None:
-                exactint._charge(len(sups[d]) * len(sups[c]))
-            rows = tuple(tuple(int(i == j) for j in sups[c]) for i in sups[d])
-            self._maps[(d, c)] = FpAbHom(self.stalks[c], self.stalks[d],
-                                         IntMatrix._wrap(len(sups[d]),
-                                                         len(sups[c]), rows),
-                                         check=False)
-        return self._maps
+                exactint._charge(sum(len(sups[d]) * len(sups[c])
+                                     for (d, c) in site.strict_pairs()))
+            return {(d, c): FpAbHom(stalks[c], stalks[d], IntMatrix._wrap(
+                len(sups[d]), len(sups[c]), tuple(tuple(
+                    int(i == j) for j in sups[c]) for i in sups[d])),
+                check=False) for (d, c) in site.strict_pairs()}
+        self._maps = dense
 
-    def apply_res(self, d: int, c: int, m: IntMatrix) -> IntMatrix:
-        pos, zero = {s: i for i, s in enumerate(self._sups[c])}, (0,) * m.cols
-        return IntMatrix._wrap(len(self._sups[d]), m.cols, tuple(
-            m.data[pos[s]] if s in pos else zero for s in self._sups[d]))
+    def apply_res(self, d: int, mats) -> IntMatrix:
+        at = [({s: i for i, s in enumerate(self._sups[c])}, m.data,
+               (0,) * m.cols) for c, m in mats]
+        rows = (itertools.chain.from_iterable(data[pos[s]] if s in pos else
+                zero for pos, data, zero in at) for s in self._sups[d])
+        return IntMatrix._wrap(len(self._sups[d]), sum(
+            m.cols for _, m in mats), tuple(map(tuple, rows)))
 
     def support(self, d: int) -> List[int]:
         return self._sups[d]
@@ -515,43 +521,40 @@ def _precompose_terms(a: AbPresheaf, src_labels: Sequence[int],
 
 
 def _top_cover(site: FinitePoset, lattices: Sequence[IntMatrix]):
-    """(F, keep): keep[c] lists the generators of B(c) that a cover keeps,
-    given lattices[c], spanned by rel(B(c)) and the images of restrictions
-    along covers c ⋖ l (B is functorial, so they contain the rest), and F
-    has a representable at c for each.  The lattice's pivot-1 rows r give
-    e_r = -sum_{i>r} v_i e_i modulo it, so the kept units map onto B by
-    downward induction on r and on c; pivots depend on the lattice alone."""
+    """(F, keep): keep[c] lists the generators of B(c) off the pivot-1 rows
+    r of the echelon basis of lattices[c], which rel(B(c)) and the images
+    along covers c ⋖ l span (B is functorial), and F has a representable
+    at c for each.  e_r = -sum_{i>r} v_i e_i modulo it, so F maps onto B by
+    downward induction on r and c; pivots depend on the lattice alone."""
     spares = [{r for r, p, _ in FpAbGroup(m.rows, m)._echelon_basis()
-               if p == 1} for m in lattices]
+               if p == 1} if m.cols else () for m in lattices]
     keep = [[j for j in range(m.rows) if j not in spare]
             for m, spare in zip(lattices, spares)]
     return FreePresheaf(site, [c for c, k in enumerate(keep) for _ in k]), keep
 
 
 def _kernel_blocks(f: PresheafHom):
-    """(K, incl, starts, blocks, sols): ker f with its inclusion, whose
-    matrix L_c at c fpab.kernel makes, and its restrictions from one solve
-    per c.  blocks[c] is f.src(c ≤ l)·L_l side by side over the l >= c in
-    element order, starting at column starts[c][l]; its solution against
-    L_c, sols[c], is K(c ≤ l) side by side (the identity at l = c)."""
+    """(K, incl, starts, blocks, sols) for ker f; incl at c is the L_c that
+    fpab.kernel makes.  blocks[c] is f.src(c ≤ l)·L_l over the l >= c,
+    side by side from column starts[c][l]; sols[c], its one solve against
+    L_c, is K(c ≤ l) side by side (the identity at l = c), which K reads
+    on first use: corestrictions of f.src's restrictions along the
+    stalkwise monos, so they compose as f.src's do and incl is natural."""
     src, parts = f.src, [fpab.kernel(h) for h in f.components]
     starts, blocks, sols = [], [], []
-    for c, (k, incl) in enumerate(parts):
-        ups = [l for l in src.site.elements() if src.site.leq[c][l]]
+    for c, (_, incl) in enumerate(parts):
+        ups = [l for l, up in enumerate(src.site.leq[c]) if up]
         starts.append(dict(zip(ups, itertools.accumulate(
             [parts[l][0].gens for l in ups], initial=0))))
-        blocks.append(hstack(*(incl.matrix if l == c else src.apply_res(
-            c, l, parts[l][1].matrix) for l in ups)))
+        blocks.append(src.apply_res(c, [(l, parts[l][1].matrix) for l in ups]))
         sols.append(incl.solver.solve_matrix(blocks[c]))
         if sols[c] is None:
             raise IllDefined(f"restrictions to {c} leave the kernel")
-    # restrictions are corestrictions of f.src's along the stalkwise
-    # monos, so they compose as f.src's do and incl is natural
-    k = AbPresheaf(src.site, [k for (k, _) in parts], {
+    k = AbPresheaf(src.site, [k for (k, _) in parts], {}, check=False)
+    k._maps = lambda: {
         (c, l): FpAbHom(parts[l][0], parts[c][0], sols[c].take_cols(
             range(s, s + parts[l][0].gens)), check=False)
-        for c, row in enumerate(starts) for l, s in row.items() if l != c},
-        check=False)
+        for c, row in enumerate(starts) for l, s in row.items() if l != c}
     return (k, PresheafHom(k, src, [i for (_, i) in parts], check=False),
             starts, blocks, sols)
 
@@ -579,7 +582,6 @@ class PresheafContext(ModuleContext):
         raise NotFree("object is not a sum of representables")
 
     def epi_cover(self, b) -> Tuple[FreePresheaf, PresheafHom]:
-        """Representables at the tops of B's stalks (_top_cover)."""
         free, keep = _top_cover(self.site, [hstack(b.stalk(c).relations, *(
             b.maps[(c, l)].matrix for (x, l) in self.site.covers if x == c))
             for c in self.site.elements()])
@@ -592,9 +594,8 @@ class PresheafContext(ModuleContext):
         return _kernel_blocks(f)[:2]
 
     def cover_kernel(self, p: PresheafHom):
-        """The step in the coordinates of p's free source, where
-        restrictions are coordinate inclusions: at c, a kept generator j of
-        K(l) is column j of K(c ≤ l) in q, of p.src(c ≤ l)·L_l in d."""
+        """In p's free source coordinates: at c, a kept generator j of K(l)
+        is column j of K(c ≤ l) in q, of p.src(c ≤ l)·L_l in d."""
         k, _, starts, blocks, sols = _kernel_blocks(p)
         if not any(s.gens for s in k.stalks):
             return None

@@ -55,9 +55,8 @@ class ModuleContext:
         raise NotImplementedError
 
     def cover_kernel(self, p):
-        """None when ker p is zero, else (F, d, q): q : F -> ker p is an
-        epi_cover of the kernel in its own coordinates, which the next step
-        reads, and d : F -> src(p) is the next differential, incl∘q."""
+        """None at a zero kernel, else (F, d, q): q : F -> ker p an epi in
+        kernel coordinates, read by the next step, and d = incl∘q."""
         k, incl = self.kernel(p)
         if self.is_zero_hom(incl):
             return None
