@@ -270,19 +270,17 @@ def cohomology_data(c: FpAbComplex, n: int) -> CohomologyData:
     incoming = (c.maps[n - 1].matrix if n >= 1
                 else IntMatrix.zero(group_n.gens, 0))
     rel = hstack(group_n.relations, incoming)
-    if n == len(c.maps):
-        # all of C^n; [I | rel] would give -rel, whose echelon basis is rel's
+    if n < len(c.maps):
+        out = c.maps[n]
+        cocycles = constrained_kernel(out.matrix, out.tgt.relations)
+        solver = ModSolver(cocycles, rel)
         small, to_small, from_small = fpab.minimized(
-            make_group(group_n.gens, rel))
-        return CohomologyData(small, from_small.matrix, None,
+            make_group(cocycles.cols, solver.kernel()))
+        return CohomologyData(small, cocycles * from_small.matrix, solver,
                               to_small.matrix)
-    out = c.maps[n]
-    cocycles = constrained_kernel(out.matrix, out.tgt.relations)
-    solver = ModSolver(cocycles, rel)
-    small, to_small, from_small = fpab.minimized(
-        make_group(cocycles.cols, solver.kernel()))
-    return CohomologyData(small, cocycles * from_small.matrix, solver,
-                          to_small.matrix)
+    # all of C^n; [I | rel] would give -rel, whose echelon basis is rel's
+    small, to_small, from_small = fpab.minimized(make_group(group_n.gens, rel))
+    return CohomologyData(small, from_small.matrix, None, to_small.matrix)
 
 
 def cohomology(c: FpAbComplex, n: int) -> FpAbGroup:
