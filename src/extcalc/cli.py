@@ -279,6 +279,9 @@ class Document:
         size = desc["size"]
         _expect(isinstance(size, int) and not isinstance(size, bool)
                 and size >= 0, f"{where}: size must be a nonnegative integer")
+        if size > POSET_SIZE_CAP:  # before make_poset's O(n^3) closure
+            raise CliDomainError(f"poset size is capped at {POSET_SIZE_CAP}; "
+                                 f"got {size}")
         rels = desc.get("relations", [])
         _expect(isinstance(rels, list), f"{where}: relations must be a list")
         pairs = []
@@ -571,13 +574,6 @@ def _cmd_fixed_points(args, doc: Document) -> dict:
     }
 
 
-def _check_poset_size(site: poset_sheaf.FinitePoset,
-                      cap: int = POSET_SIZE_CAP) -> None:
-    if site.size > cap:
-        raise CliDomainError(f"poset size is capped at {cap}; "
-                             f"got {site.size}")
-
-
 def _presheaf_result(p: poset_sheaf.AbPresheaf) -> dict:
     out = {
         "stalks": [fpab.describe(s) for s in p.stalks],
@@ -593,7 +589,6 @@ def _presheaf_result(p: poset_sheaf.AbPresheaf) -> dict:
 def _cmd_sheaf_ext(args, doc: Document) -> dict:
     b = _need(doc.presheaves, args.B, "presheaf")
     a = _need(doc.presheaves, args.A, "presheaf")
-    _check_poset_size(b.site)
     degrees = _degree_list(args)
     results = poset_sheaf.sheaf_ext_table(b, a, degrees, args.method)
     table = {n: _presheaf_result(r.presheaf) for n, r in results.items()}
@@ -608,7 +603,6 @@ def _cmd_sheaf_ext(args, doc: Document) -> dict:
 def _cmd_external_ext(args, doc: Document) -> dict:
     b = _need(doc.presheaves, args.B, "presheaf")
     a = _need(doc.presheaves, args.A, "presheaf")
-    _check_poset_size(b.site)
     degrees = _degree_list(args)
     table = poset_sheaf.external_ext_table(b, a, degrees)
     return _put_degrees({"command": "external-ext", "B": args.B,
@@ -617,7 +611,6 @@ def _cmd_external_ext(args, doc: Document) -> dict:
 
 def _cmd_global_sections(args, doc: Document) -> dict:
     f = _need(doc.presheaves, args.F, "presheaf")
-    _check_poset_size(f.site)
     group = poset_sheaf.global_sections(f)
     return {
         "command": "global-sections",
@@ -628,7 +621,9 @@ def _cmd_global_sections(args, doc: Document) -> dict:
 
 def _cmd_witness_search(args, doc: Document) -> dict:
     site = _need(doc.posets, args.poset, "poset")
-    _check_poset_size(site, WITNESS_POSET_SIZE_CAP)
+    if site.size > WITNESS_POSET_SIZE_CAP:
+        raise CliDomainError(f"poset size is capped at "
+                             f"{WITNESS_POSET_SIZE_CAP}; got {site.size}")
     if not 0 <= args.c < site.size:
         raise CliDomainError(f"element {args.c} is not in the poset")
     found = poset_sheaf.witness_search(site, args.c)

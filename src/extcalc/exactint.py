@@ -46,7 +46,8 @@ def work_cap(cells: int):
 
     `_column_reduce` charges rows x cols of its input and _STEP_CELLS per
     entry each elimination step rewrites, `ModSolver.solve_matrix`
-    _STEP_CELLS per pivot and right-hand side column, and `IntMatrix.zero`,
+    _STEP_CELLS per pivot and right-hand side column, `ModSolver.kernel`
+    rows x cols of its dense result, and `IntMatrix.zero`,
     `identity`, `__mul__`, `block_diag`, `snf`, `fpab.unit_block_matrix`
     and `poset_sheaf.FreePresheaf` (its restrictions, on first read) rows x
     cols of each dense matrix they size from a shape, each before its work.
@@ -405,8 +406,10 @@ class ModSolver:
         the A-parts of the columns the reduction zeroed, so the projection
         of ker[A | Rel].  With Rel empty they are a basis of ker A, which
         is saturated: a direct summand of the ambient lattice."""
-        return _from_sparse_cols([col.w for col in self._order[self._npiv:]],
-                                 self.cols)
+        zeroed = self._order[self._npiv:]
+        if _meter is not None:
+            _charge(self.cols * len(zeroed))
+        return _from_sparse_cols([col.w for col in zeroed], self.cols)
 
     def pivots(self) -> list:
         """(row, pivot, entries below, A-part of the transform) per pivot

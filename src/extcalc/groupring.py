@@ -440,11 +440,45 @@ class GModuleContext(ModuleContext):
         raise NotFree("object is not a free module")
 
     def epi_cover(self, b) -> Tuple[FreeGModule, GModuleHom]:
-        # one block per generator of B, its unit sent to that generator
-        f = FreeGModule(self.G, b.M.gens)
-        ident = IntMatrix.identity(b.M.gens)
-        units = [ident.column_matrix(j) for j in range(b.M.gens)]
-        return f, self.extend_units(f, b, units)
+        # one block per generator of B, its unit sent to that generator:
+        # the (j, h) basis element goes to h·e_j, column j of h's action
+        f, m = FreeGModule(self.G, b.M.gens), b.M.gens
+        cols = [act.matrix.col(j) for j in range(m) for act in b.action]
+        return f, GModuleHom(f, b, FpAbHom(f.M, b.M, _from_cols(cols, m),
+                                           check=False), check=False)
+
+    def cover_kernel(self, p):
+        """Ellis's greedy cover (J. Symbolic Comput. 38, 2004): ker p, read
+        off p's own solver modulo the target relations, is spanned by the
+        G-translates of its nonzero columns, each kept, smallest absolute
+        sum first, unless it lies in the span of those kept before.  q is
+        the dense hom of the translates into p's source, with the last
+        membership solver when that was built on all of them."""
+        n, table = self.G.order, self.G.table
+        ab = p.ab if isinstance(p, GModuleHom) else p
+        ker, height = ab.solver.kernel(), ab.src.gens
+        kept, span, solver = [], [], None
+        for v in sorted(filter(any, ker.transpose().data),
+                        key=lambda v: sum(map(abs, v))):
+            if kept:
+                solver = solver or SnfSolver(_from_cols(span, height))
+                if solver.solve(_from_cols([v], height)) is not None:
+                    continue
+            solver = None
+            kept.append([(i // n, i % n, c) for i, c in enumerate(v) if c])
+            # span gains every translate: g moves (block, h) to (block, gh)
+            span += [[0] * height for _ in range(n)]
+            for g, w in enumerate(span[-n:]):
+                for (b, h, c) in kept[-1]:
+                    w[b * n + table[g][h]] = c
+        if not kept:
+            return None
+        f = FreeGModule(self.G, len(kept))
+        q = FpAbHom(free_abelian(len(span)), ab.src, _from_cols(span, height),
+                    check=False)
+        q._solver = solver
+        return f, ZGFreeHom(self.G, f, FreeGModule(self.G, height // n),
+                            kept), q
 
     def kernel(self, f) -> Tuple[GModule, GModuleHom]:
         f = self._hom(f)
@@ -542,15 +576,10 @@ def _index_of(t: Sequence[int], base: int) -> int:
     return idx
 
 
-def _resolution_of_z(G: FiniteGroup, frees, diffs,
-                     complete: bool = False) -> FreeResolution:
+def _resolution_of_z(G: FiniteGroup, frees, diffs) -> FreeResolution:
     """Trivial Z resolved by frees and diffs, augmented by summing."""
-    src, triv = frees[0], trivial_module(G, free_abelian(1))
-    mat = IntMatrix.from_rows([[1] * G.order], cols=G.order)
-    aug = GModuleHom(src, triv, FpAbHom(src.M, triv.M, mat, check=False),
-                     check=False)
-    return FreeResolution(gmodule_context(G), triv, frees, diffs, aug,
-                          complete=complete)
+    ctx, triv = gmodule_context(G), trivial_module(G, free_abelian(1))
+    return FreeResolution(ctx, triv, frees, diffs, ctx.epi_cover(triv)[1])
 
 
 def _bar_like_resolution(G: FiniteGroup, max_deg: int,
@@ -641,43 +670,12 @@ def _from_cols(cols, height: int) -> IntMatrix:
 
 
 def greedy_resolution(G: FiniteGroup, max_deg: int) -> FreeResolution:
-    """A small free resolution of the trivial module Z over ZG (Ellis 2004).
-
-    Degree k+1 covers the kernel of the dense matrix of d_k (of the
-    augmentation for k = 0): each kernel basis column, smallest absolute
-    sum first to keep coefficients small, becomes a generator unless it
-    lies in the Z-span of the G-translates of those kept before.  The
-    translates then span the kernel, so the resolution is exact by
-    construction, and they are the dense matrix of d_{k+1}, whose kernel
-    the last membership solver, when it was built on all of them, reads.
-    A kernel with no columns (G trivial) ends it, complete.
-    """
-    if max_deg < 0:
-        raise ValueError("max_deg must be nonnegative")
-    n, table = G.order, G.table
-    frees, diffs = [FreeGModule(G, 1)], []
-    dense, solver = IntMatrix.from_rows([[1] * n], cols=n), None
-    for _ in range(max_deg):
-        ker, height = (solver or SnfSolver(dense)).kernel(), dense.cols
-        if not ker.cols:
-            return _resolution_of_z(G, frees, diffs, complete=True)
-        kept, span, solver = [], [], None
-        for v in sorted(ker.transpose().data, key=lambda v: sum(map(abs, v))):
-            if kept:
-                solver = solver or SnfSolver(_from_cols(span, height))
-                if solver.solve(_from_cols([v], height)) is not None:
-                    continue
-            solver = None
-            kept.append([(i // n, i % n, c) for i, c in enumerate(v) if c])
-            # span gains every translate: g moves (block, h) to (block, gh)
-            span += [[0] * height for _ in range(n)]
-            for g, w in enumerate(span[-n:]):
-                for (b, h, c) in kept[-1]:
-                    w[b * n + table[g][h]] = c
-        frees.append(FreeGModule(G, len(kept)))
-        diffs.append(ZGFreeHom(G, frees[-1], frees[-2], kept))
-        dense = _from_cols(span, height)
-    return _resolution_of_z(G, frees, diffs)
+    """The small resolution of the trivial module Z over ZG (Ellis 2004):
+    free_resolution with GModuleContext.cover_kernel, d∘d checked once."""
+    res = resolution.free_resolution(
+        gmodule_context(G), trivial_module(G, free_abelian(1)), max_deg)
+    res.verify_dd()
+    return res
 
 
 def group_cohomology(G: FiniteGroup, M: GModule, n: int) -> FpAbGroup:

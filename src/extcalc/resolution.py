@@ -55,8 +55,10 @@ class ModuleContext:
         raise NotImplementedError
 
     def cover_kernel(self, p):
-        """None at a zero kernel, else (F, d, q): q : F -> ker p an epi in
-        kernel coordinates, read by the next step, and d = incl∘q."""
+        """None at a zero kernel, else (F, d, q): d : F -> src(p) onto
+        ker p, and q what the next step reads.  This default, which only
+        ZContext keeps, makes q : F -> ker p in kernel coordinates and
+        d = incl∘q."""
         k, incl = self.kernel(p)
         if self.is_zero_hom(incl):
             return None
@@ -165,8 +167,7 @@ class FreeResolution:
         return self.diffs[n - 1]
 
     def verify_dd(self) -> None:
-        if self.dd_verified:
-            return
+        """Check d∘d = 0 even when marked dd_verified, then mark it."""
         for k in range(len(self.diffs) - 1):
             if not self.ctx.is_zero_hom(self.ctx.compose(self.diffs[k],
                                                          self.diffs[k + 1])):
@@ -297,7 +298,8 @@ def hom_complex(p: FreeResolution, a, first: int = 0) -> FpAbComplex:
     presented-group matrices, which can be large.
     """
     ctx = p.ctx
-    p.verify_dd()
+    if not p.dd_verified:
+        p.verify_dd()
     hgs = [ctx.hom_group(p.free(n), a) for n in range(first, p.max_deg + 1)]
     maps = [ctx.induced_precompose(hgs[k], hgs[k + 1], p.diff(first + k + 1))
             for k in range(len(hgs) - 1)]

@@ -393,31 +393,31 @@ class TestExitCodes:
         # module's setup, the resolution of Z to degree 2, the Hom complex
         # and its cohomology
         (["group-cohomology", "--input", "-", "--G", "C2", "--M", "M",
-          "--n", "1"], 300, "Z/2"),
+          "--n", "1"], 331, "Z/2"),
         # Sierpinski quot resolves as ZY(1), ZY(0)+ZY(1), ZY(0) and ends
         # there; degree 2 is the top, whose cocycles are all of Hom(ZY(0), A)
         (["sheaf-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
-          "--n", "2"], 57, "Z/2"),
+          "--n", "2"], 61, "Z/2"),
         (["external-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
-          "--n", "2"], 57, "Z/2"),
+          "--n", "2"], 61, "Z/2"),
         # the shorthand sum, the resolution and the Ext^1 cross-check,
         # whose Ext^1 group builds no cover of B until it is read
-        (["ext", "--B", "Z/4 + Z", "--A", "Z/6", "--n", "1"], 70, "Z/2"),
+        (["ext", "--B", "Z/4 + Z", "--A", "Z/6", "--n", "1"], 72, "Z/2"),
         # the equalizer of y1's one restriction, a 1 x 2 constraint
-        (["global-sections", "--input", SIERPINSKI, "--F", "y1"], 17,
+        (["global-sections", "--input", SIERPINSKI, "--F", "y1"], 19,
          "Gamma(y1) = Z\n"),
         # chain(8) with Z^6 stalks and zero restrictions: naturality,
         # functoriality and the stalk covers read the 7 covers, not the
         # 28 strict pairs
         (["sheaf-ext", "--input", "-", "--B", "Z6", "--A", "Z6", "--n", "1",
-          "--method", "general"], 1908684, "element 7: Z^252"),
+          "--method", "general"], 1923804, "element 7: Z^252"),
         # Z/2 -> Z/4 -> Z/2 against M = (Z/6)^8 + Z^5: make_ses, three hom
         # groups, three Ext^1 groups, each map in one batch and the report
         # from the maps' solvers (18,369 and 15,229 cells per generator)
         (["six-term", "--input", "-", "--ses", "s", "--M", SIX_M,
-          "--variance", "co"], 14723, "all exact: yes"),
+          "--variance", "co"], 16751, "all exact: yes"),
         (["six-term", "--input", "-", "--ses", "s", "--M", SIX_M,
-          "--variance", "contra"], 14302, "all exact: yes"),
+          "--variance", "contra"], 15610, "all exact: yes"),
     ], ids=["group-cohomology", "sheaf-ext", "external-ext", "ext",
             "global-sections", "sheaf-ext-chain8", "six-term-co",
             "six-term-contra"])
@@ -460,7 +460,7 @@ class TestExitCodes:
     def test_ext_k40_answers_under_the_cap(self, capsys, monkeypatch):
         # Ext^1 of (Z/6)^40 + Z^5 by (Z/4)^40 + Z^5: degree 1 is the top of
         # the complete resolution over Z, presented without an identity
-        cells = 45_996_620
+        cells = 45_998_420
         assert cells < cli.WORK_CELL_CAP
         b = " + ".join(["Z/6"] * 40 + ["Z^5"])
         a = " + ".join(["Z/4"] * 40 + ["Z^5"])
@@ -534,6 +534,28 @@ class TestExitCodes:
                            "--poset", "long", "--c", "0")
         assert code == cli.EXIT_DOMAIN
         assert "capped" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["witness-search", "--poset", "long", "--c", "0"],
+        ["global-sections", "--F", "F"],
+        ["sheaf-ext", "--B", "F", "--A", "F", "--n", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_oversized_poset_is_refused_before_its_closure(
+            self, capsys, monkeypatch, argv):
+        # closing a 2,000-element chain and checking its order laws is
+        # O(n^3); its size alone refuses it
+        n = 2000
+        doc = json.dumps({
+            "posets": {"long": {"size": n, "relations": [
+                [i, i + 1] for i in range(n - 1)]}},
+            "presheaves": {"F": {"poset": "long", "stalks": ["Z"] * n,
+                                 "res": {}}}})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        start = time.perf_counter()
+        code, _, err = run(capsys, argv[0], "--input", "-", *argv[1:])
+        assert time.perf_counter() - start < 1
+        assert code == cli.EXIT_DOMAIN
+        assert "capped at 12; got 2000" in err
 
     def test_witness_search_size_cap(self, capsys, monkeypatch):
         # the candidate family grows as 3^n and is searched in pairs, so
@@ -615,6 +637,25 @@ class TestZCommandMeter:
         code, _, err = run(capsys, *[sums.get(a, a) for a in argv])
         assert time.perf_counter() - start < 10
         assert code == cli.EXIT_DOMAIN and "capped" in err
+
+    def test_hom_charges_its_kernel_before_building_it(self, capsys,
+                                                      monkeypatch):
+        # Hom(Z^k, Z^k) is all of Z^(k^2): its kernel basis is a k^2 x k^2
+        # identity, charged k^4 cells before it is built, so a cap below
+        # that refuses the request without building one
+        k, built = 4, []
+        build = exactint._from_sparse_cols
+
+        def recorded(cols, height):
+            built.append((height, len(cols)))
+            return build(cols, height)
+
+        monkeypatch.setattr(exactint, "_from_sparse_cols", recorded)
+        monkeypatch.setattr(cli, "WORK_CELL_CAP", k ** 4 - 1)
+        code, _, err = run(capsys, "hom", "--src", f"Z^{k}", "--tgt",
+                           f"Z^{k}")
+        assert code == cli.EXIT_DOMAIN and "capped" in err
+        assert (k * k, k * k) not in built
 
     def test_hom_and_baer_answer_below_the_cap(self, capsys):
         b = shorthand_sum((20, "Z/6"), (1, "Z^5"))

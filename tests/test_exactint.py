@@ -577,6 +577,7 @@ def test_snf_invariant_products_are_minor_gcds(a):
 
 _A = IntMatrix.from_rows([[1, 2], [3, 4]])
 _SOLVER = ModSolver(_A, IntMatrix.zero(2, 0))
+_MOD_SOLVER = ModSolver(_A, _A)  # [A | A] zeroes two columns
 
 # Every builder that sizes a dense matrix from a shape (snf: U, D and V),
 # and the one elimination under kernels, solvers and the Smith form: each
@@ -590,6 +591,8 @@ CHARGED = {
     "_column_reduce": lambda: _column_reduce(_A, 0),
     "snf": lambda: snf(_A),
     "ModSolver.solve_matrix": lambda: _SOLVER.solve_matrix(_A),
+    # its dense result, one column per column the reduction zeroed
+    "ModSolver.kernel": lambda: _MOD_SOLVER.kernel(),
     "fpab.unit_block_matrix": lambda: fpab.unit_block_matrix(
         [fpab.zmod(2)], [fpab.zmod(2)], [(0, 0, 1, IntMatrix.identity(1))]),
     # one product per side, each charged for its rows x cols
@@ -601,9 +604,8 @@ CHARGED = {
         poset_sheaf.chain(2), (1,)).maps,
 }
 # The rest copy or read entries they are given, run _column_reduce or
-# solve_matrix, read a reduction already charged (ModSolver.kernel and
-# ModSolver.pivots), or (diagonal) validate outside input with no caller
-# in the engine.
+# solve_matrix, read a reduction already charged (ModSolver.pivots), or
+# (diagonal) validate outside input with no caller in the engine.
 UNCHARGED = {
     "IntMatrix.__init__", "IntMatrix._wrap", "IntMatrix.from_rows",
     "IntMatrix.from_cols", "IntMatrix.diagonal", "IntMatrix.column",
@@ -615,7 +617,7 @@ UNCHARGED = {
     "work_cap", "_charge", "hstack", "vstack", "_from_sparse_cols",
     "kernel_basis", "constrained_kernel", "column_space_basis", "rank",
     "solve", "solve_mod", "_combine", "_xgcd", "ModSolver.__init__",
-    "ModSolver.solve", "ModSolver.kernel", "ModSolver.pivots",
+    "ModSolver.solve", "ModSolver.pivots",
     "SnfSolver.__init__", "SnfSolver.solve",
     "SnfSolver.solve_matrix", "SmithDecomposition.__init__",
     "SmithDecomposition.diagonal",

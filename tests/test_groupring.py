@@ -13,7 +13,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extcalc import exactint, fpab, groupring, resolution
+from extcalc import exactint, fpab, resolution
 from extcalc.exactint import IntMatrix, work_cap
 from extcalc.fpab import describe, free_abelian, identity_hom, zmod
 from extcalc.groupring import (
@@ -698,19 +698,25 @@ class TestGreedyResolution:
     def test_work_cap_is_a_running_total_of_eliminations(self, monkeypatch):
         # with elimination steps and solves left uncharged, the meter
         # charges the input cells of every kernel and membership solver
-        # once, plus the 1x1 identity of the target Z
+        # once and the cells of every kernel read off one, plus the 1x1
+        # identity of the target Z
         monkeypatch.setattr(exactint, "_STEP_CELLS", 0)
         total = [1]
+        init, kernel = exactint.ModSolver.__init__, exactint.ModSolver.kernel
 
-        def counted(fn):
-            def run(a):
-                total.append(a.rows * a.cols)
-                return fn(a)
-            return run
+        def counted_init(self, a, rel):
+            total.append(a.rows * (a.cols + rel.cols))
+            init(self, a, rel)
 
-        # every kernel and membership test reads an SnfSolver
-        monkeypatch.setattr(groupring, "SnfSolver",
-                            counted(groupring.SnfSolver))
+        def counted_kernel(self):
+            k = kernel(self)
+            total.append(k.rows * k.cols)
+            return k
+
+        # the augmentation's solver reads the degree-0 kernel, each later
+        # one q's solver, and each membership test an SnfSolver
+        monkeypatch.setattr(exactint.ModSolver, "__init__", counted_init)
+        monkeypatch.setattr(exactint.ModSolver, "kernel", counted_kernel)
         greedy_resolution(klein_four(), 6)
         cells = sum(total)
         with work_cap(cells):
@@ -754,6 +760,61 @@ def test_greedy_cohomology_table_is_the_single_degrees(rng):
     table = resolution.cohomology_table(greedy_resolution(G, 4), m, range(4))
     for n in range(4):
         assert table[n].group == group_cohomology(G, m, n), n
+
+
+class TestGroupRingCover:
+    """free_resolution over ZG for any B: Ellis's greedy cover as the
+    context's cover_kernel step."""
+
+    def test_s3_trivial_z4_resolves_small(self):
+        # the base step, one free block per Z-generator of each kernel,
+        # would give ranks [1, 6, 30, 150, 750] and meter 30,437,626
+        # cells for Ext^3
+        G = symmetric3()
+        ctx = gmodule_context(G)
+        b, a = trivial_module(G, zmod(4)), trivial_module(G, zmod(2))
+        res = resolution.free_resolution(ctx, b, 4)
+        assert [f.rank for f in res.frees] == [1, 3, 5, 7, 9]
+        with work_cap(100_000):
+            assert describe(resolution.ext_n(ctx, b, a, 3)) == "Z/2 + Z/2"
+
+    def test_dependent_relations_keep_no_zero_generator(self):
+        # Z/2 presented by the relations 2 and 0: the augmentation's
+        # kernel has a zero generating column, which is not kept
+        G = symmetric3()
+        ctx = gmodule_context(G)
+        two = fpab.make_group(1, IntMatrix.from_rows([[2, 0]]))
+        ranks = [[f.rank for f in resolution.free_resolution(
+            ctx, trivial_module(G, m), 4).frees] for m in (two, zmod(2))]
+        assert ranks[0] == ranks[1] == [1, 3, 5, 7, 9]
+
+    def test_validate_composes_a_resolution_marked_verified(self):
+        # t - e twice over C2 composes to 2e - 2t
+        G = cyclic(2)
+        per = periodic_resolution(G, 2)
+        bad = resolution.FreeResolution(per.ctx, per.target, per.frees,
+                                        [per.diff(1)] * 2, per.augmentation,
+                                        dd_verified=True)
+        with pytest.raises(RuntimeError, match="d∘d is nonzero"):
+            bad.validate()
+
+
+@settings(max_examples=120, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_zg_ext_of_a_z_free_module_is_cohomology_of_hom(rng):
+    # Ext^n over ZG of a Z-free B is H^n(G; Hom_Z(B, A)), compared on
+    # about one draw in ten; the resolution of every B, torsion
+    # included, is exact through degree 3
+    G = rng.choice(list(SMALL_GROUPS.values()))
+    b, a = random_gmodule(rng, G), random_gmodule(rng, G)
+    ctx = gmodule_context(G)
+    resolution.free_resolution(ctx, b, 3).validate()
+    if not b.M.invariant_factors:
+        ext = resolution.ext_table(ctx, b, a, range(3))
+        hom = ext_action(G, b, a, 0)
+        for n in range(3):
+            assert ext[n].group.canonical_form \
+                == group_cohomology(G, hom, n).canonical_form, n
 
 
 class TestGroupCohomology:
