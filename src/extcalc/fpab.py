@@ -553,6 +553,14 @@ def is_mono(f: FpAbHom) -> bool:
     return f.src.solver.solve_matrix(f.solver.kernel()) is not None
 
 
+def is_exact_at(f_in: FpAbHom, f_out: FpAbHom) -> bool:
+    """im(f_in) = ker(f_out) inside their shared middle group: the
+    composite is zero and each generator of ker(f_out) lies in im(f_in)."""
+    if not compose(f_out, f_in).is_zero():
+        return False
+    return f_in.solver.solve_matrix(f_out.solver.kernel()) is not None
+
+
 def lift_through_epi(p: FpAbHom, g: FpAbHom) -> FpAbHom:
     """h with p∘h = g for g out of a free group; NotEpi if g leaves im p."""
     if g.tgt != p.tgt:

@@ -415,11 +415,10 @@ def _zg_columns(d) -> tuple:
 class GModuleContext(ModuleContext):
     """Modules over ZG for one fixed finite group.
 
-    Free objects are FreeGModule and compose symbolically; one passing
-    through a kernel or a corestriction builds its underlying group,
-    which is fine at the ranks where those actually happen.  Epis are
-    underlying epis, and lifts out of frees solve for the block units
-    only, then extend equivariantly.
+    Free objects are FreeGModule and compose symbolically; a hom read by
+    underlying or lift_through is expanded to its underlying groups, fine
+    at the ranks where that happens.  Lifts out of frees solve for the
+    block units only, then extend equivariantly.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -480,19 +479,6 @@ class GModuleContext(ModuleContext):
         return f, ZGFreeHom(self.G, f, FreeGModule(self.G, height // n),
                             kept), q
 
-    def kernel(self, f) -> Tuple[GModule, GModuleHom]:
-        f = self._hom(f)
-        k_ab, incl_ab = fpab.kernel(f.ab)
-        acts = []
-        for g in range(self.G.order):
-            moved = fpab.compose(f.src.action[g], incl_ab)
-            acts.append(fpab.corestrict(moved, incl_ab))
-        # each action and the inclusion are corestrictions along the mono
-        # incl, so the module laws and equivariance hold as they do on f.src
-        k = GModule(self.G, k_ab, acts, check=False)
-        incl = GModuleHom(k, f.src, incl_ab, check=False)
-        return k, incl
-
     def compose(self, f, g):
         if isinstance(f, ZGFreeHom) and isinstance(g, ZGFreeHom):
             return _compose_free(f, g)
@@ -512,13 +498,8 @@ class GModuleContext(ModuleContext):
             return f.is_zero()
         return f.ab.is_zero()
 
-    def is_epi(self, f) -> bool:
-        return fpab.is_epi(self._hom(f).ab)
-
-    def corestrict(self, f, incl) -> GModuleHom:
-        fd, incl = self._hom(f), self._hom(incl)
-        res = fpab.corestrict(fd.ab, incl.ab)
-        return GModuleHom(fd.src, incl.src, res, check=False)
+    def underlying(self, f) -> Tuple[FpAbHom]:
+        return (self._hom(f).ab,)
 
     def lift_through(self, p, g) -> GModuleHom:
         """Equivariant lift: solve for the block units, extend by linearity."""
@@ -540,11 +521,14 @@ class GModuleContext(ModuleContext):
         return FreeHomGroup(self, f, a, [a.M] * f.rank)
 
     def extend_units(self, free, a: GModule, units) -> GModuleHom:
-        """Equivariant extension: the (j, h) basis element goes to h·units[j]."""
-        cols = [(act.matrix * u).col(0) for u in units for act in a.action]
-        mat = IntMatrix.from_cols(cols, rows=a.M.gens)
-        return GModuleHom(free, a, FpAbHom(free.M, a.M, mat, check=False),
-                          check=False)
+        """Equivariant extension: the (j, h) basis element goes to
+        h·units[j], Σ u_k·(column k of h's action) over the nonzero u_k."""
+        m, acts = a.M.gens, [act.matrix.transpose().data for act in a.action]
+        terms = [[(k, x) for k, x in enumerate(u.col(0)) if x] for u in units]
+        cols = [tuple(map(sum, zip(*[[x * v for v in act[k]] for k, x in t])))
+                or (0,) * m for t in terms for act in acts]
+        return GModuleHom(free, a, FpAbHom(free.M, a.M, _from_cols(cols, m),
+                                           check=False), check=False)
 
     def induced_precompose(self, hg_src: FreeHomGroup, hg_tgt: FreeHomGroup,
                            d) -> FpAbHom:

@@ -444,8 +444,8 @@ class PresheafContext(ModuleContext):
     """Presheaves of abelian groups over one fixed finite poset.
 
     Free objects are FreePresheaf, sums of representables that keep
-    their labels; epis and kernels are stalkwise; lifts out of frees
-    solve at the Yoneda units and extend along restrictions.
+    their labels; kernels and underlying maps are stalkwise; lifts out of
+    frees solve at the Yoneda units and extend along restrictions.
     """
 
     def __init__(self, site: FinitePoset):
@@ -502,13 +502,8 @@ class PresheafContext(ModuleContext):
     def is_zero_hom(self, f: PresheafHom) -> bool:
         return all(comp.is_zero() for comp in f.components)
 
-    def is_epi(self, f: PresheafHom) -> bool:
-        return is_epi(f)
-
-    def corestrict(self, f: PresheafHom, incl: PresheafHom) -> PresheafHom:
-        comps = [fpab.corestrict(f.components[c], incl.components[c])
-                 for c in self.site.elements()]
-        return PresheafHom(f.src, incl.src, comps, check=False)
+    def underlying(self, f: PresheafHom) -> Sequence[FpAbHom]:
+        return f.components
 
     def lift_through(self, p: PresheafHom, g: PresheafHom) -> PresheafHom:
         """Solve at the Yoneda units of g's free source, extend downward."""

@@ -1,10 +1,11 @@
 """Free resolutions, Hom complexes, and cohomology over a module context.
 
 A module context packages what a concrete module category must provide for
-resolution-based computations: free objects, epi covers, kernels, lifts,
-and hom-groups out of frees as presented abelian groups.  The same engine
-serves abelian groups, modules over a finite group ring and presheaves on
-a finite poset, and cohomology_table reads a degree table off one resolution.
+resolution-based computations: free objects, epi and kernel covers, lifts,
+hom-groups out of frees as presented abelian groups, and underlying maps.
+The same engine serves abelian groups, modules over a finite group ring and
+presheaves on a finite poset, and cohomology_table reads a degree table off
+one resolution.
 """
 
 from __future__ import annotations
@@ -49,21 +50,10 @@ class ModuleContext:
         """(F, p) with F free and p : F -> B epi, deterministically chosen."""
         raise NotImplementedError
 
-    def kernel(self, f):
-        """(K, incl) with incl mono.  K's structure maps are corestrictions
-        along incl, so its laws hold as in f's source and go unchecked."""
-        raise NotImplementedError
-
     def cover_kernel(self, p):
         """None at a zero kernel, else (F, d, q): d : F -> src(p) onto
-        ker p, and q what the next step reads.  This default, which only
-        ZContext keeps, makes q : F -> ker p in kernel coordinates and
-        d = incl∘q."""
-        k, incl = self.kernel(p)
-        if self.is_zero_hom(incl):
-            return None
-        f, q = self.epi_cover(k)
-        return f, self.compose(incl, q), q
+        ker p, and q what the next step reads."""
+        raise NotImplementedError
 
     def compose(self, f, g):
         raise NotImplementedError
@@ -74,10 +64,8 @@ class ModuleContext:
     def is_zero_hom(self, f) -> bool:
         raise NotImplementedError
 
-    def is_epi(self, f) -> bool:
-        raise NotImplementedError
-
-    def corestrict(self, f, incl):
+    def underlying(self, f) -> Sequence[FpAbHom]:
+        """f's underlying abelian maps, stalk by stalk; exactness reads them."""
         raise NotImplementedError
 
     def lift_through(self, p, g):
@@ -160,10 +148,14 @@ class FreeResolution:
         return len(self.frees) - 1
 
     def free(self, n: int):
+        if n < 0:
+            raise IndexError(f"no free term in degree {n}")
         return self.frees[n]
 
     def diff(self, n: int):
         """d_n : P_n -> P_{n-1}, defined for 1 <= n <= max_deg."""
+        if n < 1:
+            raise IndexError(f"no differential in degree {n}")
         return self.diffs[n - 1]
 
     def verify_dd(self) -> None:
@@ -176,15 +168,13 @@ class FreeResolution:
         self.dd_verified = True
 
     def validate(self) -> None:
-        """Check d∘d = 0 and exactness at every internal degree."""
-        ctx = self.ctx
+        """Check d∘d = 0, then exactness on the underlying abelian maps."""
         self.verify_dd()
-        if not ctx.is_epi(self.augmentation):
+        maps = list(map(self.ctx.underlying, [self.augmentation, *self.diffs]))
+        if not all(map(fpab.is_epi, maps[0])):
             raise RuntimeError("augmentation is not epi")
-        for n in range(1, self.max_deg + 1):
-            below = self.augmentation if n == 1 else self.diff(n - 1)
-            _, i_n = ctx.kernel(below)
-            if not ctx.is_epi(ctx.corestrict(self.diff(n), i_n)):
+        for n in range(1, len(maps)):
+            if not all(map(fpab.is_exact_at, maps[n], maps[n - 1])):
                 raise RuntimeError(f"resolution is not exact at degree {n - 1}")
 
 
@@ -371,6 +361,14 @@ class ZContext(ModuleContext):
     def kernel(self, f: FpAbHom):
         return fpab.kernel(f)
 
+    def cover_kernel(self, p: FpAbHom):
+        """q : F -> ker p in kernel coordinates, and d = incl∘q."""
+        k, incl = self.kernel(p)
+        if incl.is_zero():
+            return None
+        f, q = self.epi_cover(k)
+        return f, fpab.compose(incl, q), q
+
     def compose(self, f: FpAbHom, g: FpAbHom) -> FpAbHom:
         return fpab.compose(f, g)
 
@@ -380,11 +378,8 @@ class ZContext(ModuleContext):
     def is_zero_hom(self, f: FpAbHom) -> bool:
         return f.is_zero()
 
-    def is_epi(self, f: FpAbHom) -> bool:
-        return fpab.is_epi(f)
-
-    def corestrict(self, f: FpAbHom, incl: FpAbHom) -> FpAbHom:
-        return fpab.corestrict(f, incl)
+    def underlying(self, f: FpAbHom) -> Sequence[FpAbHom]:
+        return (f,)
 
     def lift_through(self, p: FpAbHom, g: FpAbHom) -> FpAbHom:
         return fpab.lift_through_epi(p, g)

@@ -42,6 +42,7 @@ from .fpab import (
     identity_hom,
     induced_hom_group_map,
     is_epi,
+    is_exact_at,
     is_mono,
     make_group,
     precompose,
@@ -108,7 +109,7 @@ def make_ses(i: FpAbHom, p: FpAbHom) -> ShortExactSeq:
         raise NotEpi("right map is not surjective")
     if not compose(p, i).is_zero():
         raise NotExact("composite p∘i is nonzero")
-    if not _exact_at(i, p):
+    if not is_exact_at(i, p):
         raise NotExact("kernel of p is larger than the image of i")
     return ShortExactSeq(i.src, p.tgt, i, p)
 
@@ -386,14 +387,6 @@ class SixTermReport:
         return self.left_exact and all(self.interior) and self.right_exact
 
 
-def _exact_at(f_in: FpAbHom, f_out: FpAbHom) -> bool:
-    """im(f_in) = ker(f_out) inside their shared middle group: the
-    composite is zero and each generator of ker(f_out) lies in im(f_in)."""
-    if not compose(f_out, f_in).is_zero():
-        return False
-    return f_in.solver.solve_matrix(f_out.solver.kernel()) is not None
-
-
 def six_term(e: ShortExactSeq, m: FpAbGroup, variance: str
              ) -> Tuple[List[FpAbGroup], List[FpAbHom], SixTermReport]:
     """Hom/Ext six-term sequence of e against m, with exactness checked.
@@ -439,7 +432,7 @@ def six_term(e: ShortExactSeq, m: FpAbGroup, variance: str
     maps = [m0, m1, delta, e0, e1]
     report = SixTermReport(
         left_exact=is_mono(m0),
-        interior=[_exact_at(maps[j], maps[j + 1]) for j in range(4)],
+        interior=[is_exact_at(maps[j], maps[j + 1]) for j in range(4)],
         right_exact=is_epi(e1),
     )
     return groups, maps, report

@@ -367,24 +367,13 @@ class TestGModuleContext:
                            trivial_module(cyclic(3), zmod(5)))
         assert hg.group.is_trivial()
 
-    def test_augmentation_kernel_is_t_minus_e(self):
-        G = cyclic(2)
-        ctx = gmodule_context(G)
-        bar = bar_resolution(G, 1)
-        k, incl = ctx.kernel(bar.augmentation)
-        assert k.M.canonical_form == (1, ())
-        col = incl.ab.matrix.col(0)
-        assert sorted(col) == [-1, 1]
-        # the generator is genuinely antiinvariant: t acts as -1 on it
-        assert k.action[1].matrix == IntMatrix.from_rows([[-1]])
-
     def test_epi_cover_is_epi(self):
         G = symmetric3()
         ctx = gmodule_context(G)
         b = trivial_module(G, fpab.from_invariants(1, [4]))
         f, cover = ctx.epi_cover(b)
         assert f.rank == b.M.gens
-        assert ctx.is_epi(cover)
+        assert fpab.is_epi(cover.ab)
 
     def test_lift_through_failure_is_not_epi(self):
         G = cyclic(2)
@@ -489,7 +478,7 @@ class TestNormalizedBarResolution:
     def test_dd_vanishes_and_low_degrees_are_exact(self, name):
         G = SMALL_GROUPS[name]
         normalized_bar_resolution(G, 4).verify_dd()
-        normalized_bar_resolution(G, 2).validate()
+        normalized_bar_resolution(G, 3).validate()
 
     def test_degenerate_middle_face_is_dropped(self):
         # on C2 the only 2-tuple is [t|t]; its middle face t·t = e is
@@ -568,38 +557,6 @@ def random_gmodule(rng, G):
     m = fpab.make_group(k, u * IntMatrix.from_cols(rel_cols, rows=k))
     return GModule(G, m, [fpab.make_hom(m, m, u * IntMatrix(k, k, rows)
                                         * u_inv) for rows in acts])
-
-
-def random_equivariant(rng, b, a):
-    """The transfer sum of g·h·g⁻¹ of a random hom h : B -> A."""
-    G, hg = b.G, fpab.hom_group(b.M, a.M)
-    h = hg.hom_of(IntMatrix.column(
-        [rng.randint(-2, 2) for _ in range(hg.group.gens)]))
-    total = fpab.zero_hom(b.M, a.M)
-    for g in range(G.order):
-        total = total + fpab.compose(
-            a.action[g], fpab.compose(h, b.action[G.inverse[g]]))
-    return GModuleHom(b, a, total)
-
-
-@settings(max_examples=40, deadline=None)
-@given(rng=st.randoms(use_true_random=False))
-def test_context_kernels_pass_the_validating_constructors(rng):
-    # GModuleContext.kernel builds its module and inclusion unchecked
-    G = rng.choice(list(SMALL_GROUPS.values()))
-    ctx = gmodule_context(G)
-    a = random_gmodule(rng, G)
-    free = FreeGModule(G, rng.randint(1, 2))
-    units = [IntMatrix.column([rng.randint(-2, 2) for _ in range(a.M.gens)])
-             for _ in range(free.rank)]
-    for f in (ctx.extend_units(free, a, units),
-              random_equivariant(rng, random_gmodule(rng, G), a)):
-        k, incl = ctx.kernel(f)
-        GModule(G, k.M, k.action)
-        GModuleHom(k, f.src, incl.ab)
-        assert fpab.is_mono(incl.ab)
-        assert fpab.compose(f.ab, incl.ab).is_zero()
-        assert fpab.kernel(f.ab)[0].canonical_form == k.M.canonical_form
 
 
 @settings(max_examples=32, deadline=None)

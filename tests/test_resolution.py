@@ -30,18 +30,22 @@ from extcalc.fpab import (
 from extcalc.groupring import (
     FreeGModule,
     GModule,
+    GModuleContext,
     ZGFreeHom,
     cyclic,
     gmodule_context,
     greedy_resolution,
+    periodic_resolution,
     symmetric3,
     trivial_module,
 )
 from extcalc.poset_sheaf import (
     AbPresheaf,
     FreePresheaf,
+    PresheafContext,
     PresheafHom,
     bowtie,
+    chain,
     make_poset,
     presheaf_context,
     presheaf_hom_group,
@@ -49,6 +53,8 @@ from extcalc.poset_sheaf import (
 from extcalc.resolution import (
     FpAbComplex,
     FreeResolution,
+    ModuleContext,
+    ZContext,
     cohomology,
     cohomology_data,
     cohomology_table,
@@ -109,6 +115,61 @@ def test_validate_rejects_inexact_complexes():
     zero = fpab.zero_hom(Z, zmod(2))
     with pytest.raises(RuntimeError, match="augmentation is not epi"):
         FreeResolution(CTX, zmod(2), [Z], [], zero).validate()
+
+
+def test_validate_rejects_a_doubled_norm_over_zg():
+    # over C4, t - e then 2N: d∘d is still zero, but 2N·ZG misses the
+    # norm element N, which t - e kills
+    G = cyclic(4)
+    per = periodic_resolution(G, 2)
+    per.validate()
+    norm2 = ZGFreeHom.from_terms(G, per.free(2), per.free(1),
+                                 [[(0, g, 2) for g in range(4)]])
+    bad = FreeResolution(per.ctx, per.target, per.frees,
+                         [per.diff(1), norm2], per.augmentation)
+    with pytest.raises(RuntimeError, match="not exact at degree 1"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("site", [bowtie(), chain(4)],
+                         ids=["bowtie", "chain4"])
+def test_validate_rejects_a_doubled_d1_over_presheaves(site):
+    # ker(aug) is a nonzero subpresheaf of a free one, so im(2·d_1),
+    # twice it, is smaller: not exact at degree 0
+    rng, ctx, checked = random.Random(4013), presheaf_context(site), 0
+    while checked < 3:
+        b = random_cokernel_presheaf(rng, site)
+        res = free_resolution(ctx, b, 2)
+        if not res.max_deg:
+            continue
+        res.validate()
+        d1 = res.diff(1)
+        doubled = PresheafHom(d1.src, d1.tgt,
+                              [h + h for h in d1.components], check=False)
+        bad = FreeResolution(ctx, b, res.frees, [doubled, *res.diffs[1:]],
+                             res.augmentation)
+        with pytest.raises(RuntimeError, match="not exact at degree 0"):
+            bad.validate()
+        checked += 1
+
+
+def test_degrees_below_the_resolution_raise():
+    res = free_resolution(CTX, zmod(2), 1)
+    with pytest.raises(IndexError):
+        res.diff(0)
+    with pytest.raises(IndexError):
+        res.free(-1)
+
+
+@pytest.mark.parametrize("cls", [ZContext, GModuleContext, PresheafContext])
+def test_contexts_define_the_whole_contract(cls):
+    # every public method ModuleContext declares has a body in the
+    # context itself or in a base below ModuleContext
+    declared = [name for name, value in vars(ModuleContext).items()
+                if callable(value) and not name.startswith("_")]
+    missing = [name for name in declared
+               if getattr(cls, name) is getattr(ModuleContext, name)]
+    assert not missing, f"{cls.__name__} leaves {missing} to the stub"
 
 
 def test_free_resolution_random_validity():

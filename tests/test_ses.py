@@ -25,6 +25,7 @@ from extcalc.fpab import (
     from_invariants,
     hom_group,
     identity_hom,
+    is_exact_at,
     make_hom,
     make_group,
     zero_hom,
@@ -34,7 +35,6 @@ from extcalc.ses import (
     NotEpi,
     NotExact,
     NotMono,
-    _exact_at,
     are_equivalent,
     baer_sum,
     class_of,
@@ -727,4 +727,4 @@ def test_six_term_reduces_each_matrix_once(monkeypatch, variance,
      make_hom(zmod(4), zmod(2), IntMatrix.from_rows([[1]])), True),
 ])
 def test_exact_at_verdicts(f_in, f_out, exact):
-    assert _exact_at(f_in, f_out) is exact
+    assert is_exact_at(f_in, f_out) is exact
