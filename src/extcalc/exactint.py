@@ -18,7 +18,7 @@ runs inside it, and outside one it costs a single `is None` test per site.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, compress
 from operator import index
 from typing import Iterable, Optional, Sequence
 
@@ -45,12 +45,13 @@ def work_cap(cells: int):
     the running total passes `cells`.
 
     `_column_reduce` charges rows x cols of its input and _STEP_CELLS per
-    entry each elimination step rewrites, `ModSolver.solve_matrix`
-    _STEP_CELLS per pivot and right-hand side column, `ModSolver.kernel`
-    rows x cols of its dense result, and `IntMatrix.zero`,
-    `identity`, `__mul__`, `block_diag`, `snf`, `fpab.unit_block_matrix`
-    and `poset_sheaf.FreePresheaf` (its restrictions, on first read) rows x
-    cols of each dense matrix they size from a shape, each before its work.
+    entry each elimination step rewrites, `ModSolver.solve_matrix` (as each
+    column ends) and `fpab.FpAbGroup._peel` _STEP_CELLS per pivot a column
+    passes and per entry the peel combines, `ModSolver.kernel` rows x cols
+    of its dense result, and `IntMatrix.zero`, `identity`, `__mul__`,
+    `block_diag`, `snf`, `fpab.unit_block_matrix`, `fpab.minimized` (both
+    maps) and `poset_sheaf.FreePresheaf` (its restrictions, on first read)
+    rows x cols of each dense matrix they size from a shape, before it.
     The enclosing meter, or none, is back in force however the block exits.
     """
     global _meter
@@ -289,11 +290,11 @@ def _column_reduce(a: IntMatrix, track_rows: int):
         col.row = None
         order.append(col)
     rowindex = {}
+    cols = range(n)
     for i, row in enumerate(a.data):
-        for j, v in enumerate(row):
-            if v:
-                order[j].d[i] = v
-                rowindex.setdefault(i, set()).add(order[j])
+        for j in compress(cols, row):  # the nonzero entries, found in C
+            order[j].d[i] = row[j]
+            rowindex.setdefault(i, set()).add(order[j])
     front = 0
     for r in range(m):
         if front == n:
@@ -305,16 +306,12 @@ def _column_reduce(a: IntMatrix, track_rows: int):
         while len(live) > 1:
             live.sort(key=lambda col: (abs(col.d[r]), len(col.d), col.pos))
             pcol = live[0]
-            pv = pcol.d[r]
-            pd = pcol.d
-            pw = pcol.w
+            pv, pd, pw = pcol.d[r], pcol.d, pcol.w
             if _meter is not None:
                 _charge(_STEP_CELLS * (len(live) - 1) * (len(pd) + len(pw)))
             for col in live[1:]:
-                q = col.d[r] // pv
-                if not q:
-                    continue
-                d = col.d
+                # |pv| is least, so q is nonzero
+                q, d = col.d[r] // pv, col.d
                 for i, x in pd.items():
                     y = d.get(i, 0) - q * x
                     if y:
@@ -430,25 +427,28 @@ class ModSolver:
         if b.rows != self.rows:
             raise DimensionMismatch(
                 f"right-hand side has {b.rows} rows, expected {self.rows}")
-        if _meter is not None:
-            _charge(_STEP_CELLS * b.cols * self._npiv)
         pivots = self.pivots()
         xs = []
         for bcol in zip(*b.data) if b.rows else ((),) * b.cols:
             resid = {i: v for i, v in enumerate(bcol) if v}
             x = [0] * self.cols
+            passed = 0
             for r, p, below, w in pivots:
                 if not resid:
                     break
+                passed += 1
                 q, rem = divmod(resid.pop(r), p) if r in resid else (0, 0)
-                if rem:
-                    return None
+                if rem:  # left as the residual, so the column fails
+                    resid[r] = rem
+                    break
                 if q:
                     for i, v in below.items():
                         if t := resid.pop(i, 0) - q * v:
                             resid[i] = t
                     for i, v in w.items():
                         x[i] += q * v
+            if _meter is not None:
+                _charge(_STEP_CELLS * passed)
             if resid:
                 return None
             xs.append(x)

@@ -8,7 +8,7 @@ kernels, cokernels, hom-groups, and lifts implemented here.
 from __future__ import annotations
 
 import math
-from itertools import chain, product
+from itertools import chain, combinations, product
 from operator import sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -42,20 +42,16 @@ class NotEpi(ValueError):
 
 
 def _invariant_chain(moduli: Sequence[int]) -> Tuple[int, ...]:
-    """Normalize a multiset of cyclic orders into an invariant-factor chain."""
-    vals = sorted(m for m in moduli if m > 1)  # a sorted chain is the answer
-    changed = any(b % a for a, b in zip(vals, vals[1:]))
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                a, b = vals[i], vals[j]
-                if b % a:
-                    g = math.gcd(a, b)
-                    vals[i], vals[j] = g, a * b // g
-                    changed = True
-        vals = [v for v in vals if v > 1]
-    return tuple(sorted(vals))
+    """Normalize a multiset of cyclic orders into an invariant-factor chain:
+    one pass of gcd/lcm steps, as at the end of snf, makes each divide the
+    later ones when the sorted orders do not already."""
+    vals = sorted(m for m in moduli if m > 1)
+    if any(b % a for a, b in zip(vals, vals[1:])):
+        for i, j in combinations(range(len(vals)), 2):
+            if vals[j] % vals[i]:
+                g = math.gcd(vals[i], vals[j])
+                vals[i], vals[j] = g, vals[i] * vals[j] // g
+    return tuple(v for v in vals if v > 1)
 
 
 class FpAbGroup:
@@ -64,12 +60,11 @@ class FpAbGroup:
     The canonical form (free rank, invariant factors each >= 2) classifies
     the group up to isomorphism.  Everything here reads one column-echelon
     basis of the relation lattice, made on first use: cosets reduce against
-    it, and when it is monomial (one entry per column, as for direct sums of
-    cyclic groups), up to columns with pivot 1, its pivots give the
-    canonical form without a Smith form.
+    it, and its pivots give the canonical form, by a Smith form only of a
+    core that peeling its unit pivots leaves (_peel, _core_smith).
     """
 
-    __slots__ = ("gens", "relations", "_echelon", "_snf", "_canon", "_solver",
+    __slots__ = ("gens", "relations", "_echelon", "_canon", "_solver",
                  "_echelon_solver")
 
     def __init__(self, gens: int, relations: Optional[IntMatrix] = None):
@@ -80,11 +75,7 @@ class FpAbGroup:
                 f"relations have {relations.rows} rows, group has {gens} generators")
         self.gens = gens
         self.relations = relations
-        self._echelon = None
-        self._snf = None
-        self._canon = None
-        self._solver = None
-        self._echelon_solver = None
+        self._echelon = self._canon = self._solver = self._echelon_solver = None
 
     @property
     def solver(self) -> SnfSolver:
@@ -116,12 +107,21 @@ class FpAbGroup:
             self._echelon = [(col.row, col.d[col.row], col.d) for col in order[:npiv]]
         return self._echelon
 
-    def _snf_data(self):
-        """Smith form of the echelon basis; its U and u_inv serve the
-        relations as well, since both span the same lattice."""
-        if self._snf is None:
-            self._snf = snf(self.echelon_matrix())
-        return self._snf
+    def _peel(self) -> Tuple[List[dict], List[Tuple[int, int, dict]]]:
+        """(phi, core): from the last pivot row up, an echelon column with
+        pivot 1 at row r writes generator r in the kept ones (every other
+        row) as phi[r], minus its other entries through phi.  The group is
+        Z^kept modulo core, the other columns through phi, still echelon."""
+        phi, core = [{i: 1} for i in range(self.gens)], []
+        for r, p, col in reversed(self._echelon_basis()):
+            if exactint._meter is not None:
+                exactint._charge(exactint._STEP_CELLS * sum(len(phi[i]) for i in col))
+            image = exactint._combine(col, phi)
+            if p > 1:
+                core.append((r, p, image))
+            else:
+                phi[r] = {i: -x for i, x in image.items() if i != r}
+        return phi, core[::-1]
 
     @property
     def canonical_form(self) -> Tuple[int, Tuple[int, ...]]:
@@ -131,12 +131,10 @@ class FpAbGroup:
             # a column with pivot 1 only expresses its pivot generator in
             # later ones, so single-entry columns carry all the torsion
             if all(p == 1 or len(col) == 1 for _, p, col in basis):
-                self._canon = (self.gens - len(basis),
-                               _invariant_chain([p for _, p, _ in basis]))
+                factors = _invariant_chain([p for _, p, _ in basis])
             else:
-                nonzero = [d for d in self._snf_data().diagonal() if d]
-                self._canon = (self.gens - len(nonzero),
-                               tuple(d for d in nonzero if d > 1))
+                factors = tuple(d for d in _core_smith(self._peel()[1])[1] if d > 1)
+            self._canon = (self.gens - len(basis), factors)
         return self._canon
 
     @property
@@ -222,14 +220,9 @@ def zmod(n: int) -> FpAbGroup:
 
 
 def from_invariants(rank_: int, factors: Sequence[int] = ()) -> FpAbGroup:
-    """Direct sum of rank_ copies of Z and cyclic groups of the given orders."""
-    g = rank_ + len(factors)
-    cols = []
-    for i, d in enumerate(factors):
-        col = [0] * g
-        col[i] = d
-        cols.append(col)
-    return FpAbGroup(g, IntMatrix.from_cols(cols, rows=g))
+    """Z/d for each d in factors, then rank_ copies of Z, as generators."""
+    g = len(factors) + rank_
+    return FpAbGroup(g, _from_sparse_cols([{i: d} for i, d in enumerate(factors)], g))
 
 
 def describe(group: FpAbGroup) -> str:
@@ -341,11 +334,6 @@ class FpAbHom:
         if self.src != other.src or self.tgt != other.tgt:
             raise DimensionMismatch("hom addition endpoint mismatch")
         return FpAbHom(self.src, self.tgt, self.matrix + other.matrix, check=False)
-
-    def __sub__(self, other: "FpAbHom") -> "FpAbHom":
-        if self.src != other.src or self.tgt != other.tgt:
-            raise DimensionMismatch("hom subtraction endpoint mismatch")
-        return FpAbHom(self.src, self.tgt, self.matrix - other.matrix, check=False)
 
     def __neg__(self) -> "FpAbHom":
         return FpAbHom(self.src, self.tgt, -self.matrix, check=False)
@@ -626,32 +614,50 @@ def direct_sum_many(groups: Sequence[FpAbGroup]) -> Tuple[FpAbGroup, List[int]]:
     return FpAbGroup(total, rel), offsets
 
 
-def minimized(group: FpAbGroup) -> Tuple[FpAbGroup, FpAbHom, FpAbHom]:
-    """Isomorphic group on rank + torsion-factor generators.
+def _core_smith(core: Sequence[Tuple[int, int, dict]]):
+    """(rows, d, dec): the Smith diagonal d of a peeled core on generators
+    rows, by dec = snf, or with dec None for a diagonal core whose moduli,
+    sorted, already divide one another."""
+    if all(len(col) == 1 for _, _, col in core):
+        core = sorted(core, key=lambda c: c[1])
+        rows, d = [r for r, _, _ in core], [p for _, p, _ in core]
+        if all(b % a == 0 for a, b in zip(d, d[1:])):
+            return rows, d, None
+    else:
+        rows = sorted(set(chain.from_iterable(col for _, _, col in core)))
+    at = {r: k for k, r in enumerate(rows)}
+    dec = snf(_from_sparse_cols([{at[i]: x for i, x in col.items()}
+                                 for _, _, col in core], len(rows)))
+    return rows, dec.diagonal(), dec
 
-    Returns (small, to_small, from_small) with to_small ∘ from_small the
-    identity on the small group and from_small ∘ to_small equal to the
-    identity of the original group.  The torsion generators come first,
-    with monomial relations Z/d for the invariant factors d; the Smith
-    form of the group's echelon basis, cached on the group, supplies the
-    change of basis.  Cohomology
-    (resolution.cohomology_data) presents every H^n this way.
-    """
-    dec = group._snf_data()
-    diag = dec.diagonal()
-    keep = [i for i, d in enumerate(diag) if d != 1]
-    keep += list(range(len(diag), group.gens))
-    moduli = [diag[i] if i < len(diag) else 0 for i in keep]
-    order = sorted(range(len(keep)), key=lambda i: (0 if moduli[i] else 1, i))
-    keep = [keep[i] for i in order]
-    moduli = [moduli[i] for i in order]
-    cols = []
-    for j, m in enumerate(moduli):
-        if m:
-            col = [0] * len(keep)
-            col[j] = m
-            cols.append(col)
-    small = FpAbGroup(len(keep), IntMatrix.from_cols(cols, rows=len(keep)))
-    to_small = FpAbHom(group, small, dec.U.take_rows(keep), check=False)
-    from_small = FpAbHom(small, group, dec.u_inv.take_cols(keep), check=False)
-    return small, to_small, from_small
+
+def minimized(group: FpAbGroup) -> Tuple[FpAbGroup, FpAbHom, FpAbHom]:
+    """(small, to_small, from_small): the group on its invariant factors
+    (from_invariants), to_small ∘ from_small the identity and from_small ∘
+    to_small the identity of the group, both built from sparse columns.
+    The peel drops the unit-pivot generators, _core_smith runs a Smith form
+    only where one is needed, and the other kept generators are free.
+    Every H^n (resolution.cohomology_data) is presented so."""
+    phi, core = group._peel()
+    rows, d, dec = _core_smith(core)
+    rows += sorted({i for i, v in enumerate(phi) if i in v}.difference(rows))
+    keep = [j for j, x in enumerate(d) if x != 1] + list(range(len(d), len(rows)))
+    n, moduli = len(keep), [d[j] for j in keep if j < len(d)]
+    if exactint._meter is not None:
+        exactint._charge(2 * n * group.gens)
+    to_kept, from_cols = [{} for _ in phi], []  # small coordinates by kept row
+    for s, j in enumerate(keep):
+        if dec is not None and j < dec.U.rows:
+            to_row, from_col = enumerate(dec.U.data[j]), enumerate(dec.u_inv.col(j))
+        else:  # U is the identity on a diagonal core and on the free rows
+            to_row = from_col = [(j, 1)]
+        for k, x in to_row:
+            to_kept[rows[k]][s] = x  # _combine drops what sums to zero
+        from_cols.append({rows[k]: x for k, x in from_col if x})
+    small = from_invariants(n - len(moduli), moduli)
+    # diagonal relations with positive entries are their own echelon basis
+    small._echelon = [(j, m, {j: m}) for j, m in enumerate(moduli)]
+    small._canon = (n - len(moduli), tuple(moduli))
+    to_small = _from_sparse_cols([exactint._combine(v, to_kept) for v in phi], n)
+    return (small, FpAbHom(group, small, to_small, check=False),
+            FpAbHom(small, group, _from_sparse_cols(from_cols, group.gens), check=False))

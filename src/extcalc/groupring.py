@@ -21,6 +21,7 @@ from .exactint import (
     DimensionMismatch,
     IntMatrix,
     SnfSolver,
+    _from_sparse_cols,
     block_diag,
     constrained_kernel,
     hstack,
@@ -101,9 +102,6 @@ class FiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -249,36 +247,31 @@ class FreeGModule(GModule):
     """ZG^r, stored as just the group and the rank.
 
     The Z-basis is indexed (block, group element) at block*|G| + element,
-    and left translation by g carries (j, h) to (j, gh).  M and action,
-    the permutation-action module, are built the first time either is
-    read; equality and hashing use (G, rank) alone, so the compact
-    resolution machinery never builds the large ranks.
+    and left translation by g carries (j, h) to (j, gh).  M is the free
+    abelian group, and action, the |G| dense permutation matrices, is
+    built the first time it is read: homs out of a free module read only
+    M.  Equality and hashing use (G, rank) alone.
     """
 
-    __slots__ = ("rank", "_M", "_action")
+    __slots__ = ("rank", "_action")
 
     def __init__(self, G: FiniteGroup, rank: int):
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         self.G = G
         self.rank = rank
-        self._M = self._action = None
+        self.M = free_abelian(G.order * rank)
+        self._action = None
 
-    M = property(lambda self: self._M or self._build()[0])
-    action = property(lambda self: self._action or self._build()[1])
+    action = property(lambda self: self._action or self._build())
 
     def _build(self):
-        n, r = self.G.order, self.rank
-        self._M = m = free_abelian(n * r)
-        action = []
-        for row_g in self.G.table:
-            cols = [[0] * (n * r) for _ in range(n * r)]
-            for j in range(r):
-                for h in range(n):
-                    cols[j * n + h][j * n + row_g[h]] = 1
-            action.append(FpAbHom(m, m, _from_cols(cols, n * r), check=False))
-        self._action = tuple(action)
-        return m, self._action
+        # the column of (j, h) = j*|G| + h has its one entry at (j, gh)
+        n, m = self.G.order, self.M
+        self._action = tuple(FpAbHom(m, m, _from_sparse_cols(
+            [{c - c % n + row_g[c % n]: 1} for c in range(m.gens)], m.gens),
+            check=False) for row_g in self.G.table)
+        return self._action
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FreeGModule) and self.G == other.G

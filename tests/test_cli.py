@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from importlib.resources import files
 from pathlib import Path
 
@@ -37,6 +38,91 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def ext_request(k):
+    """`ext --n 1` of (Z/6)^k + Z^5 by (Z/4)^k + Z^5."""
+    return ["ext", "--B", " + ".join(["Z/6"] * k + ["Z^5"]),
+            "--A", " + ".join(["Z/4"] * k + ["Z^5"]), "--n", "1"]
+
+
+# The stdin document of the metered requests: C2 and its module M, chain(8)
+# with Z^6 stalks and zero restrictions, and the sequence Z/2 -> Z/4 -> Z/2
+_BELOW8 = [(d, c) for c in range(8) for d in range(c)]
+METER_DOC = json.dumps({
+    "finite_groups": {"C2": "cyclic 2"}, "gmodules": {
+        "M": {"group": "C2", "module": "Z/2 + Z/2 + Z/2",
+              "action": {"1": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}},
+    "posets": {"chain8": {"size": 8, "relations": _BELOW8}},
+    "presheaves": {"Z6": {
+        "poset": "chain8", "stalks": ["Z^6"] * 8,
+        "res": {f"{d}<={c}": [[0] * 6] * 6 for d, c in _BELOW8}}},
+    "homs": {"i": {"src": "Z/2", "tgt": "Z/4", "matrix": [[2]]},
+             "p": {"src": "Z/4", "tgt": "Z/2", "matrix": [[1]]}},
+    "sequences": {"s": {"i": "i", "p": "p"}}})
+
+# Requests whose metered totals are pinned, each read with METER_DOC on
+# stdin: argv, cells and a piece of the answer.  Running this file as a
+# script prints the totals they meter now.
+METERED = {
+    # H^1(C2; (Z/2)^3): building and checking the gmodule M, the module's
+    # setup, the resolution of Z to degree 2, the Hom complex and its
+    # cohomology
+    "group-cohomology": (["group-cohomology", "--input", "-", "--G", "C2",
+                          "--M", "M", "--n", "1"], 316, "Z/2"),
+    # Sierpinski quot resolves as ZY(1), ZY(0)+ZY(1), ZY(0) and ends there;
+    # degree 2 is the top, whose cocycles are all of Hom(ZY(0), A)
+    "sheaf-ext": (["sheaf-ext", "--input", SIERPINSKI, "--B", "quot",
+                   "--A", "y0", "--n", "2"], 62, "Z/2"),
+    "external-ext": (["external-ext", "--input", SIERPINSKI, "--B", "quot",
+                      "--A", "y0", "--n", "2"], 62, "Z/2"),
+    # the shorthand sum, the resolution and the Ext^1 cross-check, whose
+    # Ext^1 group builds no cover of B until it is read
+    "ext": (["ext", "--B", "Z/4 + Z", "--A", "Z/6", "--n", "1"], 73, "Z/2"),
+    # the equalizer of y1's one restriction, a 1 x 2 constraint
+    "global-sections": (["global-sections", "--input", SIERPINSKI, "--F",
+                         "y1"], 19, "Gamma(y1) = Z\n"),
+    # chain(8) with Z^6 stalks and zero restrictions: naturality,
+    # functoriality and the stalk covers read the 7 covers, not the 28
+    # strict pairs
+    "sheaf-ext-chain8": (["sheaf-ext", "--input", "-", "--B", "Z6", "--A",
+                          "Z6", "--n", "1", "--method", "general"], 2045412,
+                         "element 7: Z^252"),
+    # Z/2 -> Z/4 -> Z/2 against M = (Z/6)^8 + Z^5: make_ses, three hom
+    # groups, three Ext^1 groups, each map in one batch and the report from
+    # the maps' solvers, each solve charged for the pivots it passes
+    "six-term-co": (["six-term", "--input", "-", "--ses", "s", "--M", SIX_M,
+                     "--variance", "co"], 13667, "all exact: yes"),
+    "six-term-contra": (["six-term", "--input", "-", "--ses", "s", "--M",
+                         SIX_M, "--variance", "contra"], 13770,
+                        "all exact: yes"),
+}
+# README budget requests whose totals are pinned: argv and cells
+BUDGET = {"ext-k40": (ext_request(40), 36_285_620),
+          "ext-k45": (ext_request(45), 56_551_060)}
+
+
+def metered_total(argv, stdin=""):
+    """(exit code, cells metered) of cli.main(argv) with the cap lifted,
+    read off the meter it installs; output is discarded."""
+    totals, cap, install = [], cli.WORK_CELL_CAP, cli.work_cap
+
+    @contextmanager
+    def recorded(cells):
+        with install(cells):
+            try:
+                yield
+            finally:
+                totals.append(exactint._meter[0])
+
+    cli.WORK_CELL_CAP, cli.work_cap, stdin_ = 10 ** 12, recorded, sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+    finally:
+        cli.WORK_CELL_CAP, cli.work_cap, sys.stdin = cap, install, stdin_
+    return code, totals[0]
 
 
 def run_module(*argv):
@@ -388,60 +474,18 @@ class TestExitCodes:
             assert code == 0
             assert out == f"H^{n}({g}; trivial Z) = {form}\n"
 
-    @pytest.mark.parametrize("argv,cells,answer", [
-        # H^1(C2; (Z/2)^3): building and checking the gmodule M, the
-        # module's setup, the resolution of Z to degree 2, the Hom complex
-        # and its cohomology
-        (["group-cohomology", "--input", "-", "--G", "C2", "--M", "M",
-          "--n", "1"], 331, "Z/2"),
-        # Sierpinski quot resolves as ZY(1), ZY(0)+ZY(1), ZY(0) and ends
-        # there; degree 2 is the top, whose cocycles are all of Hom(ZY(0), A)
-        (["sheaf-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
-          "--n", "2"], 61, "Z/2"),
-        (["external-ext", "--input", SIERPINSKI, "--B", "quot", "--A", "y0",
-          "--n", "2"], 61, "Z/2"),
-        # the shorthand sum, the resolution and the Ext^1 cross-check,
-        # whose Ext^1 group builds no cover of B until it is read
-        (["ext", "--B", "Z/4 + Z", "--A", "Z/6", "--n", "1"], 72, "Z/2"),
-        # the equalizer of y1's one restriction, a 1 x 2 constraint
-        (["global-sections", "--input", SIERPINSKI, "--F", "y1"], 19,
-         "Gamma(y1) = Z\n"),
-        # chain(8) with Z^6 stalks and zero restrictions: naturality,
-        # functoriality and the stalk covers read the 7 covers, not the
-        # 28 strict pairs
-        (["sheaf-ext", "--input", "-", "--B", "Z6", "--A", "Z6", "--n", "1",
-          "--method", "general"], 1923804, "element 7: Z^252"),
-        # Z/2 -> Z/4 -> Z/2 against M = (Z/6)^8 + Z^5: make_ses, three hom
-        # groups, three Ext^1 groups, each map in one batch and the report
-        # from the maps' solvers (18,369 and 15,229 cells per generator)
-        (["six-term", "--input", "-", "--ses", "s", "--M", SIX_M,
-          "--variance", "co"], 16751, "all exact: yes"),
-        (["six-term", "--input", "-", "--ses", "s", "--M", SIX_M,
-          "--variance", "contra"], 15610, "all exact: yes"),
-    ], ids=["group-cohomology", "sheaf-ext", "external-ext", "ext",
-            "global-sections", "sheaf-ext-chain8", "six-term-co",
-            "six-term-contra"])
+    @pytest.mark.parametrize("argv,cells,answer", METERED.values(),
+                             ids=METERED.keys())
     def test_work_cap_is_the_metered_total(self, capsys, monkeypatch, argv,
                                            cells, answer):
         # a request answers at a cap of exactly the cells it meters and is
         # refused one cell below, whatever part of the work crosses it
-        below = [(d, c) for c in range(8) for d in range(c)]
-        doc = json.dumps({"finite_groups": {"C2": "cyclic 2"}, "gmodules": {
-            "M": {"group": "C2", "module": "Z/2 + Z/2 + Z/2",
-                  "action": {"1": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}},
-            "posets": {"chain8": {"size": 8, "relations": below}},
-            "presheaves": {"Z6": {
-                "poset": "chain8", "stalks": ["Z^6"] * 8,
-                "res": {f"{d}<={c}": [[0] * 6] * 6 for d, c in below}}},
-            "homs": {"i": {"src": "Z/2", "tgt": "Z/4", "matrix": [[2]]},
-                     "p": {"src": "Z/4", "tgt": "Z/2", "matrix": [[1]]}},
-            "sequences": {"s": {"i": "i", "p": "p"}}})
         monkeypatch.setattr(cli, "WORK_CELL_CAP", cells)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(METER_DOC))
         code, out, _ = run(capsys, *argv)
         assert code == 0 and answer in out
         monkeypatch.setattr(cli, "WORK_CELL_CAP", cells - 1)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(METER_DOC))
         code, _, err = run(capsys, *argv)
         assert code == cli.EXIT_DOMAIN
         assert f"capped at {cells - 1} cells" in err
@@ -449,30 +493,33 @@ class TestExitCodes:
     def test_ext_work_cap_refuses_large_shorthand(self, capsys):
         # Ext^1 of (Z/6)^120 + Z^5 by (Z/4)^120 + Z^5 ran out of memory
         # unmetered; under the meter it is refused in under a second
-        b = " + ".join(["Z/6"] * 120 + ["Z^5"])
-        a = " + ".join(["Z/4"] * 120 + ["Z^5"])
         start = time.perf_counter()
-        code, _, err = run(capsys, "ext", "--B", b, "--A", a, "--n", "1")
+        code, _, err = run(capsys, *ext_request(120))
         assert time.perf_counter() - start < 10
         assert code == cli.EXIT_DOMAIN
         assert "capped" in err
 
-    def test_ext_k40_answers_under_the_cap(self, capsys, monkeypatch):
-        # Ext^1 of (Z/6)^40 + Z^5 by (Z/4)^40 + Z^5: degree 1 is the top of
-        # the complete resolution over Z, presented without an identity
-        cells = 45_998_420
+    def ext_answers_at_its_total(self, capsys, monkeypatch, k):
+        # Ext^1 of (Z/6)^k + Z^5 by (Z/4)^k + Z^5 is (Z/2)^(k*k) +
+        # (Z/6)^(5k): degree 1 is the top of the complete resolution over
+        # Z, presented without an identity and without a Smith form
+        argv, cells = BUDGET[f"ext-k{k}"]
         assert cells < cli.WORK_CELL_CAP
-        b = " + ".join(["Z/6"] * 40 + ["Z^5"])
-        a = " + ".join(["Z/4"] * 40 + ["Z^5"])
         monkeypatch.setattr(cli, "WORK_CELL_CAP", cells)
-        code, out, _ = run(capsys, "ext", "--B", b, "--A", a, "--n", "1")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert sorted(out.split(" = ")[1].split()[::2]) == (
-            ["Z/2"] * 1600 + ["Z/6"] * 200)
+            ["Z/2"] * (k * k) + ["Z/6"] * (5 * k))
         monkeypatch.setattr(cli, "WORK_CELL_CAP", cells - 1)
-        code, _, err = run(capsys, "ext", "--B", b, "--A", a, "--n", "1")
+        code, _, err = run(capsys, *argv)
         assert code == cli.EXIT_DOMAIN
         assert f"capped at {cells - 1} cells" in err
+
+    def test_ext_k40_answers_under_the_cap(self, capsys, monkeypatch):
+        self.ext_answers_at_its_total(capsys, monkeypatch, 40)
+
+    def test_ext_k45_answers_under_the_cap(self, capsys, monkeypatch):
+        self.ext_answers_at_its_total(capsys, monkeypatch, 45)
 
     def test_the_meter_leaves_no_state(self, capsys, monkeypatch):
         # a refused request neither refuses the next one nor caps a
@@ -997,3 +1044,9 @@ class TestReadme:
             assert got[-1:] == lines[cut + 1:]
         else:
             assert got == lines
+
+
+if __name__ == "__main__":
+    for name, (argv, cells, *_) in {**METERED, **BUDGET}.items():
+        code, total = metered_total(argv, METER_DOC)
+        print(f"{name}: {total:,} cells metered, {cells:,} pinned, exit {code}")

@@ -581,13 +581,15 @@ _MOD_SOLVER = ModSolver(_A, _A)  # [A | A] zeroes two columns
 
 # Every builder that sizes a dense matrix from a shape (snf: U, D and V),
 # and the one elimination under kernels, solvers and the Smith form: each
-# charges the meter before it starts.
+# charges the meter before it starts, a solve as each column ends.
 CHARGED = {
     "IntMatrix.zero": lambda: IntMatrix.zero(2, 2),
     "IntMatrix.identity": lambda: IntMatrix.identity(2),
     "IntMatrix.__mul__": lambda: _A * _A,
     "block_diag": lambda: block_diag(_A, _A),
     "fpab.precompose": lambda: fpab.precompose(_A, fpab.zmod(2)),
+    # the peel rewrites Z/2's one relation column, then builds both maps
+    "fpab.minimized": lambda: fpab.minimized(fpab.zmod(2)),
     "_column_reduce": lambda: _column_reduce(_A, 0),
     "snf": lambda: snf(_A),
     "ModSolver.solve_matrix": lambda: _SOLVER.solve_matrix(_A),
@@ -634,7 +636,7 @@ def test_every_exactint_builder_is_metered_or_exempt():
               if inspect.isfunction(v) and v.__module__ == exactint.__name__}
     assert names == (set(CHARGED) | UNCHARGED) - {
         "fpab.unit_block_matrix", "fpab.precompose", "fpab.apply_blockwise",
-        "poset_sheaf.FreePresheaf"}
+        "fpab.minimized", "poset_sheaf.FreePresheaf"}
 
 
 @pytest.mark.parametrize("name", sorted(CHARGED))
@@ -653,6 +655,27 @@ def test_elimination_charges_its_input_and_the_entries_it_rewrites():
     with pytest.raises(WorkCapped, match="needs at least 12"):
         with work_cap(11):
             _column_reduce(_A, 0)
+
+
+def test_solve_charges_the_pivots_each_column_passes():
+    # over the three pivots of diag(1, 1, 2): e0 is done after the first,
+    # e2 passes all three, the zero column none, and e2 + e0 stops at the
+    # remainder in row 2 after three: (1 + 3 + 0) and 3 pivots at
+    # _STEP_CELLS each
+    solver = ModSolver(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
+                       IntMatrix.zero(3, 0))
+    solvable = IntMatrix.from_cols([[1, 0, 0], [0, 0, 2], [0, 0, 0]])
+    with work_cap(16):
+        assert solver.solve_matrix(solvable) == IntMatrix.from_cols(
+            [[1, 0, 0], [0, 0, 1], [0, 0, 0]])
+    with pytest.raises(WorkCapped, match="needs at least 16"):
+        with work_cap(15):
+            solver.solve_matrix(solvable)
+    with work_cap(12):
+        assert solver.solve(IntMatrix.column([1, 0, 1])) is None
+    with pytest.raises(WorkCapped, match="needs at least 12"):
+        with work_cap(11):
+            solver.solve(IntMatrix.column([1, 0, 1]))
 
 
 def test_work_cap_is_a_running_total_and_restores_the_outer_meter():

@@ -12,9 +12,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from extcalc.exactint import IntMatrix, ModSolver, hstack, solve
+from extcalc.exactint import IntMatrix, ModSolver, hstack, snf, solve
 from extcalc.fpab import (
     DimensionMismatch,
     Element,
@@ -655,3 +655,49 @@ def test_minimized_roundtrip():
         assert small.gens == small.rank + len(small.invariant_factors)
         assert compose(to_small, from_small) == identity_hom(small)
         assert compose(from_small, to_small) == identity_hom(g)
+
+
+@st.composite
+def peelable_groups(draw):
+    """Z^g modulo columns of three kinds: a unit pivot +-e_i with random
+    entries below it, a single entry m*e_i, and a dense column."""
+    g = draw(st.integers(0, 5))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["unit", "single", "dense"]),
+                              max_size=6)):
+        i = draw(st.integers(0, max(g - 1, 0)))
+        col = [0] * g
+        if g and kind == "unit":
+            col[i] = draw(st.sampled_from([1, -1]))
+            col[i + 1:] = draw(st.lists(st.integers(-4, 4), min_size=g - i - 1,
+                                        max_size=g - i - 1))
+        elif g and kind == "single":
+            col[i] = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12, -4]))
+        elif g:
+            col = draw(st.lists(st.integers(-6, 6), min_size=g, max_size=g))
+        cols.append(col)
+    return make_group(g, IntMatrix.from_cols(cols, rows=g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(group=peelable_groups())
+@example(group=make_group(0, IntMatrix.zero(0, 2)))  # no generators
+@example(group=free_abelian(3))                      # no relations
+@example(group=from_invariants(1, [4, 6]))           # 4 and 6: no chain
+@example(group=make_group(3, IntMatrix.from_cols(   # a unit pivot over them
+    [[1, 2, 3], [0, 4, 0], [0, 0, 6]], rows=3)))
+def test_minimized_is_the_smith_form_presentation(group):
+    # the oracle is a full Smith form of the relations, which the peel
+    # avoids: its nonzero diagonal gives the rank and invariant factors
+    diag = [d for d in snf(group.relations).diagonal() if d]
+    rank, factors = group.gens - len(diag), tuple(d for d in diag if d > 1)
+    assert group.canonical_form == (rank, factors)
+    small, to_small, from_small = minimized(group)
+    n = len(factors) + rank  # Z/d for each invariant factor d, then Z^rank
+    assert small.relations == IntMatrix.from_cols(
+        [[d * (i == j) for i in range(n)] for j, d in enumerate(factors)], rows=n)
+    assert to_small.matrix * from_small.matrix == IntMatrix.identity(small.gens)
+    assert compose(from_small, to_small) == identity_hom(group)
+    make_hom(group, small, to_small.matrix)
+    make_hom(small, group, from_small.matrix)
+
