@@ -17,7 +17,6 @@ from .exactint import (
     DimensionMismatch,
     IntMatrix,
     ModSolver,
-    SnfSolver,
     _column_reduce,
     _from_sparse_cols,
     block_diag,
@@ -60,12 +59,12 @@ class FpAbGroup:
     The canonical form (free rank, invariant factors each >= 2) classifies
     the group up to isomorphism.  Everything here reads one column-echelon
     basis of the relation lattice, made on first use: cosets reduce against
-    it, and its pivots give the canonical form, by a Smith form only of a
-    core that peeling its unit pivots leaves (_peel, _core_smith).
+    it, solves are in coordinates on it, and its pivots give the canonical
+    form, by a Smith form only of a core that peeling its unit pivots
+    leaves (_peel, _core_smith).
     """
 
-    __slots__ = ("gens", "relations", "_echelon", "_canon", "_solver",
-                 "_echelon_solver")
+    __slots__ = ("gens", "relations", "_echelon", "_canon", "_solver")
 
     def __init__(self, gens: int, relations: Optional[IntMatrix] = None):
         if relations is None:
@@ -75,21 +74,16 @@ class FpAbGroup:
                 f"relations have {relations.rows} rows, group has {gens} generators")
         self.gens = gens
         self.relations = relations
-        self._echelon = self._canon = self._solver = self._echelon_solver = None
+        self._echelon = self._canon = self._solver = None
 
     @property
-    def solver(self) -> SnfSolver:
-        """The SnfSolver of the relations, built on first read and kept."""
+    def solver(self) -> ModSolver:
+        """The solver of echelon_matrix()·x = b, read off the echelon basis
+        on first use and kept: b lies in the relation lattice exactly when
+        it solves, and then x is unique."""
         if self._solver is None:
-            self._solver = SnfSolver(self.relations)
+            self._solver = ModSolver.of_basis(self.gens, self._echelon_basis())
         return self._solver
-
-    @property
-    def echelon_solver(self) -> SnfSolver:
-        """The SnfSolver of echelon_matrix(), built on first read and kept."""
-        if self._echelon_solver is None:
-            self._echelon_solver = SnfSolver(self.echelon_matrix())
-        return self._echelon_solver
 
     def echelon_matrix(self) -> IntMatrix:
         """The echelon basis of the relation lattice as matrix columns."""

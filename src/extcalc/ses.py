@@ -5,11 +5,11 @@ and pullback, Baer sum, equivalence testing, Ext^1 as a computed group with
 class coordinates, and the two six-term exact sequences with an executable
 exactness report.
 
-Every sequence holds its cocycle α (Mac Lane, Homology, III), a matrix
-from the relation columns of B to A.  Pushout (f·α), pullback (α·S), Baer
-sum (α_e + α_f) and class coordinates are arithmetic on α, and every
-construction returns the normal form of _extension, with gens(A) + gens(B)
-middle generators however they nest.
+Every sequence holds its cocycle α (Mac Lane, Homology, III.1), a matrix
+to A from K = B.echelon_matrix(), a basis of B's relation lattice.  Pushout
+(f·α), pullback (α·S), Baer sum (α_e + α_f) and class coordinates (vec α)
+are arithmetic on α, and every construction returns the normal form of
+_extension, with gens(A) + gens(B) middle generators however they nest.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .fpab import (
     apply_blockwise,
     compose,
     describe,
-    free_abelian,
     hom_group,
     identity_hom,
     induced_hom_group_map,
@@ -61,9 +60,10 @@ class ShortExactSeq:
     """A --i--> E --p--> B with i mono, p epi, im(i) = ker(p).
 
     `pair` is (lift, α) along id_B: p·lift ≡ id mod rel(B) and
-    i·α ≡ lift·rel(B) mod rel(E).  A sequence is given by i and p (from
-    make_ses, which checks every axiom) or by its pair alone (a normal
-    form, exact by design); what is missing is built on first read.
+    i·α ≡ lift·K mod rel(E), K = B.echelon_matrix().  A sequence is given
+    by i and p (from make_ses, which checks every axiom) or by its pair
+    alone (a normal form, exact by design); what is missing is built on
+    first read.
     """
 
     __slots__ = ("A", "B", "_i", "_p", "_pair")
@@ -79,9 +79,9 @@ class ShortExactSeq:
     p = property(lambda self: self._p or self._normal_form()[1])
 
     def _solve_pair(self):
-        # id_B kills rel(B), so lift·rel(B) lies in ker p = im i
+        # id_B kills K, so lift·K lies in ker p = im i
         lift = self.p.solver.solve_matrix(IntMatrix.identity(self.B.gens))
-        self._pair = lift, self.i.solver.solve_matrix(lift * self.B.relations)
+        self._pair = lift, self.i.solver.solve_matrix(lift * self.B.echelon_matrix())
         return self._pair
 
     def _normal_form(self):
@@ -89,7 +89,7 @@ class ShortExactSeq:
         na, nb = a.gens, b.gens
         e = make_group(na + nb, hstack(
             vstack(a.relations, zero(nb, a.relations.cols)),
-            vstack(-self.pair[1], b.relations)))
+            vstack(-self.pair[1], b.echelon_matrix())))
         self._i = FpAbHom(a, e, vstack(one(na), zero(nb, na)), check=False)
         self._p = FpAbHom(e, b, hstack(zero(nb, na), one(nb)), check=False)
         return self._i, self._p
@@ -115,19 +115,19 @@ def make_ses(i: FpAbHom, p: FpAbHom) -> ShortExactSeq:
 
 
 def _extension(a: FpAbGroup, b: FpAbGroup, alpha: IntMatrix) -> ShortExactSeq:
-    """A -> (A ⊕ Z^gens(B)) / [[rel A, -α], [0, rel B]] -> B, i and p the blocks.
+    """A -> (A ⊕ Z^gens(B)) / [[rel A, -α], [0, K]] -> B, i and p the blocks.
 
-    Exact for a cocycle α: if x = rel(B)·y is zero in B then
-    (a, x) ≡ (a + α·y, 0), and rel(B)·y = 0 forces α·y ≡ 0.  Its pair is
-    ([0; I], α); (e, x) ↦ (i⁻¹(e - lift·x), x) maps any sequence with
-    cocycle α to it.  E, i and p are built only when read.
+    Exact for every α, as K = B.echelon_matrix() is a basis: if x = K·y is
+    zero in B then (a, x) ≡ (a + α·y, 0), and K·y = 0 only for y = 0.  Its
+    pair is ([0; I], α); (e, x) ↦ (i⁻¹(e - lift·x), x) maps any sequence
+    with cocycle α to it.  E, i and p are built only when read.
     """
     lift = vstack(IntMatrix.zero(a.gens, b.gens), IntMatrix.identity(b.gens))
     return ShortExactSeq(a, b, pair=(lift, alpha))
 
 
 def split_ses(a: FpAbGroup, b: FpAbGroup) -> ShortExactSeq:
-    return _extension(a, b, IntMatrix.zero(a.gens, b.relations.cols))
+    return _extension(a, b, IntMatrix.zero(a.gens, b.echelon_matrix().cols))
 
 
 def morphism_between(e: ShortExactSeq, f: ShortExactSeq,
@@ -178,12 +178,12 @@ def is_split(e: ShortExactSeq) -> Optional[FpAbHom]:
     """A section s with p∘s = id_B, when one exists, by one solve.
 
     With (lift, α) the pair of e, the sections are lift - i·T for
-    T·rel(B) ≡ α mod rel(A); are_equivalent(e, split_ses(A, B)) is the oracle.
+    T·K ≡ α mod rel(A); are_equivalent(e, split_ses(A, B)) is the oracle.
     """
-    a, b = e.A, e.B
+    a, b, k = e.A, e.B, e.B.echelon_matrix()
     lift, alpha = e.pair
-    t = solve_mod(precompose(b.relations, a), _vec(alpha),
-                  block_diag(*[a.relations] * b.relations.cols))
+    t = solve_mod(precompose(k, a), _vec(alpha),
+                  block_diag(*[a.relations] * k.cols))
     return None if t is None else \
         FpAbHom(b, e.E, lift - e.i.matrix * _unvec(t, a.gens, b.gens), check=False)
 
@@ -211,11 +211,12 @@ def pushout_middle_map(f: FpAbHom, e: ShortExactSeq,
 def pullback_ses(g: FpAbHom, e: ShortExactSeq) -> ShortExactSeq:
     """Pullback of e along g : B' -> B, in normal form: its cocycle is α·S.
 
-    One solve, rel(B)·S = g·rel(B'); then lift·g·rel(B') ≡ i·α·S.
+    One solve, K·S = g·K' on the echelon bases of B and B'; then
+    lift·g·K' ≡ i·α·S.
     """
     if g.tgt != e.B:
         raise DimensionMismatch("pullback map must land in the quotient group")
-    s = e.B.solver.solve_matrix(g.matrix * g.src.relations)
+    s = e.B.solver.solve_matrix(g.matrix * g.src.echelon_matrix())
     return _extension(e.A, g.src, e.pair[1] * s)
 
 
@@ -230,14 +231,14 @@ class Ext1Group:
     """Ext¹(B, A) with coordinates tied to a fixed free presentation of B.
 
     The presentation is K --incl--> F --q--> B with F free on B's
-    generators, q the canonical cover, and K a basis for the relation
-    lattice.  Classes live in Hom(K, A) modulo restrictions of Hom(F, A)
-    and modulo A's own relations, all flattened to one presented group.
-    K is B's echelon basis, and B's echelon_solver serves every solve
-    against K, so Ext¹ groups over one B share it.
+    generators, q the canonical cover, and K = B.echelon_matrix(), a basis
+    of the relation lattice.  Classes are cocycles K -> A, the α every
+    sequence holds, modulo restrictions of Hom(F, A) and modulo A's own
+    relations, all flattened to one presented group: a class's
+    coordinates are vec(α).  B's solver serves every solve against K.
     """
 
-    __slots__ = ("B", "A", "group", "k_incl", "_base", "_to_lattice")
+    __slots__ = ("B", "A", "group", "k_incl")
 
     def __init__(self, b: FpAbGroup, a: FpAbGroup):
         self.B = b
@@ -248,7 +249,6 @@ class Ext1Group:
         rel_blocks = block_diag(*[a.relations] * kb)
         self.group = make_group(kb * na, hstack(rel_blocks, restriction))
         self._check_against_invariant_formula()
-        self._base = self._to_lattice = None
 
     def _check_against_invariant_formula(self):
         # Ext¹(⊕ Z/d, A) = ⊕ A/dA, and A/dA = (Z/d)^ra ⊕ (⊕ Z/gcd(e, d))
@@ -258,28 +258,6 @@ class Ext1Group:
         if (0, _invariant_chain(facs)) != self.group.canonical_form:
             raise RuntimeError("Ext¹ presentation disagrees with the "
                                "invariant-factor formula")
-
-    def to_lattice(self) -> IntMatrix:
-        """S with rel(B)·S = k_incl, solved once: α·S is the cocycle on K."""
-        if self._to_lattice is None:
-            self._to_lattice = self.B.solver.solve_matrix(self.k_incl)
-        return self._to_lattice
-
-    def canonical_presentation(self) -> ShortExactSeq:
-        """The reference sequence K -> F -> B for class coordinates; built once, shared.
-
-        Exact by construction: K is a basis of the relation lattice of B.
-        Its pair is (id, T) with k_incl·T = rel(B).
-        """
-        if self._base is None:
-            b, k_free = self.B, free_abelian(self.k_incl.cols)
-            cover = FpAbHom(free_abelian(b.gens), b,
-                            IntMatrix.identity(b.gens), check=False)
-            incl = FpAbHom(k_free, cover.src, self.k_incl, check=False)
-            t = b.echelon_solver.solve_matrix(b.relations)
-            self._base = ShortExactSeq(k_free, b, incl, cover,
-                                       (cover.matrix, t))
-        return self._base
 
     def class_element(self, coords: IntMatrix) -> "ExtClass":
         return ExtClass(self, Element(self.group, coords))
@@ -326,28 +304,22 @@ def ext1_group(b: FpAbGroup, a: FpAbGroup) -> Ext1Group:
 
 
 def class_of(e: ShortExactSeq, g: Ext1Group) -> ExtClass:
-    """Coordinates of a sequence's class in the computed Ext¹ group.
-
-    The coordinate vector is the cocycle K -> A of e along the canonical
-    cover F -> B, on the relation lattice K: α·S for S = g.to_lattice().
-    """
+    """Coordinates of a sequence's class in the computed Ext¹ group: its
+    cocycle α on K, flattened."""
     if e.A != g.A or e.B != g.B:
         raise DimensionMismatch("sequence endpoints do not match the Ext group")
-    return ExtClass(g, Element(g.group, _vec(e.pair[1] * g.to_lattice())))
+    return ExtClass(g, Element(g.group, _vec(e.pair[1])))
 
 
 def realize_class(cls: ExtClass) -> ShortExactSeq:
-    """Some sequence with the given class: pushout of the reference one,
-    in normal form with cocycle ψ·T.
+    """Some sequence with the given class, with no solve: the normal form
+    whose cocycle ψ is the class's coordinates, unflattened.
 
     Representatives are not canonical; only the class is, and
-    class_of(realize_class(c)) == c, since T·S = id on K.
+    class_of(realize_class(c)) == c.
     """
     g = cls.parent
-    base = g.canonical_presentation()
-    psi = FpAbHom(base.A, g.A,
-                  _unvec(cls.coords.coords, g.A.gens, g.k_incl.cols), check=False)
-    return pushout_ses(psi, base)
+    return _extension(g.A, g.B, _unvec(cls.coords.coords, g.A.gens, g.k_incl.cols))
 
 
 def ext1_pushforward(f: FpAbHom, src: Ext1Group, tgt: Ext1Group) -> FpAbHom:
@@ -367,7 +339,7 @@ def ext1_pullback(g: FpAbHom, src: Ext1Group, tgt: Ext1Group) -> FpAbHom:
     """
     if g.tgt != src.B or g.src != tgt.B or src.A != tgt.A:
         raise DimensionMismatch("pullback endpoints do not match")
-    mu = src.B.echelon_solver.solve_matrix(g.matrix * tgt.k_incl)
+    mu = src.B.solver.solve_matrix(g.matrix * tgt.k_incl)
     if mu is None:
         raise RuntimeError("relation lattice is not preserved by the lift")
     return FpAbHom(src.group, tgt.group, precompose(mu, src.A), check=True)
@@ -406,8 +378,7 @@ def six_term(e: ShortExactSeq, m: FpAbGroup, variance: str
         x0, x1, x2 = ext1_group(m, e.A), ext1_group(m, e.E), ext1_group(m, e.B)
         m0 = induced_hom_group_map(hg0, hg1, left=e.i.matrix)
         m1 = induced_hom_group_map(hg1, hg2, left=e.p.matrix)
-        # pullback along f: α·t with rel(B)·t = f·K; t - s·S lies in
-        # ker rel(B), which α sends into rel(A) (i·α ≡ lift·rel(B), i mono)
+        # pullback along f: α·t with K·t = f·K_M on the echelon bases
         nb, kb, k = e.B.gens, x0.k_incl.cols, hg2.lattice.cols
         fk = apply_blockwise(hg2.lattice, nb, m.gens, right=x0.k_incl).data
         t = e.B.solver.solve_matrix(IntMatrix._wrap(nb, kb * k, tuple(
@@ -423,8 +394,7 @@ def six_term(e: ShortExactSeq, m: FpAbGroup, variance: str
         x0, x1, x2 = ext1_group(e.B, m), ext1_group(e.E, m), ext1_group(e.A, m)
         m0 = induced_hom_group_map(hg0, hg1, right=e.p.matrix)
         m1 = induced_hom_group_map(hg1, hg2, right=e.i.matrix)
-        delta = apply_blockwise(hg2.lattice, m.gens, e.A.gens,
-                                right=alpha * x0.to_lattice())
+        delta = apply_blockwise(hg2.lattice, m.gens, e.A.gens, right=alpha)
         e0 = ext1_pullback(e.p, x0, x1)
         e1 = ext1_pullback(e.i, x1, x2)
     delta = FpAbHom(hg2.group, x0.group, x0.group.reduce(delta), check=True)

@@ -606,8 +606,10 @@ CHARGED = {
         poset_sheaf.chain(2), (1,)).maps,
 }
 # The rest copy or read entries they are given, run _column_reduce or
-# solve_matrix, read a reduction already charged (ModSolver.pivots), or
-# (diagonal) validate outside input with no caller in the engine.
+# solve_matrix, read a reduction already charged (ModSolver.pivots, and
+# ModSolver.of_basis, which copies an echelon basis its group's
+# _column_reduce was charged for), or (diagonal) validate outside input
+# with no caller in the engine.
 UNCHARGED = {
     "IntMatrix.__init__", "IntMatrix._wrap", "IntMatrix.from_rows",
     "IntMatrix.from_cols", "IntMatrix.diagonal", "IntMatrix.column",
@@ -619,7 +621,7 @@ UNCHARGED = {
     "work_cap", "_charge", "hstack", "vstack", "_from_sparse_cols",
     "kernel_basis", "constrained_kernel", "column_space_basis", "rank",
     "solve", "solve_mod", "_combine", "_xgcd", "ModSolver.__init__",
-    "ModSolver.solve", "ModSolver.pivots",
+    "ModSolver.solve", "ModSolver.pivots", "ModSolver.of_basis",
     "SnfSolver.__init__", "SnfSolver.solve",
     "SnfSolver.solve_matrix", "SmithDecomposition.__init__",
     "SmithDecomposition.diagonal",

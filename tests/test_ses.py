@@ -229,8 +229,6 @@ def test_class_realize_roundtrip():
         e = realize_class(c)
         assert e.A == a and e.B == b
         assert class_of(e, g) == c
-        # the reference sequence is built once per group and shared
-        assert g.canonical_presentation() is g.canonical_presentation()
 
 
 def test_class_zero_iff_split():
@@ -692,13 +690,14 @@ def test_six_term_solves_do_not_grow_with_m(monkeypatch, variance):
 
 
 @pytest.mark.parametrize("variance, reductions", [
-    ("covariant", 25), ("contravariant", 27)])
+    ("covariant", 23), ("contravariant", 23)])
 def test_six_term_reduces_each_matrix_once(monkeypatch, variance,
                                            reductions):
     # reading the fixture's sequence (make_ses) and its six-term sequence;
     # 41 and 45 when a kernel, a solve and a group each reduced a matrix
-    # of their own, though another object had reduced it already, and 29
-    # and 33 when is_mono and is_epi built a kernel or cokernel group
+    # of their own, though another object had reduced it already, 29
+    # and 33 when is_mono and is_epi built a kernel or cokernel group,
+    # and 25 and 27 when a group's solver reduced its relations again
     calls = []
 
     def counted(a, track_rows):
