@@ -29,7 +29,7 @@ import json
 import re
 import sys
 from collections.abc import Mapping
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import fpab, groupring, poset_sheaf, resolution, ses
 from .exactint import DimensionMismatch, IntMatrix, snf, work_cap
@@ -42,6 +42,13 @@ EXIT_DOMAIN = 5
 
 DEGREE_CAP = 6
 POSET_SIZE_CAP = 12
+# a finite group's table check is cubic in its order: 0.3 to 0.45 s at
+# order 200 on a 2-core VM, 1.1 s at 300
+FINITE_GROUP_ORDER_CAP = 200
+# matrices with a zero dimension meter no cells: at a million generators
+# external-ext on 12 free stalks took 12.7 s and 1.4 GB to be refused,
+# and at this cap every request measured ends within 1.7 s on a 2-core VM
+GENERATOR_CAP = 100_000
 # slowest 7-element poset measured, 5 below 2 tops: 2.7 s on a 2-core VM
 WITNESS_POSET_SIZE_CAP = 7
 # Work cap, in matrix cells, of every request, metered by exactint.work_cap:
@@ -114,19 +121,25 @@ def _free_matrix(data, where: str) -> IntMatrix:
 _SHORTHAND = re.compile(r"Z(?:\^(\d+)|/(\d+))?$")
 
 
-def _group_token(tok: str, where: str) -> FpAbGroup:
+def _group_token(tok: str, where: str) -> Tuple[int, Optional[int]]:
+    """(generators, order) of a shorthand summand: Z^r is (r, None), Z/n
+    is (1, n) and 0 is (0, None)."""
     t = tok.strip()
     if t == "0":
-        return fpab.make_group(0)
+        return 0, None
     m = _SHORTHAND.match(t)
     _expect(m is not None, f"{where}: cannot read group shorthand {tok!r}")
-    if m.group(1) is not None:
-        return fpab.free_abelian(int(m.group(1)))
     if m.group(2) is not None:
         n = int(m.group(2))
         _expect(n >= 1, f"{where}: Z/n needs n >= 1")
-        return fpab.zmod(n)
-    return fpab.free_abelian(1)
+        return 1, n
+    return int(m.group(1) or 1), None
+
+
+def _cap(what: str, value: int, cap: int) -> None:
+    """Refuse a request past one of the caps above, before any work."""
+    if value > cap:
+        raise CliDomainError(f"{what} is capped at {cap}; got {value}")
 
 
 def group_from_desc(desc, doc: Optional["Document"], where: str) -> FpAbGroup:
@@ -135,8 +148,11 @@ def group_from_desc(desc, doc: Optional["Document"], where: str) -> FpAbGroup:
         if doc is not None and desc in doc.groups:
             return doc.groups[desc]
         if "Z" in desc or desc.strip() == "0":
-            parts = [p for p in desc.split("+")]
-            summands = [_group_token(p, where) for p in parts]
+            tokens = [_group_token(p, where) for p in desc.split("+")]
+            _cap(f"{where}: generator count", sum(g for g, _ in tokens),
+                 GENERATOR_CAP)
+            summands = [fpab.zmod(n) if n else fpab.free_abelian(g)
+                        for g, n in tokens]
             if len(summands) == 1:
                 return summands[0]
             total, _ = fpab.direct_sum_many(summands)
@@ -148,6 +164,7 @@ def group_from_desc(desc, doc: Optional["Document"], where: str) -> FpAbGroup:
         gens = desc.get("gens")
         _expect(isinstance(gens, int) and not isinstance(gens, bool)
                 and gens >= 0, f"{where}: gens must be a nonnegative integer")
+        _cap(f"{where}: generator count", gens, GENERATOR_CAP)
         rel_cols = desc.get("relations", [])
         _expect(isinstance(rel_cols, list), f"{where}: relations must be "
                 "a list of relator columns")
@@ -234,13 +251,16 @@ class Document:
         if isinstance(desc, str):
             m = re.match(r"cyclic (\d+)$", desc.strip())
             _expect(m is not None, f"{where}: unknown shorthand {desc!r}")
-            return groupring.cyclic(int(m.group(1)))
+            n = int(m.group(1))
+            _cap(f"{where}: order", n, FINITE_GROUP_ORDER_CAP)
+            return groupring.cyclic(n)
         _expect(isinstance(desc, dict) and set(desc) == {"table"},
                 f"{where}: needs a table or a 'cyclic n' shorthand")
         table = desc["table"]
         _expect(isinstance(table, list)
                 and all(isinstance(r, list) for r in table),
                 f"{where}: table must be a list of rows")
+        _cap(f"{where}: order", len(table), FINITE_GROUP_ORDER_CAP)
         return groupring.make_group(
             [[_int_entry(x, where) for x in row] for row in table])
 
@@ -279,9 +299,8 @@ class Document:
         size = desc["size"]
         _expect(isinstance(size, int) and not isinstance(size, bool)
                 and size >= 0, f"{where}: size must be a nonnegative integer")
-        if size > POSET_SIZE_CAP:  # before make_poset's O(n^3) closure
-            raise CliDomainError(f"poset size is capped at {POSET_SIZE_CAP}; "
-                                 f"got {size}")
+        # before make_poset's O(n^3) closure
+        _cap("poset size", size, POSET_SIZE_CAP)
         rels = desc.get("relations", [])
         _expect(isinstance(rels, list), f"{where}: relations must be a list")
         pairs = []
@@ -546,9 +565,7 @@ def _cmd_group_cohomology(args, doc: Document) -> dict:
     g = _need(doc.finite_groups, args.G, "finite group")
     degrees = _degree_list(args)
     top = max(degrees)
-    if top > DEGREE_CAP:
-        raise CliDomainError(f"cohomology degree is capped at "
-                             f"{DEGREE_CAP}; got {top}")
+    _cap("cohomology degree", top, DEGREE_CAP)
     if args.M is None:
         module = groupring.trivial_module(g, fpab.free_abelian(1))
         module_name = "trivial Z"
@@ -621,9 +638,7 @@ def _cmd_global_sections(args, doc: Document) -> dict:
 
 def _cmd_witness_search(args, doc: Document) -> dict:
     site = _need(doc.posets, args.poset, "poset")
-    if site.size > WITNESS_POSET_SIZE_CAP:
-        raise CliDomainError(f"poset size is capped at "
-                             f"{WITNESS_POSET_SIZE_CAP}; got {site.size}")
+    _cap("poset size", site.size, WITNESS_POSET_SIZE_CAP)
     if not 0 <= args.c < site.size:
         raise CliDomainError(f"element {args.c} is not in the poset")
     found = poset_sheaf.witness_search(site, args.c)

@@ -604,6 +604,43 @@ class TestExitCodes:
         assert code == cli.EXIT_DOMAIN
         assert "capped at 12; got 2000" in err
 
+    @pytest.mark.parametrize("desc", [
+        "cyclic 600", {"table": [[0] * 600] * 600}], ids=["cyclic", "table"])
+    def test_oversized_finite_group_is_refused_before_its_table_check(
+            self, capsys, monkeypatch, desc):
+        # checking a table's associativity is cubic in its order, and
+        # uncharged: cyclic 600 answered after 10 s; its order refuses it
+        doc = json.dumps({"finite_groups": {"G": desc}})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "group-cohomology", "--input", "-",
+                           "--G", "G", "--n", "0")
+        assert time.perf_counter() - start < 1
+        assert code == cli.EXIT_DOMAIN
+        assert "capped at 200; got 600" in err
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["hom", "--src", "Z^30000000", "--tgt", "0"], {}),
+        (["group", "--group", "G"], {"groups": {"G": {"gens": 30000000}}}),
+    ], ids=["shorthand", "gens"])
+    def test_oversized_group_is_refused_before_it_is_built(
+            self, capsys, monkeypatch, argv, doc):
+        # a matrix with a zero dimension meters no cells: Hom(Z^30000000, 0)
+        # answered after 20.6 s at 703 MB; the generator count refuses it
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv, "--input", "-")
+        assert time.perf_counter() - start < 1
+        assert code == cli.EXIT_DOMAIN
+        assert "capped at 100000; got 30000000" in err
+
+    def test_sums_are_capped_on_their_total(self, capsys):
+        code, out, _ = run(capsys, "group", "--group", "Z^50000 + Z^50000")
+        assert code == 0 and "Z^100000" in out
+        code, _, err = run(capsys, "group", "--group", "Z^50000 + Z^50000 + Z/2")
+        assert code == cli.EXIT_DOMAIN
+        assert "capped at 100000; got 100001" in err
+
     def test_witness_search_size_cap(self, capsys, monkeypatch):
         # the candidate family grows as 3^n and is searched in pairs, so
         # a poset one past the cap is refused before any search
