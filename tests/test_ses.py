@@ -714,6 +714,39 @@ def test_six_term_reduces_each_matrix_once(monkeypatch, variance,
     assert len(calls) == reductions
 
 
+def test_ext1_round_trip_reduces_and_solves_once(monkeypatch):
+    # realize_class -> class_of -> baer_sum -> is_split on a slot shaped
+    # like the abelian benchmark's: B = Z/2 + Z/4 on three generators, one
+    # killed by a unit relation, and A = Z/6 on two.  B, A, the Ext group
+    # and is_split each reduce once, and only is_split solves; 6 and 3
+    # when B also reduced its relations for a solver on them and its
+    # echelon basis for another, to move cocycles between the two
+    reductions, solves = [], []
+    reduce, solve = exactint._column_reduce, exactint.ModSolver.solve_matrix
+
+    def counted_reduce(a, track_rows):
+        reductions.append(a)
+        return reduce(a, track_rows)
+
+    def counted_solve(self, b):
+        solves.append(b)
+        return solve(self, b)
+
+    monkeypatch.setattr(exactint, "_column_reduce", counted_reduce)
+    monkeypatch.setattr(fpab, "_column_reduce", counted_reduce)
+    monkeypatch.setattr(exactint.ModSolver, "solve_matrix", counted_solve)
+    monkeypatch.setattr(exactint.SnfSolver, "solve_matrix", counted_solve)
+    b = make_group(3, IntMatrix.from_rows([[6, 4, 0], [4, 6, 1], [0, 2, 1]]))
+    a = make_group(2, IntMatrix.from_rows([[6, 6], [6, 7]]))
+    g = ext1_group(b, a)
+    assert g.group.canonical_form == (0, (2, 2))
+    x = g.class_element(IntMatrix.column([1, 2, 3, 4, 5, 0]))
+    e = realize_class(x)
+    assert class_of(e, g) == x
+    assert is_split(baer_sum(e, realize_class(-x))) is not None
+    assert (len(reductions), len(solves)) == (4, 1)
+
+
 @pytest.mark.parametrize("f_in, f_out, exact", [
     (identity_hom(Z), identity_hom(Z), False),  # nonzero composite
     (make_hom(Z, Z, IntMatrix.from_rows([[4]])),  # ker 2Z ⊋ im 4Z
