@@ -5,7 +5,8 @@ description of global sections are computed through two independent
 presentations and compared; the Sierpinski chain values are frozen from
 hand computation (resolution ZY(1), ZY(0)+ZY(1), ZY(0), Ext^2 stalk Z/2
 at the top, zero at the bottom); the fast and general sheaf Ext paths
-cross-check each other on every site where both apply.
+cross-check each other on every site where both apply; external Ext
+agrees with the cohomology of the nerve (oracles.nerve_ext) for Z-free B.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from extcalc import fpab, resolution
 from extcalc import poset_sheaf as ps
 from extcalc.exactint import IntMatrix
+from oracles import nerve_ext, nerve_ext_table
 from extcalc.fpab import (
     IllDefined,
     NotEpi,
@@ -418,11 +420,11 @@ def pairwise_hom_group(f, g):
     return group, incl
 
 
-def scaled_presheaf(rng, site):
-    """One stalk Z, Z/8 or Z/12 everywhere; F(d, c) multiplies by the
-    product of random weights over ↓c outside ↓d, so F(e, d) F(d, c) =
-    F(e, c) as ↓e ⊆ ↓d ⊆ ↓c."""
-    group = rng.choice([free_abelian(1), zmod(8), zmod(12)])
+def scaled_presheaf(rng, site, group=None):
+    """One stalk Z, Z/8 or Z/12 (or the group given) everywhere; F(d, c)
+    multiplies by the product of random weights over ↓c outside ↓d, so
+    F(e, d) F(d, c) = F(e, c) as ↓e ⊆ ↓d ⊆ ↓c."""
+    group = group or rng.choice([free_abelian(1), zmod(8), zmod(12)])
     w = [rng.choice([1, -1, 2, 3]) for _ in site.elements()]
     res = {(d, c): fpab.FpAbHom(group, group, IntMatrix.from_rows([[
         math.prod(w[m] for m in site.down_set(c) if not site.leq[m][d])]]))
@@ -1445,3 +1447,71 @@ class TestProjectivityWitness:
                                               IntMatrix.from_rows([[2]]))] * 2)
         with pytest.raises(ValueError, match="epimorphism"):
             internal_projectivity_witness(s, 0, dbl)
+
+
+def z_free_presheaf(rng, site):
+    """A random objectwise Z-free presheaf: constant Z^2, Z scaled along
+    the order, Z on an up-set or a down-set and 0 off it, or the kernel of
+    a random map between sums of representables."""
+    kind = rng.choice(["constant", "scaled", "indicator", "kernel"])
+    if kind == "constant":
+        return constant_presheaf(site, free_abelian(2))
+    if kind == "scaled":
+        return scaled_presheaf(rng, site, free_abelian(1))
+    if kind == "indicator":
+        x, up = rng.randrange(site.size), rng.random() < 0.5
+        inside = [site.leq[x][y] if up else site.leq[y][x]
+                  for y in site.elements()]
+        stalks = [free_abelian(int(i)) for i in inside]
+        return AbPresheaf(site, stalks, {(d, c): fpab.FpAbHom(
+            stalks[c], stalks[d], IntMatrix.identity(1) if inside[c]
+            and inside[d] else IntMatrix.zero(stalks[d].gens, stalks[c].gens))
+            for (d, c) in site.strict_pairs()})
+    ctx = presheaf_context(site)
+    src, tgt = (FreePresheaf(site, [rng.randrange(site.size)
+                                    for _ in range(rng.randint(1, 3))])
+                for _ in range(2))
+    units = [IntMatrix.column([rng.randint(-2, 2)
+                               for _ in range(tgt.stalk(l).gens)])
+             for l in src.labels]
+    return ctx.kernel(ctx.extend_units(src, tgt, units))[0]
+
+
+def stacked_crown(levels):
+    """Levels of two elements, each below both elements of the next."""
+    n = 2 * levels
+    return make_poset(n, [(d, c) for d in range(n) for c in range(n)
+                          if d // 2 < c // 2])
+
+
+class TestNerveOracle:
+    """External Ext against the cohomology of the nerve, which needs no
+    resolution by representables, on posets with or without a maximum."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(site=small_sites(), rng=st.randoms(use_true_random=False))
+    def test_external_ext_is_the_nerve_cohomology(self, site, rng):
+        b = z_free_presheaf(rng, site)
+        a = rng.choice([random_cokernel_presheaf, scaled_presheaf])(rng, site)
+        engine = external_ext_table(b, a, [0, 1, 2])
+        nerve = nerve_ext_table(site, b, a, [0, 1, 2])
+        for n in range(3):
+            assert engine[n].group.canonical_form == nerve[n].canonical_form
+
+    @pytest.mark.parametrize("levels", [2, 3, 4])
+    def test_constant_z_on_a_stacked_crown_is_a_sphere(self, levels):
+        # the order complex of k levels is the k-fold suspension of two
+        # points, S^(k-1) (McCord, Duke Math. J. 33, 1966)
+        site = stacked_crown(levels)
+        z = constant_presheaf(site, free_abelian(1))
+        sphere = {n: (int(n in (0, levels - 1)), ()) for n in range(levels + 1)}
+        engine = external_ext_table(z, z, list(sphere))
+        nerve = nerve_ext_table(site, z, z, list(sphere))
+        assert {n: d.group.canonical_form for n, d in engine.items()} == sphere
+        assert {n: g.canonical_form for n, g in nerve.items()} == sphere
+
+    def test_nerve_refuses_torsion_in_b(self):
+        site = chain(2)
+        with pytest.raises(ValueError, match="Z-free"):
+            nerve_ext(site, constant_presheaf(site, zmod(2)),
+                      constant_presheaf(site, zmod(2)), 1)
