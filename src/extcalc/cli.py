@@ -299,8 +299,7 @@ class Document:
         size = desc["size"]
         _expect(isinstance(size, int) and not isinstance(size, bool)
                 and size >= 0, f"{where}: size must be a nonnegative integer")
-        # before make_poset's O(n^3) closure
-        _cap("poset size", size, POSET_SIZE_CAP)
+        _cap("poset size", size, POSET_SIZE_CAP)  # before the O(n^3) closure
         rels = desc.get("relations", [])
         _expect(isinstance(rels, list), f"{where}: relations must be a list")
         pairs = []

@@ -394,20 +394,17 @@ class ModSolver:
         if rel.rows != a.rows:
             raise DimensionMismatch("relation matrix height mismatch")
         self.rows, self.cols = a.rows, a.cols
-        order, npiv = _column_reduce(
+        self._order, self._npiv = _column_reduce(
             hstack(a, rel) if rel.cols else a, track_rows=a.cols)
-        self._zeroed = order[npiv:]
-        self._pivots = [(col.row, col.d.pop(col.row), col.d, col.w)
-                        for col in order[:npiv]]
+        self._pivots = None  # pivot entries split off at the first read
 
     @classmethod
     def of_basis(cls, rows: int, basis: Sequence[tuple]) -> "ModSolver":
-        """The solver for K x = b, K the columns of an echelon basis given
-        as (pivot row, pivot, column by row) with pivot rows increasing,
-        as fpab.FpAbGroup keeps one.  K is its own reduction, so none is
-        run; it has no kernel, and x is unique when it exists."""
+        """The solver for K x = b, K the columns of an echelon basis given as
+        (pivot row, pivot, column by row), pivot rows increasing, as fpab
+        keeps one.  K is its own reduction, so none is run; x is unique."""
         solver = object.__new__(cls)
-        solver.rows, solver.cols, solver._zeroed = rows, len(basis), []
+        solver.rows, solver.cols, solver._order, solver._npiv = rows, len(basis), [], 0
         solver._pivots = [(r, p, {i: x for i, x in col.items() if i != r}, {k: 1})
                           for k, (r, p, col) in enumerate(basis)]
         return solver
@@ -417,13 +414,17 @@ class ModSolver:
         the A-parts of the columns the reduction zeroed, so the projection
         of ker[A | Rel].  With Rel empty they are a basis of ker A, which
         is saturated: a direct summand of the ambient lattice."""
+        zeroed = self._order[self._npiv:]
         if _meter is not None:
-            _charge(self.cols * len(self._zeroed))
-        return _from_sparse_cols([col.w for col in self._zeroed], self.cols)
+            _charge(self.cols * len(zeroed))
+        return _from_sparse_cols([col.w for col in zeroed], self.cols)
 
     def pivots(self) -> list:
         """(row, pivot, entries below, A-part of the transform) per pivot
         column, rows increasing; rows and pivots depend on the span alone."""
+        if self._pivots is None:
+            self._pivots = [(col.row, col.d.pop(col.row), col.d, col.w)
+                            for col in self._order[:self._npiv]]
         return self._pivots
 
     def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
